@@ -3,9 +3,9 @@
 // a million registered OIDs and a hundred thousand client machines throwing a
 // Zipf flash crowd at the location service.
 //
-// The same pre-generated workload runs twice: once on the sequential
-// sim::Simulator, once on a 4-shard sim::ShardedSimulator (one shard per
-// continent). Reported per engine: host wall-clock per phase, executed events,
+// The same pre-generated workload runs twice on the one event engine: once
+// with one shard (the sequential case), once with four (one shard per
+// continent). Reported per shard count: host wall-clock per phase, executed events,
 // events/sec over the flash crowd, lookup success, store spill traffic and
 // peak RSS. The bench fails if any registration is lost (a lookup that finds
 // no address), if bounded subnodes never evict/fault, or if any subnode's
@@ -45,7 +45,7 @@ size_t EnvOr(const char* name, size_t fallback) {
   return value != nullptr ? std::strtoull(value, nullptr, 10) : fallback;
 }
 
-// The workload, generated once so both engines replay the identical scenario.
+// The workload, generated once so both shard counts replay the identical scenario.
 struct Workload {
   std::vector<gls::ObjectId> oids;        // oids[i] registered in country i%16
   std::vector<uint32_t> lookup_oid;       // flash crowd: client j looks this up
@@ -87,23 +87,15 @@ RunResult RunWorld(size_t shards, const Workload& load, size_t clients) {
     return d;
   };
 
-  std::unique_ptr<sim::EventEngine> engine;
-  sim::ShardedSimulator* sharded = nullptr;
-  if (shards > 1) {
-    // Lookahead: any cross-shard message climbs at least one level (distinct
-    // continents only meet at the root), so the ascent-level-1 propagation
-    // latency lower-bounds every cross-shard delivery — transmit time and
-    // per-message overhead only add to it. Using host-to-host cross-continent
-    // latency instead would over-estimate: a continent-level directory host
-    // talking to a root-level host is only one level of ascent.
-    double min_latency = net_options.profile.LatencyAt(1);
-    auto owned = std::make_unique<sim::ShardedSimulator>(
-        shards, static_cast<sim::SimTime>(min_latency));
-    sharded = owned.get();
-    engine = std::move(owned);
-  } else {
-    engine = std::make_unique<sim::Simulator>();
-  }
+  // Lookahead: any cross-shard message climbs at least one level (distinct
+  // continents only meet at the root), so the ascent-level-1 propagation
+  // latency lower-bounds every cross-shard delivery — transmit time and
+  // per-message overhead only add to it. Using host-to-host cross-continent
+  // latency instead would over-estimate: a continent-level directory host
+  // talking to a root-level host is only one level of ascent. One shard
+  // ignores it.
+  sim::Simulator engine(shards,
+                        static_cast<sim::SimTime>(net_options.profile.LatencyAt(1)));
 
   // Home every node on its continent's shard. Assignment must happen BEFORE a
   // node's services register ports: the network keeps per-shard handler maps,
@@ -112,18 +104,15 @@ RunResult RunWorld(size_t shards, const Workload& load, size_t clients) {
   // are assigned at creation via the deployment's on_host_created hook.
   std::map<sim::DomainId, size_t> continent_index;
   auto assign_node = [&](sim::NodeId node) {
-    if (sharded == nullptr) {
-      return;
-    }
     sim::DomainId c = continent_of(node);
     size_t index = continent_index.emplace(c, continent_index.size()).first->second;
-    sharded->AssignNode(node, index % shards);
+    engine.AssignNode(node, index % shards);
   };
   for (sim::NodeId node = 0; node < world.topology.num_nodes(); ++node) {
     assign_node(node);
   }
 
-  sim::Network network(engine.get(), &world.topology, net_options);
+  sim::Network network(&engine, &world.topology, net_options);
   sim::PlainTransport transport(&network);
 
   gls::GlsDeploymentOptions options;
@@ -152,7 +141,7 @@ RunResult RunWorld(size_t shards, const Workload& load, size_t clients) {
       size_t end = std::min(begin + kBatch, per_country);
       ++batches_scheduled;
       // Stagger batches so the in-flight window stays bounded.
-      engine->ScheduleAtForNode(
+      engine.ScheduleAtForNode(
           registrar, 1 + b * 10 * sim::kMillisecond,
           [&, client, registrar, c, begin, end] {
             std::vector<std::pair<gls::ObjectId, gls::ContactAddress>> items;
@@ -172,7 +161,7 @@ RunResult RunWorld(size_t shards, const Workload& load, size_t clients) {
           });
     }
   }
-  engine->Run();
+  engine.Run();
   result.insert_wall = wall.Seconds();
   registrars.clear();
   if (insert_failures > 0 || batches_done != batches_scheduled) {
@@ -196,8 +185,8 @@ RunResult RunWorld(size_t shards, const Workload& load, size_t clients) {
   // ---- Phase 3: Zipf flash crowd. Every client host issues one cached
   // lookup of its pre-sampled OID, 1us apart (waves of arrival, not a bang).
   wall.Reset();
-  uint64_t executed_before = engine->executed_events();
-  sim::SimTime t0 = engine->Now() + 1;
+  uint64_t executed_before = engine.executed_events();
+  sim::SimTime t0 = engine.Now() + 1;
   std::atomic<uint64_t> lookups_ok{0};
   std::atomic<uint64_t> lookups_lost{0};
   std::vector<std::shared_ptr<gls::GlsClient>> crowd;
@@ -209,7 +198,7 @@ RunResult RunWorld(size_t shards, const Workload& load, size_t clients) {
     client->set_allow_cached(true);
     crowd.push_back(client);
     const gls::ObjectId& oid = load.oids[load.lookup_oid[j]];
-    engine->ScheduleAtForNode(host, t0 + j, [&, client, oid] {
+    engine.ScheduleAtForNode(host, t0 + j, [&, client, oid] {
       client->Lookup(oid, [&](Result<gls::LookupResult> r) {
         if (r.ok() && !r->addresses.empty()) {
           ++lookups_ok;
@@ -219,11 +208,11 @@ RunResult RunWorld(size_t shards, const Workload& load, size_t clients) {
       });
     });
   }
-  engine->Run();
+  engine.Run();
   result.lookups_ok = lookups_ok;
   result.lookups_lost = lookups_lost;
   result.crowd_wall = wall.Seconds();
-  result.executed = engine->executed_events();
+  result.executed = engine.executed_events();
   result.crowd_events_per_sec =
       result.crowd_wall > 0
           ? static_cast<double>(result.executed - executed_before) / result.crowd_wall
@@ -238,11 +227,9 @@ RunResult RunWorld(size_t shards, const Workload& load, size_t clients) {
       result.over_capacity = true;
     }
   }
-  if (sharded != nullptr) {
-    result.windows = sharded->windows_run();
-    result.parallel_windows = sharded->parallel_windows();
-    result.lookahead_violations = sharded->lookahead_violations();
-  }
+  result.windows = engine.windows_run();
+  result.parallel_windows = engine.parallel_windows();
+  result.lookahead_violations = engine.lookahead_violations();
   result.peak_rss_mb = bench::PeakRssMb();
   return result;
 }
@@ -258,10 +245,10 @@ int main() {
                "sharded event engine + memory-bounded directory at planet scale");
   bench::Note("%zu OIDs registered, %zu client hosts, Zipf(1.0) flash crowd;",
               num_oids, num_clients);
-  bench::Note("store capacity %zu entries/subnode; same workload on both engines.",
-              kStoreCapacity);
+  bench::Note("store capacity %zu entries/subnode; same workload on 1 and %zu shards.",
+              kStoreCapacity, kShards);
 
-  // One workload, replayed on both engines.
+  // One workload, replayed on both shard counts.
   Workload load;
   Rng oid_rng(0x9157);
   load.oids.reserve(num_oids);
@@ -300,9 +287,11 @@ int main() {
                Fmt("%" PRIu64, sharded.fault_ins)});
   details.Row({"spilled MB", Fmt("%.1f", sequential.spilled_bytes / 1048576.0),
                Fmt("%.1f", sharded.spilled_bytes / 1048576.0)});
-  details.Row({"windows run", "-", Fmt("%" PRIu64, sharded.windows)});
-  details.Row({"parallel windows", "-", Fmt("%" PRIu64, sharded.parallel_windows)});
-  details.Row({"lookahead violations", "-",
+  details.Row({"windows run", Fmt("%" PRIu64, sequential.windows),
+               Fmt("%" PRIu64, sharded.windows)});
+  details.Row({"parallel windows", Fmt("%" PRIu64, sequential.parallel_windows),
+               Fmt("%" PRIu64, sharded.parallel_windows)});
+  details.Row({"lookahead violations", Fmt("%" PRIu64, sequential.lookahead_violations),
                Fmt("%" PRIu64, sharded.lookahead_violations)});
 
   double speedup = sharded.crowd_wall > 0
@@ -336,7 +325,7 @@ int main() {
     }
   }
   if (sharded.lookups_ok != sequential.lookups_ok) {
-    std::printf("FAIL: engines disagree on lookup outcomes (%" PRIu64
+    std::printf("FAIL: shard counts disagree on lookup outcomes (%" PRIu64
                 " vs %" PRIu64 ")\n",
                 sequential.lookups_ok, sharded.lookups_ok);
     return 1;

@@ -1,4 +1,4 @@
-// Shared helpers for the experiment benchmarks (see DESIGN.md's experiment index).
+// Shared helpers for the experiment benchmarks (see README.md, "Benchmarks").
 //
 // Each bench binary regenerates one table/figure: it builds a deterministic
 // simulated world, runs the workload, and prints the rows the paper's evaluation

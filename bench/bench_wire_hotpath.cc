@@ -18,8 +18,8 @@
 // loopback throughput is machine-bound.
 //
 // A second table runs the same lookup through the secure transport over the
-// same loopback TCP, comparing per-frame MAC verification against the default
-// batched mode under 16-call pipelined bursts.
+// same loopback TCP, in 16-call pipelined bursts whose frames are MAC-verified
+// in batches.
 
 #include <atomic>
 #include <chrono>
@@ -200,19 +200,18 @@ int main() {
   bench::Note("codec adds 16 bytes per frame (u32 length + src/dst endpoints) on");
   bench::Note("top of the RPC layer's own header.");
 
-  // ---- Secure transport over the same loopback TCP: per-frame vs batched MAC
+  // ---- Secure transport over the same loopback TCP, with batched MAC
   // verification. One SocketTransport hosts both nodes (the secure layer keeps
   // both ends' session state in a single instance; Listen()'s self-routes loop
   // the frames through real TCP), and each op is a 16-call pipelined burst so
-  // the batched mode sees real batches per event-loop wake. The crypto cost
+  // the verifier sees real batches per event-loop wake. The crypto cost
   // profile is zeroed: wall-clock measures the actual HMAC work, not simulated
   // delay holds.
   bench::Note("");
   bench::Note("secure lookup: the same 120 B echo through the secure transport in");
-  bench::Note("16-call pipelined bursts. per-frame verification rebuilds the HMAC");
-  bench::Note("key schedule and concatenates the MAC input for every frame;");
-  bench::Note("batched verification shares the session's precomputed midstates and");
-  bench::Note("one scratch header across each wake's batch.");
+  bench::Note("16-call pipelined bursts. verification shares the session's");
+  bench::Note("precomputed HMAC midstates and one scratch header across each");
+  bench::Note("wake's batch.");
 
   net::EventLoop secure_loop;
   net::SocketTransport secure_inner(&secure_loop);
@@ -273,50 +272,35 @@ int main() {
 
   bench::Table secure_table({"op", "calls", "frames/op", "wire bytes/op", "allocs/op",
                              "wall us/op", "max batch"});
-  struct SecureMode {
-    const char* name;
-    sec::VerifyMode mode;
-  };
-  const SecureMode modes[] = {
-      {"secure lookup per-frame", sec::VerifyMode::kPerFrame},
-      {"secure lookup batched", sec::VerifyMode::kBatched},
-  };
   constexpr int kBursts = 200;
-  for (const SecureMode& m : modes) {
-    secure.set_verify_mode(m.mode);
-    run_burst();  // warmup: handshake, connections, buffer high-water marks
-    secure.mutable_stats()->Clear();
-    secure_inner.mutable_stats()->Clear();
-    uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
-    auto wall_start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kBursts; ++i) {
-      run_burst();
-    }
-    auto wall_end = std::chrono::steady_clock::now();
-    uint64_t calls = static_cast<uint64_t>(kBursts) * kBurst;
-    uint64_t allocs =
-        g_allocations.load(std::memory_order_relaxed) - allocs_before;
-    // One transport carries both directions: frames_sent alone counts each wire
-    // frame exactly once (request + response = 2 per call), comparable to the
-    // client-side accounting of the plain table above.
-    const net::WireStats& wire = secure_inner.stats();
-    double total_us = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::microseconds>(wall_end - wall_start)
-            .count());
-    secure_table.Row(
-        {m.name, Fmt("%llu", (unsigned long long)calls),
-         Fmt("%llu", (unsigned long long)(wire.frames_sent / calls)),
-         Fmt("%llu", (unsigned long long)(wire.bytes_sent / calls)),
-         Fmt("%llu", (unsigned long long)(allocs / calls)),
-         Fmt("%.1f", total_us / static_cast<double>(calls)),
-         m.mode == sec::VerifyMode::kBatched
-             ? Fmt("%llu", (unsigned long long)secure.stats().max_batch_frames)
-             : std::string("-")});
+  run_burst();  // warmup: handshake, connections, buffer high-water marks
+  secure.mutable_stats()->Clear();
+  secure_inner.mutable_stats()->Clear();
+  uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+  auto wall_start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kBursts; ++i) {
+    run_burst();
   }
+  auto wall_end = std::chrono::steady_clock::now();
+  uint64_t calls = static_cast<uint64_t>(kBursts) * kBurst;
+  uint64_t allocs =
+      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  // One transport carries both directions: frames_sent alone counts each wire
+  // frame exactly once (request + response = 2 per call), comparable to the
+  // client-side accounting of the plain table above.
+  const net::WireStats& wire = secure_inner.stats();
+  double total_us = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::microseconds>(wall_end - wall_start)
+          .count());
+  secure_table.Row(
+      {"secure lookup batched", Fmt("%llu", (unsigned long long)calls),
+       Fmt("%llu", (unsigned long long)(wire.frames_sent / calls)),
+       Fmt("%llu", (unsigned long long)(wire.bytes_sent / calls)),
+       Fmt("%llu", (unsigned long long)(allocs / calls)),
+       Fmt("%.1f", total_us / static_cast<double>(calls)),
+       Fmt("%llu", (unsigned long long)secure.stats().max_batch_frames)});
 
   bench::Note("");
-  bench::Note("secure frames carry the session header + 32 B HMAC trailer; the");
-  bench::Note("batched row's win over per-frame is the amortized verification");
-  bench::Note("setup (key schedule + MAC-input concatenation) it no longer pays.");
+  bench::Note("secure frames carry the session header + 32 B HMAC trailer.");
   return 0;
 }

@@ -28,42 +28,7 @@ class WorldActuator : public ctl::PolicyActuator {
 GdnWorld::GdnWorld(GdnWorldConfig config)
     : config_(std::move(config)),
       world_(sim::BuildUniformWorld(config_.fanouts, config_.user_hosts_per_site)) {
-  // ---- Event engine: sequential by default, per-continent shards on demand.
-  if (config_.event_shards > 1) {
-    std::vector<sim::DomainId> continents;
-    for (sim::DomainId d = 0; d < world_.topology.num_domains(); ++d) {
-      if (world_.topology.DomainDepth(d) == 1) {
-        continents.push_back(d);
-      }
-    }
-    for (size_t i = 0; i < continents.size(); ++i) {
-      continent_shard_[continents[i]] =
-          i % static_cast<size_t>(config_.event_shards);
-    }
-    sim::SimTime lookahead = static_cast<sim::SimTime>(config_.event_lookahead_us);
-    if (lookahead == 0) {
-      // Safe maximum: nodes on different shards live under different
-      // continents (or at the root), so any cross-shard message climbs at
-      // least one level and its propagation latency is at least the
-      // ascent-level-1 figure — transmit time and per-message overhead only
-      // add to it. (Host-to-host cross-continent latency would over-estimate:
-      // infrastructure hosts attached above the leaves ascend fewer levels.)
-      lookahead = static_cast<sim::SimTime>(config_.network.profile.LatencyAt(1));
-    }
-    auto sharded = std::make_unique<sim::ShardedSimulator>(
-        static_cast<size_t>(config_.event_shards), lookahead);
-    sharded_ = sharded.get();
-    engine_ = std::move(sharded);
-    // Hosts created by BuildUniformWorld; every later host is assigned where
-    // it is credentialed.
-    for (sim::NodeId node = 0; node < world_.topology.num_nodes(); ++node) {
-      AssignNodeShard(node);
-    }
-  } else {
-    engine_ = std::make_unique<sim::Simulator>();
-  }
-
-  network_ = std::make_unique<sim::Network>(engine_.get(), &world_.topology,
+  network_ = std::make_unique<sim::Network>(&engine_, &world_.topology,
                                             config_.network);
 
   plain_transport_ = std::make_unique<sim::PlainTransport>(network_.get());
@@ -194,7 +159,6 @@ GdnWorld::GdnWorld(GdnWorldConfig config)
 
   // ---- The moderator machine and tool. ----
   moderator_host_ = world_.topology.AddNode("moderator", primary_site);
-  AssignNodeShard(moderator_host_);
   if (config_.secure) {
     secure_transport_->SetNodeCredential(
         moderator_host_, registry_.Register("moderator-arno", sec::Role::kModerator));
@@ -279,10 +243,10 @@ Result<std::string> GdnWorld::SearchViaHttp(sim::NodeId user, const std::string&
   auto browser = MakeBrowser(user);
   GdnHttpd* httpd = NearestHttpd(user);
   Result<std::string> out = Unavailable("pending");
-  sim::SimTime started = engine_->Now();
+  sim::SimTime started = engine_.Now();
   browser->Fetch(httpd->node(), "/search?q=" + http::UrlEncode(query),
                  [&](Result<http::HttpResponse> response) {
-                   last_op_duration_ = engine_->Now() - started;
+                   last_op_duration_ = engine_.Now() - started;
                    if (!response.ok()) {
                      out = response.status();
                      return;
@@ -297,22 +261,7 @@ Result<std::string> GdnWorld::SearchViaHttp(sim::NodeId user, const std::string&
   return out;
 }
 
-void GdnWorld::AssignNodeShard(sim::NodeId node) {
-  if (sharded_ == nullptr) {
-    return;
-  }
-  sim::DomainId d = world_.topology.NodeDomain(node);
-  while (world_.topology.DomainDepth(d) > 1) {
-    d = world_.topology.DomainParent(d);
-  }
-  auto it = continent_shard_.find(d);
-  sharded_->AssignNode(node, it == continent_shard_.end() ? 0 : it->second);
-}
-
 void GdnWorld::CredentialHost(sim::NodeId node, const std::string& name) {
-  // Every GDN host passes through here right after its AddNode; this is where
-  // a sharded engine learns which continent shard owns the host.
-  AssignNodeShard(node);
   gdn_hosts_.insert(node);
   if (config_.secure && secure_transport_ != nullptr) {
     secure_transport_->SetNodeCredential(
@@ -450,9 +399,8 @@ ctl::ReplicationController* GdnWorld::EnableAdaptiveReplication(
 
 void GdnWorld::ScheduleAdaptiveTick() {
   // The evaluation pass reads every GOS's telemetry and executes migrations —
-  // global state, so under a sharded engine it must run with all shards
-  // quiescent. ScheduleBarrier degrades to ScheduleAt on a sequential engine.
-  engine_->ScheduleBarrier(engine_->Now() + adaptive_interval_, [this] {
+  // global state, so it runs as a barrier task.
+  engine_.ScheduleBarrier(engine_.Now() + adaptive_interval_, [this] {
     EvaluateAdaptiveNow();
     ScheduleAdaptiveTick();
   });
@@ -641,9 +589,9 @@ Result<Bytes> GdnWorld::DownloadFile(sim::NodeId user, const std::string& globe_
   std::string target =
       http::UrlEncode("/packages" + globe_name + "/files/" + file_path);
   Result<Bytes> out = Unavailable("pending");
-  sim::SimTime started = engine_->Now();
+  sim::SimTime started = engine_.Now();
   browser->Fetch(httpd->node(), target, [&](Result<http::HttpResponse> response) {
-    last_op_duration_ = engine_->Now() - started;
+    last_op_duration_ = engine_.Now() - started;
     if (!response.ok()) {
       out = response.status();
       return;
@@ -664,10 +612,10 @@ Result<std::string> GdnWorld::FetchListing(sim::NodeId user,
   auto browser = MakeBrowser(user);
   GdnHttpd* httpd = NearestHttpd(user);
   Result<std::string> out = Unavailable("pending");
-  sim::SimTime started = engine_->Now();
+  sim::SimTime started = engine_.Now();
   browser->Fetch(httpd->node(), http::UrlEncode("/packages" + globe_name),
                  [&](Result<http::HttpResponse> response) {
-                   last_op_duration_ = engine_->Now() - started;
+                   last_op_duration_ = engine_.Now() - started;
                    if (!response.ok()) {
                      out = response.status();
                      return;

@@ -59,15 +59,6 @@ struct GdnWorldConfig {
   // Root directory-node partitioning (1 = unpartitioned).
   int root_subnodes = 1;
 
-  // Event-engine sharding: >1 runs the world on a ShardedSimulator with this
-  // many per-continent event shards (continents round-robin onto shards, every
-  // node runs on its continent's shard). 0 or 1 = the sequential Simulator.
-  // Replay stays byte-identical run-to-run for a fixed seed and shard count.
-  int event_shards = 0;
-  // Lockstep window bound in microseconds; 0 = derive the minimum
-  // cross-continent link latency from the topology (the safe maximum).
-  double event_lookahead_us = 0;
-
   // Memory bound for every directory subnode (entries resident per subnode;
   // 0 = unbounded). See GlsOptions::store_capacity.
   size_t gls_store_capacity = 0;
@@ -99,9 +90,7 @@ class GdnWorld {
     sim::NodeId resolver_host = sim::kNoNode;
   };
 
-  sim::EventEngine& simulator() { return *engine_; }
-  // Non-null when config.event_shards > 1 (for window/violation statistics).
-  sim::ShardedSimulator* sharded_engine() { return sharded_; }
+  sim::Simulator& simulator() { return engine_; }
   sim::Network& network() { return *network_; }
   sim::Transport* transport() { return transport_; }
   const sim::Topology& topology() const { return world_.topology; }
@@ -130,7 +119,7 @@ class GdnWorld {
   std::unique_ptr<Browser> MakeBrowser(sim::NodeId user);
 
   // Drains all pending simulator events.
-  void Run() { engine_->Run(); }
+  void Run() { engine_.Run(); }
 
   // ---- Synchronous conveniences (each drains the simulator) ----
 
@@ -211,14 +200,10 @@ class GdnWorld {
  private:
   void SetupSecurity();
   void CredentialHost(sim::NodeId node, const std::string& name);
-  // Homes `node` on its continent's event shard (no-op on a sequential engine).
-  void AssignNodeShard(sim::NodeId node);
 
   GdnWorldConfig config_;
   sim::UniformWorld world_;
-  std::unique_ptr<sim::EventEngine> engine_;
-  sim::ShardedSimulator* sharded_ = nullptr;  // engine_ downcast when sharded
-  std::map<sim::DomainId, size_t> continent_shard_;
+  sim::Simulator engine_;
   sec::KeyRegistry registry_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<sim::PlainTransport> plain_transport_;

@@ -213,7 +213,9 @@ void SocketTransport::Send(const sim::Endpoint& src, const sim::Endpoint& dst,
   // Learned reply path: the connection the destination's traffic arrived on.
   auto learned = learned_.find(dst);
   if (learned != learned_.end() && learned->second->state != ConnState::kClosed) {
-    const std::shared_ptr<Connection>& conn = learned->second;
+    // A copy, not a reference: closing the connection erases its learned_
+    // entry, and the shared_ptr inside that entry with it.
+    std::shared_ptr<Connection> conn = learned->second;
     if (conn->kind == ConnKind::kHttp) {
       // Raw HTTP response: no framing, one response per HTTP/1.0 connection.
       QueueBytes(conn, payload.data(), payload.size());

@@ -8,7 +8,7 @@
 // KeyRegistry: a table of (principal -> secret key, role) playing the role of the CA.
 // An entity proves an identity by holding the key the registry lists for it; the
 // HMAC-based "signatures" this enables have the same authorization semantics as
-// certificate verification (see DESIGN.md substitution table).
+// certificate verification.
 
 #ifndef SRC_SEC_PRINCIPAL_H_
 #define SRC_SEC_PRINCIPAL_H_

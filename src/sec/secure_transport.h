@@ -23,11 +23,10 @@
 //     and the frame is dropped and counted.
 //   - Delivered frames carry the authenticated peer principal so services can apply
 //     role checks ("only a moderator may add packages", §6.1).
-//   - Inbound verification is batched by default (VerifyMode::kBatched): frames
-//     arriving in one event-loop wake queue as pinned views and are verified
-//     together in a single deferred flush, against the session's precomputed
-//     HMAC midstates. A tampered frame is rejected individually; the rest of
-//     its batch still delivers.
+//   - Inbound verification is batched: frames arriving in one event-loop wake
+//     queue as pinned views and are verified together in a single deferred
+//     flush, against the session's precomputed HMAC midstates. A tampered frame
+//     is rejected individually; the rest of its batch still delivers.
 //
 // Per-byte MAC and cipher costs are charged as extra delivery delay, which is how the
 // benchmarks measure the paper's "paying for confidentiality we do not need" concern.
@@ -75,19 +74,6 @@ struct CryptoProfile {
   uint64_t mac_trailer_bytes = 32;    // HMAC-SHA-256 length on the wire
 };
 
-// How inbound secure frames are MAC-verified.
-enum class VerifyMode : uint8_t {
-  // Legacy: verify each frame the moment it arrives, rebuilding the HMAC key
-  // schedule and concatenating the MAC input per frame. Kept as the baseline
-  // the batched mode is benchmarked against.
-  kPerFrame = 0,
-  // Default: frames arriving in one event-loop wake are queued (their views
-  // pinned) and verified together in a single deferred flush, sharing the
-  // session's precomputed HMAC midstates and one scratch header buffer — the
-  // per-message crypto setup cost amortizes across the batch.
-  kBatched = 1,
-};
-
 struct SecureStats {
   uint64_t handshakes = 0;
   uint64_t frames_sent = 0;
@@ -97,9 +83,9 @@ struct SecureStats {
   uint64_t auth_failures = 0;     // handshake credential verification failures
   uint64_t unknown_session = 0;   // frames naming a session we never established
   uint64_t malformed_frames = 0;
-  uint64_t verify_batches = 0;    // batched mode: flushes executed
-  uint64_t batched_frames = 0;    // batched mode: frames verified across all flushes
-  uint64_t max_batch_frames = 0;  // batched mode: largest single flush
+  uint64_t verify_batches = 0;    // verify flushes executed
+  uint64_t batched_frames = 0;    // frames verified across all flushes
+  uint64_t max_batch_frames = 0;  // largest single flush
   double crypto_us = 0;           // total simulated crypto CPU time
 
   void Clear() { *this = SecureStats(); }
@@ -116,9 +102,6 @@ class SecureTransport : public sim::Transport {
   void SetNodeCredential(sim::NodeId node, Credential credential);
 
   void SetChannelPolicy(ChannelPolicy policy) { policy_ = std::move(policy); }
-
-  void set_verify_mode(VerifyMode mode) { verify_mode_ = mode; }
-  VerifyMode verify_mode() const { return verify_mode_; }
 
   // sim::Transport interface.
   void Send(const sim::Endpoint& src, const sim::Endpoint& dst, ByteSpan payload) override;
@@ -200,7 +183,6 @@ class SecureTransport : public sim::Transport {
   std::map<std::pair<sim::NodeId, uint16_t>, std::shared_ptr<sim::TransportHandler>>
       handlers_;
   SecureStats stats_;
-  VerifyMode verify_mode_ = VerifyMode::kBatched;
   // Frames queued for the next batched flush (one 0-delay event per wake).
   std::vector<PendingSecureFrame> pending_;
   // Scratch buffers reused across frames: MAC header bytes and outbound frames.

@@ -9,10 +9,8 @@
 #ifndef SRC_SIM_BACKEND_H_
 #define SRC_SIM_BACKEND_H_
 
-#include "src/sim/engine.h"             // IWYU pragma: export
-#include "src/sim/network.h"            // IWYU pragma: export
-#include "src/sim/sharded_simulator.h"  // IWYU pragma: export
-#include "src/sim/simulator.h"          // IWYU pragma: export
-#include "src/sim/topology.h"           // IWYU pragma: export
+#include "src/sim/network.h"    // IWYU pragma: export
+#include "src/sim/simulator.h"  // IWYU pragma: export
+#include "src/sim/topology.h"   // IWYU pragma: export
 
 #endif  // SRC_SIM_BACKEND_H_

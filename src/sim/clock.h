@@ -33,8 +33,10 @@ constexpr SimTime kSecond = 1000 * 1000;
 inline double ToMillis(SimTime t) { return static_cast<double>(t) / 1000.0; }
 inline double ToSeconds(SimTime t) { return static_cast<double>(t) / 1e6; }
 
-// Narrow timer-scheduling interface. Implementations are single-threaded: all
-// callbacks run on the thread driving the clock, never concurrently.
+// Narrow timer-scheduling interface. Callbacks touching one node's state never
+// run concurrently: net::EventLoop and a one-shard sim::Simulator run every
+// callback on the thread driving the clock, and a multi-shard Simulator runs
+// each shard's callbacks on one thread at a time.
 class Clock {
  public:
   // Handle to a scheduled timer; kNoTimer is never a live timer.

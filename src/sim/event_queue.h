@@ -1,13 +1,11 @@
-// A cancellable min-heap of timed events, shared by the event engines.
+// A cancellable min-heap of timed events: one per sim::Simulator shard.
 //
-// Both sim::Simulator (one queue) and sim::ShardedSimulator (one queue per
-// shard) need the same structure: a (time, id)-ordered heap whose entries can
-// be cancelled in O(1) and whose tombstones are bounded. Cancellation marks the
-// id; the physical entry is dropped lazily when it surfaces, and Push/Cancel
-// compact the heap outright once tombstones outnumber live events — so a
-// week-long simulated run that schedules and cancels millions of RPC deadline
-// timers holds memory proportional to the *live* event count, not the
-// historical cancel count.
+// A (time, id)-ordered heap whose entries can be cancelled in O(1) and whose
+// tombstones are bounded. Cancellation marks the id; the physical entry is
+// dropped lazily when it surfaces, and Push/Cancel compact the heap outright
+// once tombstones outnumber live events — so a week-long simulated run that
+// schedules and cancels millions of RPC deadline timers holds memory
+// proportional to the *live* event count, not the historical cancel count.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_

@@ -57,7 +57,7 @@ void TrafficStats::DrainFrom(TrafficStats* other) {
   other->Clear();
 }
 
-Network::Network(EventEngine* engine, const Topology* topology, NetworkOptions options)
+Network::Network(Simulator* engine, const Topology* topology, NetworkOptions options)
     : engine_(engine), topology_(topology), options_(std::move(options)) {
   // One state slice per engine shard. Shard 0 gets exactly the configured
   // seed, so a single-shard (sequential) network draws the identical random

@@ -13,16 +13,16 @@
 // every timed fault runs on the virtual clock, so a failure schedule replays
 // byte-identically across runs — the property the chaos suite is built on.
 //
-// The network runs on any EventEngine. On the sequential Simulator nothing is
-// concurrent and there is exactly one shard of internal state. On the
-// ShardedSimulator the hot mutable state — RNG, traffic stats, per-node receive
-// counts, port handler tables — is partitioned per shard: a send accounts to the
-// sending shard, a delivery executes on (and touches only) the receiving node's
-// shard. The fault tables (down nodes, partitions, drop probabilities) stay
-// shared; they are read-only while shards run and may only be mutated with all
-// shards parked (idle, or inside an engine barrier task) — asserted on every
-// mutator. Aggregate accessors (stats(), per_node_received()) drain the
-// per-shard counters into the aggregate view and are likewise idle-only.
+// The network keeps one slice of internal state per Simulator shard. On one
+// shard nothing is concurrent. On several, the hot mutable state — RNG, traffic
+// stats, per-node receive counts, port handler tables — is partitioned per shard:
+// a send accounts to the sending shard, a delivery executes on (and touches
+// only) the receiving node's shard. The fault tables (down nodes, partitions,
+// drop probabilities) stay shared; they are read-only while shards run and may
+// only be mutated with all shards parked (idle, or inside an engine barrier
+// task) — asserted on every mutator. Aggregate accessors (stats(),
+// per_node_received()) drain the per-shard counters into the aggregate view and
+// are likewise idle-only.
 
 #ifndef SRC_SIM_NETWORK_H_
 #define SRC_SIM_NETWORK_H_
@@ -35,7 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/engine.h"
+#include "src/sim/simulator.h"
 #include "src/sim/topology.h"
 #include "src/sim/transport.h"
 #include "src/util/bytes.h"
@@ -91,13 +91,13 @@ struct NetworkOptions {
 
 class Network {
  public:
-  Network(EventEngine* engine, const Topology* topology, NetworkOptions options = {});
+  Network(Simulator* engine, const Topology* topology, NetworkOptions options = {});
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   // Registers the handler for (node, port). Overwrites any previous registration.
-  // Under a sharded engine this must run on the shard owning `node` (or idle).
+  // With several shards this must run on the shard owning `node` (or idle).
   void RegisterPort(NodeId node, uint16_t port, PortHandler handler);
   void UnregisterPort(NodeId node, uint16_t port);
 
@@ -111,7 +111,7 @@ class Network {
   // Failure injection. All of it is deterministic: probabilities draw from the
   // seeded RNG, timed faults expire on the virtual clock. The fault tables are
   // shared across shards, so mutation requires every shard parked: call these
-  // from idle context or an EventEngine::ScheduleBarrier task, never from an
+  // from idle context or a Simulator::ScheduleBarrier task, never from an
   // event running inside a parallel window.
   void SetNodeUp(NodeId node, bool up);
   bool IsNodeUp(NodeId node) const;
@@ -145,7 +145,7 @@ class Network {
 
   // Observation hook: sees every frame as it enters the network (before tampering or
   // drops). Used by tests to play the "attacker tapping the wire" role from §6.2.
-  // Under a sharded engine the hook runs on whichever shard sends, so it must not
+  // With several shards the hook runs on whichever shard sends, so it must not
   // touch cross-shard mutable state; the tests that use it run sequentially.
   using Eavesdropper =
       std::function<void(const Endpoint& src, const Endpoint& dst, ByteSpan)>;
@@ -159,7 +159,7 @@ class Network {
   const std::map<NodeId, uint64_t>& per_node_received() const;
   void ClearPerNodeReceived();
 
-  EventEngine* engine() { return engine_; }
+  Simulator* engine() { return engine_; }
   const Topology& topology() const { return *topology_; }
   const NetworkOptions& options() const { return options_; }
 
@@ -195,7 +195,7 @@ class Network {
   // Folds every shard's counters into the aggregate members. Idle-only.
   void DrainShardCounters() const;
 
-  EventEngine* engine_;
+  Simulator* engine_;
   const Topology* topology_;
   NetworkOptions options_;
   mutable std::vector<ShardState> shards_;

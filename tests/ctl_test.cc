@@ -14,7 +14,7 @@
 #include "src/ctl/controller.h"
 #include "src/ctl/metrics_registry.h"
 #include "src/dso/protocols.h"
-#include "src/sim/simulator.h"
+#include "src/sim/backend.h"
 #include "src/util/rng.h"
 
 namespace globe::ctl {

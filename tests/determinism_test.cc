@@ -1,11 +1,11 @@
-// Determinism of the sharded event engine (src/sim/sharded_simulator.h).
+// Determinism of the event engine (src/sim/simulator.h) across shard counts.
 //
-// The engine's contract: for a pinned seed, a sharded run is byte-identical to
-// a re-run with the same shard count, and — on tie-free workloads, where no two
-// events share a (time, node) slot — identical to the sequential engine in
+// The engine's contract: for a pinned seed, a run is byte-identical to a re-run
+// with the same shard count, and — on tie-free workloads, where no two events
+// share a (time, node) slot — a 4-shard run is identical to a 1-shard run in
 // executed-event count, final virtual time, per-request outcomes and final
 // service state. The suite drives a real GLS deployment (with the
-// memory-bounded subnode store exercising spill/fault-in under both engines)
+// memory-bounded subnode store exercising spill/fault-in at both shard counts)
 // and compares checkpoint bytes, plus unit tests for the engine's window and
 // boundary machinery.
 
@@ -22,17 +22,15 @@ namespace {
 
 using sim::BuildUniformWorld;
 using sim::DomainId;
-using sim::EventEngine;
 using sim::NodeId;
-using sim::ShardedSimulator;
 using sim::SimTime;
 using sim::Simulator;
 using sim::UniformWorld;
 
 // ------------------------------------------------------------ engine units
 
-TEST(ShardedSimulatorTest, RunsShardLocalEventsInTimeOrder) {
-  ShardedSimulator engine(2, /*lookahead_us=*/100);
+TEST(EngineTest, RunsShardLocalEventsInTimeOrder) {
+  Simulator engine(2, /*lookahead_us=*/100);
   engine.AssignNode(0, 0);
   engine.AssignNode(1, 1);
   std::vector<int> order;
@@ -44,8 +42,8 @@ TEST(ShardedSimulatorTest, RunsShardLocalEventsInTimeOrder) {
   EXPECT_EQ(engine.executed_events(), 3u);
 }
 
-TEST(ShardedSimulatorTest, CrossShardHandoffRunsOnTargetShard) {
-  ShardedSimulator engine(2, /*lookahead_us=*/50);
+TEST(EngineTest, CrossShardHandoffRunsOnTargetShard) {
+  Simulator engine(2, /*lookahead_us=*/50);
   engine.AssignNode(0, 0);
   engine.AssignNode(1, 1);
   std::atomic<size_t> observed_shard{99};
@@ -61,8 +59,8 @@ TEST(ShardedSimulatorTest, CrossShardHandoffRunsOnTargetShard) {
   EXPECT_EQ(engine.lookahead_violations(), 0u);
 }
 
-TEST(ShardedSimulatorTest, LookaheadViolationIsClampedAndCounted) {
-  ShardedSimulator engine(2, /*lookahead_us=*/1000);
+TEST(EngineTest, LookaheadViolationIsClampedAndCounted) {
+  Simulator engine(2, /*lookahead_us=*/1000);
   engine.AssignNode(0, 0);
   engine.AssignNode(1, 1);
   // Shard 1 has an event at 500 inside the same window as shard 0's event at
@@ -80,8 +78,8 @@ TEST(ShardedSimulatorTest, LookaheadViolationIsClampedAndCounted) {
   EXPECT_EQ(engine.lookahead_violations(), 1u);
 }
 
-TEST(ShardedSimulatorTest, BarrierRunsWithShardsParkedAndInOrder) {
-  ShardedSimulator engine(2, /*lookahead_us=*/10);
+TEST(EngineTest, BarrierRunsWithShardsParkedAndInOrder) {
+  Simulator engine(2, /*lookahead_us=*/10);
   engine.AssignNode(0, 0);
   engine.AssignNode(1, 1);
   std::vector<int> order;
@@ -97,8 +95,8 @@ TEST(ShardedSimulatorTest, BarrierRunsWithShardsParkedAndInOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(ShardedSimulatorTest, CancelShardLocalEventSkipsIt) {
-  ShardedSimulator engine(2, /*lookahead_us=*/100);
+TEST(EngineTest, CancelShardLocalEventSkipsIt) {
+  Simulator engine(2, /*lookahead_us=*/100);
   engine.AssignNode(0, 0);
   bool cancelled_ran = false;
   bool fired = false;
@@ -113,7 +111,55 @@ TEST(ShardedSimulatorTest, CancelShardLocalEventSkipsIt) {
   EXPECT_EQ(engine.executed_events(), 1u);
 }
 
-// ------------------------------------------------- cross-engine replay
+TEST(EngineTest, CancelRejectsIdOfMissingShard) {
+  // Three shards use two id bits; an id whose shard bits read 3 names no
+  // shard and must be refused, not index past the shard table.
+  Simulator engine(3, /*lookahead_us=*/100);
+  bool ran = false;
+  engine.ScheduleAt(10, [&] { ran = true; });
+  EXPECT_FALSE(engine.Cancel((uint64_t{5} << 2) | 3));
+  engine.Run();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EngineTest, OneShardNeverEntersParallelRegion) {
+  // Events on a one-shard engine may mutate the network's fault tables, whose
+  // mutators assert they run outside a parallel region.
+  UniformWorld world = BuildUniformWorld({2}, 1);
+  Simulator engine;
+  sim::Network network(&engine, &world.topology);
+  bool checked = false;
+  engine.ScheduleAt(10, [&] {
+    EXPECT_FALSE(engine.InParallelRegion());
+    network.SetNodeUp(world.hosts[0], false);
+    network.SetDropProbability(0.5);
+    checked = true;
+  });
+  engine.Run();
+  EXPECT_TRUE(checked);
+  EXPECT_FALSE(network.IsNodeUp(world.hosts[0]));
+  EXPECT_EQ(engine.windows_run(), 1u);
+  EXPECT_EQ(engine.parallel_windows(), 0u);
+}
+
+TEST(EngineTest, OneShardBarrierKeepsSchedulingOrder) {
+  // On one shard a barrier is an ordinary event: among same-time events it
+  // runs in scheduling order, and its id continues the event id sequence.
+  Simulator engine;
+  std::vector<int> order;
+  EXPECT_EQ(engine.ScheduleAt(10, [&] { order.push_back(1); }), 1u);
+  EXPECT_EQ(engine.ScheduleBarrier(10, [&] { order.push_back(2); }), 2u);
+  EXPECT_EQ(engine.ScheduleAt(10, [&] { order.push_back(3); }), 3u);
+  engine.ScheduleAt(5, [&] {
+    order.push_back(0);
+    engine.ScheduleBarrier(10, [&] { order.push_back(4); });
+  });
+  engine.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(engine.executed_events(), 5u);
+}
+
+// ------------------------------------------------- 1 shard vs 4 shards
 
 uint64_t Fnv1a(uint64_t hash, const Bytes& bytes) {
   for (uint8_t b : bytes) {
@@ -139,10 +185,9 @@ struct TraceResult {
 };
 
 // One deterministic GLS workload — staggered registrations, cached lookups and
-// deletes with collision-free timestamps — on either engine. The subnode store
-// is capacity-bounded so eviction/spill/fault-in runs under both engines too.
-TraceResult RunGlsWorkload(bool use_sharded, uint64_t seed) {
-  constexpr size_t kShards = 4;
+// deletes with collision-free timestamps — on `shards` event shards. The
+// subnode store is capacity-bounded so eviction/spill/fault-in runs too.
+TraceResult RunGlsWorkload(size_t shards, uint64_t seed) {
   constexpr int kOids = 48;
   constexpr int kLookups = 96;
 
@@ -150,35 +195,23 @@ TraceResult RunGlsWorkload(bool use_sharded, uint64_t seed) {
   sim::NetworkOptions net_options;
   net_options.rng_seed = seed;
 
-  std::unique_ptr<EventEngine> engine;
-  ShardedSimulator* sharded = nullptr;
-  if (use_sharded) {
-    auto owned = std::make_unique<ShardedSimulator>(
-        kShards, static_cast<SimTime>(net_options.profile.LatencyAt(1)));
-    sharded = owned.get();
-    engine = std::move(owned);
-  } else {
-    engine = std::make_unique<Simulator>();
-  }
+  Simulator engine(shards, static_cast<SimTime>(net_options.profile.LatencyAt(1)));
 
   // Continent homing; must run before a node's services register ports.
   auto assign_node = [&](NodeId node) {
-    if (sharded == nullptr) {
-      return;
-    }
     DomainId d = world.topology.NodeDomain(node);
     while (world.topology.DomainDepth(d) > 1) {
       d = world.topology.DomainParent(d);
     }
-    sharded->AssignNode(node, world.topology.DomainDepth(d) == 0
-                                  ? 0
-                                  : static_cast<size_t>(d - 1) % kShards);
+    engine.AssignNode(node, world.topology.DomainDepth(d) == 0
+                                ? 0
+                                : static_cast<size_t>(d - 1) % shards);
   };
   for (NodeId node = 0; node < world.topology.num_nodes(); ++node) {
     assign_node(node);
   }
 
-  sim::Network network(engine.get(), &world.topology, net_options);
+  sim::Network network(&engine, &world.topology, net_options);
   sim::PlainTransport transport(&network);
   gls::GlsDeploymentOptions options;
   options.rng_seed = seed;
@@ -208,20 +241,20 @@ TraceResult RunGlsWorkload(bool use_sharded, uint64_t seed) {
 
   // Registrations: distinct times (prime stride), spread over every continent.
   for (int i = 0; i < kOids; ++i) {
-    engine->ScheduleAtForNode(host_of(i), 1 + i * 937, [&, i] {
+    engine.ScheduleAtForNode(host_of(i), 1 + i * 937, [&, i] {
       clients[i % clients.size()]->Insert(oids[i], address_of(i), [](Status) {});
     });
   }
-  engine->Run();
+  engine.Run();
 
   // Cached lookups from everywhere; outcomes recorded positionally (each slot
   // written by exactly one callback, so shard threads never contend).
   TraceResult result;
   result.outcomes.assign(kLookups, 0);
-  SimTime base = engine->Now() + 1;
+  SimTime base = engine.Now() + 1;
   for (int j = 0; j < kLookups; ++j) {
     int reader = (j * 7 + 3) % static_cast<int>(clients.size());
-    engine->ScheduleAtForNode(host_of(reader), base + j * 1331, [&, j, reader] {
+    engine.ScheduleAtForNode(host_of(reader), base + j * 1331, [&, j, reader] {
       clients[reader]->Lookup(oids[(j * 5) % kOids],
                               [&, j](Result<gls::LookupResult> r) {
                                 result.outcomes[j] =
@@ -230,18 +263,18 @@ TraceResult RunGlsWorkload(bool use_sharded, uint64_t seed) {
                               });
     });
   }
-  engine->Run();
+  engine.Run();
 
   // Deregister a third of the objects, then checkpoint everything.
   for (int i = 0; i < kOids; i += 3) {
-    engine->ScheduleAtForNode(host_of(i), engine->Now() + 1 + i * 739, [&, i] {
+    engine.ScheduleAtForNode(host_of(i), engine.Now() + 1 + i * 739, [&, i] {
       clients[i % clients.size()]->Delete(oids[i], address_of(i), [](Status) {});
     });
   }
-  engine->Run();
+  engine.Run();
 
-  result.executed = engine->executed_events();
-  result.end_time = engine->Now();
+  result.executed = engine.executed_events();
+  result.end_time = engine.Now();
   result.state_hash = 0xcbf29ce484222325ULL;
   for (const auto& subnode : deployment.subnodes()) {
     for (const auto& [oid, entry] : subnode->ExportEntries()) {
@@ -262,13 +295,13 @@ constexpr uint64_t kSeeds[] = {1337, 4242, 9001};
 
 TEST(DeterminismTest, ShardedMatchesSequentialOnTieFreeWorkload) {
   for (uint64_t seed : kSeeds) {
-    TraceResult sequential = RunGlsWorkload(false, seed);
-    TraceResult sharded = RunGlsWorkload(true, seed);
+    TraceResult sequential = RunGlsWorkload(1, seed);
+    TraceResult sharded = RunGlsWorkload(4, seed);
     EXPECT_EQ(sequential.executed, sharded.executed) << "seed " << seed;
     EXPECT_EQ(sequential.end_time, sharded.end_time) << "seed " << seed;
     EXPECT_EQ(sequential.outcomes, sharded.outcomes) << "seed " << seed;
     EXPECT_EQ(sequential.state_hash, sharded.state_hash) << "seed " << seed;
-    // The bounded store spilled and faulted identically under both engines.
+    // The bounded store spilled and faulted identically at both shard counts.
     EXPECT_EQ(sequential.evictions, sharded.evictions) << "seed " << seed;
     EXPECT_EQ(sequential.fault_ins, sharded.fault_ins) << "seed " << seed;
     EXPECT_GT(sequential.evictions, 0u) << "seed " << seed;
@@ -277,16 +310,16 @@ TEST(DeterminismTest, ShardedMatchesSequentialOnTieFreeWorkload) {
 
 TEST(DeterminismTest, ShardedReplayIsByteIdentical) {
   for (uint64_t seed : kSeeds) {
-    TraceResult first = RunGlsWorkload(true, seed);
-    TraceResult second = RunGlsWorkload(true, seed);
+    TraceResult first = RunGlsWorkload(4, seed);
+    TraceResult second = RunGlsWorkload(4, seed);
     EXPECT_EQ(first, second) << "seed " << seed;
   }
 }
 
 TEST(DeterminismTest, SequentialReplayIsByteIdentical) {
   for (uint64_t seed : kSeeds) {
-    TraceResult first = RunGlsWorkload(false, seed);
-    TraceResult second = RunGlsWorkload(false, seed);
+    TraceResult first = RunGlsWorkload(1, seed);
+    TraceResult second = RunGlsWorkload(1, seed);
     EXPECT_EQ(first, second) << "seed " << seed;
   }
 }

@@ -554,7 +554,6 @@ TEST_P(TransportConformanceTest, BatchedMacVerifyRejectsExactlyTheTamperedFrame)
   profile.handshake_bytes = 64;
   profile.handshake_rtts = 0;
   sec::SecureTransport secure(&tamper, &registry, profile);
-  ASSERT_EQ(secure.verify_mode(), sec::VerifyMode::kBatched);
 
   secure.SetNodeCredential(client, registry.Register("conf-client", sec::Role::kGdnHost));
   secure.SetNodeCredential(server, registry.Register("conf-server", sec::Role::kGdnHost));
@@ -680,6 +679,56 @@ TEST(SocketTransportEndToEnd, HttpGetFetchesPublishedPackage) {
   EXPECT_NE(response.find("200"), std::string::npos) << response.substr(0, 200);
   EXPECT_NE(response.find(body_text), std::string::npos);
   EXPECT_GE(transport.stats().http_requests, 1u);
+}
+
+// Several raw GETs in flight at once: each reply closes its connection and
+// drops that connection's learned reply route while the other clients' routes
+// are still live, so the close must not touch the route it just erased.
+TEST(SocketTransportEndToEnd, ConcurrentHttpGetsAllSucceed) {
+  net::EventLoop loop;
+  net::SocketTransport transport(&loop);
+
+  gdn::StandaloneGdnNode node(&transport, {}, [&](sim::NodeId n) {
+    auto port = transport.Listen(n);
+    ASSERT_TRUE(port.ok()) << port.status();
+  });
+  auto http_port = transport.ListenHttp(node.httpd_node(), 0);
+  ASSERT_TRUE(http_port.ok()) << http_port.status();
+
+  gdn::StandaloneGdnNode::Pump pump = [&](const std::function<bool()>& done) {
+    if (!done) {
+      loop.RunFor(200 * sim::kMillisecond);
+      return true;
+    }
+    return loop.RunUntil(done, 10 * sim::kSecond);
+  };
+  const std::string body_text = "fetched by many clients at once\n";
+  auto oid = node.PublishPackage("/tests/Concurrent",
+                                 {{"data.txt", ToBytes(body_text)}}, pump);
+  ASSERT_TRUE(oid.ok()) << oid.status();
+
+  constexpr int kClients = 8;
+  std::atomic<int> fetched{0};
+  std::vector<std::string> responses(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i]() {
+      responses[i] =
+          BlockingHttpGet(*http_port, "/packages/tests/Concurrent/files/data.txt");
+      ++fetched;
+    });
+  }
+  EXPECT_TRUE(loop.RunUntil([&]() { return fetched.load() == kClients; },
+                            30 * sim::kSecond));
+  for (std::thread& client : clients) {
+    client.join();
+  }
+
+  for (const std::string& response : responses) {
+    EXPECT_NE(response.find("200"), std::string::npos) << response.substr(0, 200);
+    EXPECT_NE(response.find(body_text), std::string::npos);
+  }
+  EXPECT_GE(transport.stats().http_requests, static_cast<uint64_t>(kClients));
 }
 
 // Connection churn: each short-lived client connection acquires a read buffer
