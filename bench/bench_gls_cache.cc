@@ -8,9 +8,9 @@
 // simulated latency drop while the answers stay identical.
 //
 // Part 2 — registration batching: a Globe Object Server re-registering N replicas
-// (e.g. after a reboot, §7) pays N gls.insert round trips; gls.insert_batch
-// registers the same set in one round trip per leaf subnode and batches the
-// forwarding-pointer chain hops as well.
+// (e.g. after a reboot, §7) one at a time pays N gls.insert round trips; one
+// InsertBatch registers the same set in one round trip per leaf subnode and
+// batches the forwarding-pointer chain hops as well.
 
 #include "bench/bench_util.h"
 #include "src/gls/deploy.h"
@@ -232,10 +232,10 @@ int main() {
   bench::Note("registering %d replicas from one Globe Object Server:", kRegistrations);
   bench::Table reg_table(
       {"registration", "round trips", "elapsed", "network msgs"});
-  reg_table.Row({"64 x gls.insert", Fmt("%llu", (unsigned long long)loose.round_trips),
+  reg_table.Row({"64 x Insert", Fmt("%llu", (unsigned long long)loose.round_trips),
                  bench::Ms(loose.elapsed),
                  Fmt("%llu", (unsigned long long)loose.network_messages)});
-  reg_table.Row({"1 x gls.insert_batch",
+  reg_table.Row({"1 x InsertBatch",
                  Fmt("%llu", (unsigned long long)batched.round_trips),
                  bench::Ms(batched.elapsed),
                  Fmt("%llu", (unsigned long long)batched.network_messages)});
@@ -243,6 +243,6 @@ int main() {
   bench::Note("");
   bench::Note("expected shape: the batch pays one client round trip instead of %d and",
               kRegistrations);
-  bench::Note("amortizes the pointer chain into one install_ptr_batch hop per level.");
+  bench::Note("amortizes the pointer chain into one gls.install_ptr hop per level.");
   return 0;
 }

@@ -37,7 +37,7 @@ namespace {
 
 constexpr size_t kShards = 4;
 constexpr size_t kCountries = 16;  // fanouts {4,4}: 4 continents x 4 countries
-constexpr size_t kBatch = 1000;    // OIDs per gls.insert_batch
+constexpr size_t kBatch = 1000;    // OIDs per InsertBatch
 constexpr size_t kStoreCapacity = 4096;  // resident entries per subnode
 
 size_t EnvOr(const char* name, size_t fallback) {

@@ -13,6 +13,11 @@ Usage:
       --baseline-dir ci/baselines --current-dir . [--threshold 0.25] \
       BENCH_gls_locality.json BENCH_gls_partitioning.json
 
+With --headers-only it compares only the table count and the table headers of
+each file with its baseline twin. Run on the committed repo-root reports, before
+a bench run overwrites them, it fails when a root report has gone stale against
+its baseline (or the baseline against the bench).
+
 Exit status: 0 = no regression, 1 = regression or malformed input.
 """
 
@@ -98,6 +103,18 @@ def table_key(table):
     return tuple(table.get("headers", []))
 
 
+def compare_headers(name, baseline, current):
+    """Returns a mismatch message when the files' table lists differ."""
+    base_headers = [list(table_key(t)) for t in baseline.get("tables", [])]
+    cur_headers = [list(table_key(t)) for t in current.get("tables", [])]
+    if base_headers == cur_headers:
+        return []
+    return [
+        f"{name}: {len(cur_headers)} tables {cur_headers} differ from the "
+        f"baseline's {len(base_headers)} tables {base_headers}"
+    ]
+
+
 def compare_file(name, baseline, current, threshold):
     """Returns a list of regression messages for one bench file."""
     guards = GUARDED_COLUMNS.get(name, [])
@@ -176,6 +193,8 @@ def main():
     parser.add_argument("--baseline-dir", required=True)
     parser.add_argument("--current-dir", required=True)
     parser.add_argument("--threshold", type=float, default=0.25)
+    parser.add_argument("--headers-only", action="store_true",
+                        help="compare table count and headers only")
     parser.add_argument("files", nargs="+")
     args = parser.parse_args()
 
@@ -186,16 +205,22 @@ def main():
         if baseline is None or current is None:
             failures.append(f"{name}: missing or unreadable JSON")
             continue
-        problems = compare_file(name, baseline, current, args.threshold)
+        if args.headers_only:
+            problems = compare_headers(name, baseline, current)
+        else:
+            problems = compare_file(name, baseline, current, args.threshold)
         if problems:
             failures.extend(problems)
+        elif args.headers_only:
+            print(f"OK: {name} has the baseline's tables")
         else:
             print(f"OK: {name} within {args.threshold:.0%} of baseline")
 
     if failures:
         print()
+        label = "STALE" if args.headers_only else "REGRESSION"
         for failure in failures:
-            print(f"REGRESSION: {failure}")
+            print(f"{label}: {failure}")
         return 1
     return 0
 

@@ -136,27 +136,40 @@ void GdnHttpd::WithPackage(const std::string& globe_name, UseProxy use) {
     use(it->second.get());
     return;
   }
+  std::vector<UseProxy>& waiting = binds_in_flight_[globe_name];
+  waiting.push_back(std::move(use));
+  if (waiting.size() > 1) {
+    return;
+  }
 
   dso::BindOptions options;
   if (options_.bind_as_replica) {
     options.as_replica = gls::ReplicaRole::kCache;  // adjusted per protocol below
     options.semantics_type = kPackageTypeId;
-    options.register_in_gls = options_.register_replicas_in_gls;
+    options.register_in_gls = true;
   }
 
   ++stats_.binds;
   runtime_.BindByName(
       globe_name, options,
-      [this, globe_name, use = std::move(use)](
-          Result<std::unique_ptr<dso::BoundObject>> bound) mutable {
+      [this, globe_name](Result<std::unique_ptr<dso::BoundObject>> bound) {
+        auto node = binds_in_flight_.extract(globe_name);
+        std::vector<UseProxy> waiting = std::move(node.mapped());
         if (!bound.ok()) {
-          use(bound.status());
+          for (UseProxy& use : waiting) {
+            use(bound.status());
+          }
           return;
         }
         auto proxy = std::make_unique<PackageProxy>(std::move(*bound));
         PackageProxy* raw = proxy.get();
         bound_[globe_name] = std::move(proxy);
-        use(raw);
+        waiting.front()(raw);
+        // The rest go through the binding table: the first request may already
+        // have dropped the binding again.
+        for (size_t i = 1; i < waiting.size(); ++i) {
+          WithPackage(globe_name, std::move(waiting[i]));
+        }
       });
 }
 

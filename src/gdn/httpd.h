@@ -36,11 +36,9 @@
 namespace globe::gdn {
 
 struct HttpdOptions {
-  // Join DSOs as a replica (cache/slave per protocol) instead of a thin proxy.
+  // Join DSOs as a replica (cache/slave per protocol), published in the GLS,
+  // instead of a thin proxy.
   bool bind_as_replica = true;
-  // Publish installed replicas in the GLS (only sensible on GDN hosts, not on
-  // user-machine proxy servers).
-  bool register_replicas_in_gls = true;
   // Let this HTTPD's GLS lookups be answered from directory subnode caches
   // (TTL-bounded staleness in exchange for fewer directory hops per bind).
   bool allow_cached_gls_lookups = false;
@@ -81,7 +79,8 @@ class GdnHttpd {
   void ServeRequest(const http::HttpRequest& request, const sim::Endpoint& client);
   void Reply(const sim::Endpoint& client, const http::HttpResponse& response);
 
-  // Binds (or reuses a binding) and hands the proxy to `use`.
+  // Binds (or reuses a binding) and hands the proxy to `use`. Single flight:
+  // requests arriving while the package's bind is running wait for that bind.
   using UseProxy = std::function<void(Result<PackageProxy*>)>;
   void WithPackage(const std::string& globe_name, UseProxy use);
 
@@ -110,6 +109,10 @@ class GdnHttpd {
   HttpdOptions options_;
   // One bound local representative per package name, reused across requests.
   std::map<std::string, std::unique_ptr<PackageProxy>> bound_;
+  // Requests waiting on the bind in flight for a package name; the first one
+  // started it. A second concurrent bind would overwrite bound_[name],
+  // destroying the first proxy and leaking its GLS registration.
+  std::map<std::string, std::vector<UseProxy>> binds_in_flight_;
   gls::ObjectId search_oid_;
   std::unique_ptr<SearchProxy> search_proxy_;
   HttpdStats stats_;

@@ -91,9 +91,8 @@ SubnodeStats GlsDeployment::TotalStats() const {
     total.cache_hits += s.cache_hits;
     total.cache_misses += s.cache_misses;
     total.cache_invalidations += s.cache_invalidations;
-    total.batch_lookups += s.batch_lookups;
-    total.batch_inserts += s.batch_inserts;
-    total.batch_deletes += s.batch_deletes;
+    total.insert_requests += s.insert_requests;
+    total.delete_requests += s.delete_requests;
     total.negative_cache_hits += s.negative_cache_hits;
     total.master_claims += s.master_claims;
     total.master_claims_granted += s.master_claims_granted;

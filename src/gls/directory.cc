@@ -13,7 +13,7 @@ namespace {
 constexpr uint64_t kMaxWireAddresses = 100000;
 constexpr uint64_t kMaxWireBatchItems = 100000;
 
-struct AddressRequest {  // gls.insert / gls.delete
+struct AddressRequest {  // gls.scrub_address
   ObjectId oid;
   ContactAddress address;
 
@@ -32,7 +32,13 @@ struct AddressRequest {  // gls.insert / gls.delete
   }
 };
 
-struct BatchAddressRequest {  // gls.insert_batch / gls.delete_batch
+// Encoded item sizes of the batch requests: an OID, and an OID plus a contact
+// address (u32 node, u16 port, u16 protocol, u8 role). A count that promises more
+// items than the payload holds is rejected before any item is decoded.
+constexpr size_t kOidItemBytes = ObjectId::kSize;
+constexpr size_t kAddressItemBytes = ObjectId::kSize + 9;
+
+struct BatchAddressRequest {  // gls.insert / gls.delete
   std::vector<std::pair<ObjectId, ContactAddress>> items;
 
   Bytes Serialize() const {
@@ -48,7 +54,7 @@ struct BatchAddressRequest {  // gls.insert_batch / gls.delete_batch
     ByteReader r(data);
     BatchAddressRequest request;
     ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    if (count > kMaxWireBatchItems) {
+    if (count > kMaxWireBatchItems || count > r.remaining() / kAddressItemBytes) {
       return InvalidArgument("implausible address batch size");
     }
     for (uint64_t i = 0; i < count; ++i) {
@@ -60,7 +66,7 @@ struct BatchAddressRequest {  // gls.insert_batch / gls.delete_batch
   }
 };
 
-struct PointerRequest {  // gls.install_ptr / gls.remove_ptr / gls.inval_cache
+struct PointerRequest {  // gls.remove_ptr / gls.inval_cache
   ObjectId oid;
   sim::DomainId child_domain = sim::kNoDomain;
   // gls.inval_cache only: whether the receiving cache should quarantine the
@@ -90,7 +96,7 @@ struct PointerRequest {  // gls.install_ptr / gls.remove_ptr / gls.inval_cache
   }
 };
 
-struct BatchPointerRequest {  // gls.install_ptr_batch (one child domain, many OIDs)
+struct BatchPointerRequest {  // gls.install_ptr (one child domain, many OIDs)
   sim::DomainId child_domain = sim::kNoDomain;
   std::vector<ObjectId> oids;
 
@@ -108,7 +114,7 @@ struct BatchPointerRequest {  // gls.install_ptr_batch (one child domain, many O
     BatchPointerRequest request;
     ASSIGN_OR_RETURN(request.child_domain, r.ReadU32());
     ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    if (count > kMaxWireBatchItems) {
+    if (count > kMaxWireBatchItems || count > r.remaining() / kOidItemBytes) {
       return InvalidArgument("implausible pointer batch size");
     }
     for (uint64_t i = 0; i < count; ++i) {
@@ -116,81 +122,6 @@ struct BatchPointerRequest {  // gls.install_ptr_batch (one child domain, many O
       request.oids.push_back(oid);
     }
     return request;
-  }
-};
-
-struct BatchLookupRequest {  // gls.lookup_batch
-  std::vector<ObjectId> oids;
-  uint8_t allow_cached = 0;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteVarint(oids.size());
-    for (const auto& oid : oids) {
-      oid.Serialize(&w);
-    }
-    w.WriteU8(allow_cached);
-    return w.Take();
-  }
-  static Result<BatchLookupRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    BatchLookupRequest request;
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    if (count > kMaxWireBatchItems) {
-      return InvalidArgument("implausible lookup batch size");
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(&r));
-      request.oids.push_back(oid);
-    }
-    ASSIGN_OR_RETURN(request.allow_cached, r.ReadU8());
-    return request;
-  }
-};
-
-// gls.lookup_batch response: positional, one entry per requested OID. An OK entry
-// carries a serialized LookupResponse; a failed one its status.
-struct BatchLookupResponse {
-  std::vector<Result<Bytes>> items;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteVarint(items.size());
-    for (const auto& item : items) {
-      if (item.ok()) {
-        w.WriteU8(0);
-        w.WriteLengthPrefixed(*item);
-      } else {
-        w.WriteU8(static_cast<uint8_t>(item.status().code()));
-        w.WriteString(item.status().message());
-      }
-    }
-    return w.Take();
-  }
-  static Result<BatchLookupResponse> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    BatchLookupResponse response;
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    if (count > kMaxWireBatchItems) {
-      return InvalidArgument("implausible lookup batch size");
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSIGN_OR_RETURN(uint8_t code, r.ReadU8());
-      if (code == 0) {
-        // The batch response owns its items (callers deserialize them after
-        // the wire buffer is gone): ownership boundary, copied explicitly.
-        ASSIGN_OR_RETURN(ByteSpan payload, r.ReadLengthPrefixedView());
-        response.items.emplace_back(ToBytes(payload));
-      } else {
-        if (code > static_cast<uint8_t>(StatusCode::kDataLoss)) {
-          return InvalidArgument("malformed lookup batch response");
-        }
-        ASSIGN_OR_RETURN(std::string_view message, r.ReadStringView());
-        response.items.emplace_back(
-            Status(static_cast<StatusCode>(code), std::string(message)));
-      }
-    }
-    return response;
   }
 };
 
@@ -310,23 +241,15 @@ namespace {
 // lost) must neither re-run the coherence chains nor turn a succeeded delete
 // into NotFound, and a repeated alloc_oid must hand back the same OID. Lookups
 // and cache invalidations are safely repeatable and skip the dedup table.
-const sim::TypedMethod<LookupWireRequest, LookupResponse> kGlsLookup{"gls.lookup"};
-const sim::TypedMethod<BatchLookupRequest, BatchLookupResponse> kGlsLookupBatch{
-    "gls.lookup_batch"};
-const sim::TypedMethod<LookupWireRequest, LookupResponse> kGlsLookupAll{
+const sim::TypedMethod<LookupWireRequest, LookupResult> kGlsLookup{"gls.lookup"};
+const sim::TypedMethod<LookupWireRequest, LookupResult> kGlsLookupAll{
     "gls.lookup_all"};
-const sim::TypedMethod<AddressRequest, sim::EmptyMessage> kGlsInsert{
+const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage> kGlsInsert{
     "gls.insert", sim::kNonIdempotent};
-const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage> kGlsInsertBatch{
-    "gls.insert_batch", sim::kNonIdempotent};
-const sim::TypedMethod<AddressRequest, sim::EmptyMessage> kGlsDelete{
+const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage> kGlsDelete{
     "gls.delete", sim::kNonIdempotent};
-const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage> kGlsDeleteBatch{
-    "gls.delete_batch", sim::kNonIdempotent};
-const sim::TypedMethod<PointerRequest, sim::EmptyMessage> kGlsInstallPtr{
+const sim::TypedMethod<BatchPointerRequest, sim::EmptyMessage> kGlsInstallPtr{
     "gls.install_ptr", sim::kNonIdempotent};
-const sim::TypedMethod<BatchPointerRequest, sim::EmptyMessage> kGlsInstallPtrBatch{
-    "gls.install_ptr_batch", sim::kNonIdempotent};
 const sim::TypedMethod<PointerRequest, sim::EmptyMessage> kGlsRemovePtr{
     "gls.remove_ptr", sim::kNonIdempotent};
 const sim::TypedMethod<PointerRequest, sim::EmptyMessage> kGlsInvalCache{
@@ -372,19 +295,9 @@ EmptyCallback JoinEmpty(size_t n, EmptyCallback respond) {
   };
 }
 
-Result<LookupResult> ParseLookupResult(ByteSpan payload) {
-  auto response = LookupResponse::Deserialize(payload);
-  if (!response.ok()) {
-    return response.status();
-  }
-  return LookupResult{std::move(response->addresses), response->hops,
-                      response->found_depth, response->apex_depth,
-                      response->from_cache != 0};
-}
-
 }  // namespace
 
-Bytes LookupResponse::Serialize() const {
+Bytes LookupResult::Serialize() const {
   ByteWriter w;
   w.WriteVarint(addresses.size());
   for (const auto& address : addresses) {
@@ -393,13 +306,13 @@ Bytes LookupResponse::Serialize() const {
   w.WriteU32(hops);
   w.WriteU32(static_cast<uint32_t>(found_depth));
   w.WriteU32(static_cast<uint32_t>(apex_depth));
-  w.WriteU8(from_cache);
+  w.WriteU8(from_cache ? 1 : 0);
   return w.Take();
 }
 
-Result<LookupResponse> LookupResponse::Deserialize(ByteSpan data) {
+Result<LookupResult> LookupResult::Deserialize(ByteSpan data) {
   ByteReader r(data);
-  LookupResponse response;
+  LookupResult response;
   ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
   if (count > kMaxWireAddresses) {
     return InvalidArgument("implausible address count");
@@ -413,7 +326,8 @@ Result<LookupResponse> LookupResponse::Deserialize(ByteSpan data) {
   response.found_depth = static_cast<int32_t>(found);
   ASSIGN_OR_RETURN(uint32_t apex, r.ReadU32());
   response.apex_depth = static_cast<int32_t>(apex);
-  ASSIGN_OR_RETURN(response.from_cache, r.ReadU8());
+  ASSIGN_OR_RETURN(uint8_t from_cache, r.ReadU8());
+  response.from_cache = from_cache != 0;
   return response;
 }
 
@@ -485,66 +399,15 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
     ResolveLookupAll(std::move(request), std::move(respond));
   });
 
-  kGlsLookupBatch.RegisterAsync(
-      &server_, [this](const sim::RpcContext&, BatchLookupRequest request,
-                       sim::TypedMethod<BatchLookupRequest,
-                                        BatchLookupResponse>::AsyncResponder respond) {
-        ++stats_.batch_lookups;
-        if (request.oids.empty()) {
-          respond(BatchLookupResponse{});
-          return;
-        }
-        struct BatchState {
-          BatchLookupResponse response;
-          size_t remaining = 0;
-          std::function<void(Result<BatchLookupResponse>)> respond;
-        };
-        auto state = std::make_shared<BatchState>();
-        state->response.items.assign(request.oids.size(),
-                                     Result<Bytes>(Unavailable("pending")));
-        state->remaining = request.oids.size();
-        state->respond = std::move(respond);
-        for (size_t i = 0; i < request.oids.size(); ++i) {
-          ++stats_.lookups;
-          LookupWireRequest item;
-          item.oid = request.oids[i];
-          item.allow_cached = request.allow_cached;
-          ResolveLookup(std::move(item), [state, i](Result<LookupResponse> result) {
-            state->response.items[i] =
-                result.ok() ? Result<Bytes>(result->Serialize()) : result.status();
-            if (--state->remaining == 0) {
-              state->respond(std::move(state->response));
-            }
-          });
-        }
-      });
-
   kGlsInsert.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                            AddressRequest request,
+                                            BatchAddressRequest request,
                                             EmptyResponder respond) {
     if (Status s = CheckAuthorized(context); !s.ok()) {
       ++stats_.denied;
       respond(s);
       return;
     }
-    ++stats_.inserts;
-    InvalidateCached(request.oid, /*quarantine=*/false);
-    auto& at_oid = store_.Mutable(request.oid).addresses;
-    if (std::find(at_oid.begin(), at_oid.end(), request.address) == at_oid.end()) {
-      at_oid.push_back(request.address);
-    }
-    PropagatePointerUp(request.oid, std::move(respond));
-  });
-
-  kGlsInsertBatch.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                                 BatchAddressRequest request,
-                                                 EmptyResponder respond) {
-    if (Status s = CheckAuthorized(context); !s.ok()) {
-      ++stats_.denied;
-      respond(s);
-      return;
-    }
-    ++stats_.batch_inserts;
+    ++stats_.insert_requests;
     std::vector<ObjectId> to_propagate;
     std::set<ObjectId> seen;
     for (const auto& [oid, address] : request.items) {
@@ -558,29 +421,18 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
         to_propagate.push_back(oid);
       }
     }
-    PropagatePointerUpBatch(to_propagate, std::move(respond));
+    PropagatePointerUp(to_propagate, std::move(respond));
   });
 
   kGlsDelete.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                            AddressRequest request,
+                                            BatchAddressRequest request,
                                             EmptyResponder respond) {
     if (Status s = CheckAuthorized(context); !s.ok()) {
       ++stats_.denied;
       respond(s);
       return;
     }
-    ApplyDelete(request.oid, request.address, std::move(respond));
-  });
-
-  kGlsDeleteBatch.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                                 BatchAddressRequest request,
-                                                 EmptyResponder respond) {
-    if (Status s = CheckAuthorized(context); !s.ok()) {
-      ++stats_.denied;
-      respond(s);
-      return;
-    }
-    ++stats_.batch_deletes;
+    ++stats_.delete_requests;
     if (request.items.empty()) {
       respond(sim::EmptyMessage{});
       return;
@@ -592,36 +444,8 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
   });
 
   kGlsInstallPtr.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                                PointerRequest request,
+                                                BatchPointerRequest request,
                                                 EmptyResponder respond) {
-    if (Status s = CheckAuthorized(context); !s.ok()) {
-      ++stats_.denied;
-      respond(s);
-      return;
-    }
-    ++stats_.pointer_installs;
-    InvalidateCached(request.oid, /*quarantine=*/false);
-    bool was_new =
-        store_.Mutable(request.oid).pointers.insert(request.child_domain).second;
-    if (was_new && !parent_.empty()) {
-      PropagatePointerUp(request.oid, std::move(respond));
-      return;
-    }
-    // The chain above already exists (or we are the root), but cached answers
-    // above and beside us may still name only the farther replicas this OID
-    // had before the registration below: mirror the delete chain's inval
-    // fan-out so the new replica becomes visible without waiting out the TTL.
-    // quarantine=false — fresh lookups should re-cache the new set at once.
-    if (options_.enable_cache) {
-      ++stats_.insert_invals;
-    }
-    PropagateInvalUp(request.oid, /*include_siblings=*/true,
-                     /*quarantine=*/false, std::move(respond));
-  });
-
-  kGlsInstallPtrBatch.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                                     BatchPointerRequest request,
-                                                     EmptyResponder respond) {
     if (Status s = CheckAuthorized(context); !s.ok()) {
       ++stats_.denied;
       respond(s);
@@ -640,12 +464,14 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
         stale_chain.push_back(oid);
       }
     }
-    // Freshly installed pointers extend the chain above us; where the chain
-    // already ends (or we are the root) the same inval fan-out as the
-    // single-install path keeps stale cached answers from hiding the new
-    // registration until TTL lapse.
+    // Freshly installed pointers extend the chain above us. Where the chain
+    // already ends (or we are the root), cached answers above and beside us may
+    // still name only the farther replicas the OID had before this
+    // registration: mirror the delete chain's inval fan-out so the new replica
+    // becomes visible without waiting out the TTL. quarantine=false — fresh
+    // lookups should re-cache the new set at once.
     EmptyCallback join = JoinEmpty(1 + stale_chain.size(), std::move(respond));
-    PropagatePointerUpBatch(continue_up, join);
+    PropagatePointerUp(continue_up, join);
     for (const ObjectId& oid : stale_chain) {
       if (options_.enable_cache) {
         ++stats_.insert_invals;
@@ -835,7 +661,7 @@ void DirectorySubnode::ResolveLookup(LookupWireRequest req, LookupResponder resp
   // Contact address here: done. Authoritative state always wins over the cache.
   if (entry != nullptr && !entry->addresses.empty()) {
     ++stats_.found_local;
-    LookupResponse response;
+    LookupResult response;
     response.addresses = entry->addresses;
     response.hops = req.hops;
     response.found_depth = depth_;
@@ -859,12 +685,12 @@ void DirectorySubnode::ResolveLookup(LookupWireRequest req, LookupResponder resp
         return;
       }
       ++stats_.cache_hits;
-      LookupResponse response;
+      LookupResult response;
       response.addresses = entry->addresses;
       response.hops = req.hops;
       response.found_depth = entry->found_depth;
       response.apex_depth = req.apex_depth;
-      response.from_cache = 1;
+      response.from_cache = true;
       respond(std::move(response));
       return;
     }
@@ -896,9 +722,9 @@ void DirectorySubnode::ResolveLookup(LookupWireRequest req, LookupResponder resp
     ++forward.hops;
     kGlsLookup.Call(client_.get(), *target, forward,
                     [this, oid = req.oid,
-                     respond = std::move(respond)](Result<LookupResponse> result) {
+                     respond = std::move(respond)](Result<LookupResult> result) {
                       if (options_.enable_cache && result.ok() &&
-                          !result->addresses.empty() && result->from_cache == 0) {
+                          !result->addresses.empty() && !result->from_cache) {
                         // Only authoritative answers enter the cache on descent:
                         // re-caching a descendant's cache hit would restart the TTL
                         // and compound staleness to depth x TTL.
@@ -931,7 +757,7 @@ void DirectorySubnode::ResolveLookup(LookupWireRequest req, LookupResponder resp
     sim::Endpoint home = self_.subnodes[self_.SubnodeIndex(req.oid)];
     kGlsLookup.Call(client_.get(), home,
                     forward, [this, oid = req.oid, respond = std::move(respond)](
-                                 Result<LookupResponse> result) {
+                                 Result<LookupResult> result) {
                       if (options_.enable_cache && result.ok() &&
                           !result->addresses.empty() && result->apex_depth >= depth_) {
                         cache_.Put(oid, result->addresses, result->found_depth,
@@ -969,7 +795,7 @@ void DirectorySubnode::ResolveLookup(LookupWireRequest req, LookupResponder resp
   ++forward.hops;
   kGlsLookup.Call(client_.get(), *target, forward,
                   [this, oid = req.oid,
-                   respond = std::move(respond)](Result<LookupResponse> result) {
+                   respond = std::move(respond)](Result<LookupResult> result) {
                     if (options_.enable_cache && !result.ok() &&
                         result.status().code() == StatusCode::kNotFound) {
                       // Negative caching: a short-TTL NotFound entry absorbs
@@ -1002,7 +828,7 @@ void DirectorySubnode::ResolveLookupAll(LookupWireRequest req,
   // on the way down: union the local addresses with the full set below EVERY
   // forwarding pointer — gls.lookup's random single-child descent is exactly
   // what a retire fan-out must not do.
-  auto response = std::make_shared<LookupResponse>();
+  auto response = std::make_shared<LookupResult>();
   response->hops = req.hops;
   response->found_depth = depth_;
   response->apex_depth = req.apex_depth;
@@ -1034,7 +860,7 @@ void DirectorySubnode::ResolveLookupAll(LookupWireRequest req,
   for (const sim::Endpoint& target : targets) {
     kGlsLookupAll.Call(
         client_.get(), target, forward,
-        [response, remaining, shared_respond](Result<LookupResponse> result) {
+        [response, remaining, shared_respond](Result<LookupResult> result) {
           if (result.ok()) {
             response->addresses.insert(response->addresses.end(),
                                        result->addresses.begin(),
@@ -1238,23 +1064,12 @@ void DirectorySubnode::ScrubAddress(const ObjectId& oid, const ContactAddress& a
   }
 }
 
-void DirectorySubnode::PropagatePointerUp(const ObjectId& oid, EmptyResponder respond) {
-  if (parent_.empty()) {
-    respond(sim::EmptyMessage{});
-    return;
-  }
-  PointerRequest up{oid, domain_};
-  kGlsInstallPtr.Call(client_.get(), parent_.Route(oid), up, std::move(respond),
-                      sim::WriteCallOptions());
-}
-
-void DirectorySubnode::PropagatePointerUpBatch(const std::vector<ObjectId>& oids,
-                                               EmptyResponder respond) {
+void DirectorySubnode::PropagatePointerUp(const std::vector<ObjectId>& oids,
+                                          EmptyResponder respond) {
   if (parent_.empty() || oids.empty()) {
     respond(sim::EmptyMessage{});
     return;
   }
-  // One install_ptr_batch message per parent subnode the OIDs hash to.
   std::map<size_t, std::vector<ObjectId>> groups;
   for (const ObjectId& oid : oids) {
     groups[parent_.SubnodeIndex(oid)].push_back(oid);
@@ -1262,8 +1077,8 @@ void DirectorySubnode::PropagatePointerUpBatch(const std::vector<ObjectId>& oids
   EmptyCallback join = JoinEmpty(groups.size(), std::move(respond));
   for (auto& [subnode_index, group] : groups) {
     BatchPointerRequest up{domain_, std::move(group)};
-    kGlsInstallPtrBatch.Call(client_.get(), parent_.subnodes[subnode_index], up, join,
-                             sim::WriteCallOptions());
+    kGlsInstallPtr.Call(client_.get(), parent_.subnodes[subnode_index], up, join,
+                        sim::WriteCallOptions());
   }
 }
 
@@ -1504,7 +1319,7 @@ void CallAddressBatches(
     sim::Channel* rpc, const DirectoryRef& leaf,
     const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage>& method,
     const std::vector<std::pair<ObjectId, ContactAddress>>& items,
-    sim::CallOptions options, GlsClient::DoneCallback done) {
+    GlsClient::DoneCallback done) {
   if (leaf.empty()) {
     done(FailedPrecondition("GLS client has no leaf directory"));
     return;
@@ -1522,7 +1337,8 @@ void CallAddressBatches(
         done(r.ok() ? OkStatus() : r.status());
       });
   for (auto& [subnode_index, group] : groups) {
-    method.Call(rpc, leaf.subnodes[subnode_index], group, join, options);
+    method.Call(rpc, leaf.subnodes[subnode_index], group, join,
+                sim::WriteCallOptions());
   }
 }
 
@@ -1531,18 +1347,6 @@ void CallAddressBatches(
 GlsClient::GlsClient(sim::Transport* transport, sim::NodeId node,
                      DirectoryRef leaf_directory)
     : rpc_(transport, node), leaf_(std::move(leaf_directory)) {}
-
-sim::CallOptions GlsClient::MakeCallOptions() const {
-  sim::CallOptions options;
-  options.retry = retry_;
-  return options;
-}
-
-sim::CallOptions GlsClient::MakeWriteCallOptions() const {
-  sim::CallOptions options;
-  options.retry = write_retry_;
-  return options;
-}
 
 void GlsClient::Lookup(const ObjectId& oid, LookupCallback done) {
   Lookup(oid, allow_cached_, std::move(done));
@@ -1557,17 +1361,7 @@ void GlsClient::Lookup(const ObjectId& oid, bool allow_cached, LookupCallback do
   LookupWireRequest request;
   request.oid = oid;
   request.allow_cached = allow_cached ? 1 : 0;
-  kGlsLookup.Call(&rpc_, *target, request,
-                  [done = std::move(done)](Result<LookupResponse> result) {
-                    if (!result.ok()) {
-                      done(result.status());
-                      return;
-                    }
-                    done(LookupResult{std::move(result->addresses), result->hops,
-                                      result->found_depth, result->apex_depth,
-                                      result->from_cache != 0});
-                  },
-                  MakeCallOptions());
+  kGlsLookup.Call(&rpc_, *target, request, std::move(done));
 }
 
 void GlsClient::LookupAll(const ObjectId& oid, LookupCallback done) {
@@ -1578,117 +1372,27 @@ void GlsClient::LookupAll(const ObjectId& oid, LookupCallback done) {
   }
   LookupWireRequest request;
   request.oid = oid;
-  kGlsLookupAll.Call(&rpc_, *target, request,
-                     [done = std::move(done)](Result<LookupResponse> result) {
-                       if (!result.ok()) {
-                         done(result.status());
-                         return;
-                       }
-                       done(LookupResult{std::move(result->addresses),
-                                         result->hops, result->found_depth,
-                                         result->apex_depth, false});
-                     },
-                     MakeCallOptions());
-}
-
-void GlsClient::LookupBatch(const std::vector<ObjectId>& oids, BatchLookupCallback done) {
-  if (leaf_.empty()) {
-    done(FailedPrecondition("GLS client has no leaf directory"));
-    return;
-  }
-  if (oids.empty()) {
-    done(std::vector<Result<LookupResult>>{});
-    return;
-  }
-
-  struct BatchState {
-    std::vector<Result<LookupResult>> results;
-    size_t remaining = 0;
-    BatchLookupCallback done;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->results.assign(oids.size(), Result<LookupResult>(Unavailable("pending")));
-  state->done = std::move(done);
-
-  // One gls.lookup_batch call per leaf subnode the OIDs hash to; results land back
-  // in their original positions.
-  std::map<size_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < oids.size(); ++i) {
-    groups[leaf_.SubnodeIndex(oids[i])].push_back(i);
-  }
-  state->remaining = groups.size();
-
-  for (auto& [subnode_index, indices] : groups) {
-    BatchLookupRequest group_request;
-    for (size_t i : indices) {
-      group_request.oids.push_back(oids[i]);
-    }
-    group_request.allow_cached = allow_cached_ ? 1 : 0;
-    kGlsLookupBatch.Call(
-        &rpc_, leaf_.subnodes[subnode_index], group_request,
-        [state, indices = std::move(indices)](Result<BatchLookupResponse> result) {
-          if (!result.ok()) {
-            for (size_t i : indices) {
-              state->results[i] = result.status();
-            }
-          } else if (result->items.size() != indices.size()) {
-            for (size_t i : indices) {
-              state->results[i] = InvalidArgument("malformed lookup batch response");
-            }
-          } else {
-            for (size_t k = 0; k < indices.size(); ++k) {
-              const Result<Bytes>& item = result->items[k];
-              state->results[indices[k]] =
-                  item.ok() ? ParseLookupResult(*item)
-                            : Result<LookupResult>(item.status());
-            }
-          }
-          if (--state->remaining == 0) {
-            state->done(std::move(state->results));
-          }
-        },
-        MakeCallOptions());
-  }
+  kGlsLookupAll.Call(&rpc_, *target, request, std::move(done));
 }
 
 void GlsClient::Insert(const ObjectId& oid, const ContactAddress& address,
                        DoneCallback done) {
-  auto target = leaf_.TryRoute(oid);
-  if (!target.ok()) {
-    done(target.status());
-    return;
-  }
-  kGlsInsert.Call(&rpc_, *target, AddressRequest{oid, address},
-                  [done = std::move(done)](Result<sim::EmptyMessage> result) {
-                    done(result.ok() ? OkStatus() : result.status());
-                  },
-                  MakeWriteCallOptions());
+  InsertBatch({{oid, address}}, std::move(done));
 }
 
 void GlsClient::InsertBatch(
     const std::vector<std::pair<ObjectId, ContactAddress>>& items, DoneCallback done) {
-  CallAddressBatches(&rpc_, leaf_, kGlsInsertBatch, items, MakeWriteCallOptions(),
-                     std::move(done));
+  CallAddressBatches(&rpc_, leaf_, kGlsInsert, items, std::move(done));
 }
 
 void GlsClient::Delete(const ObjectId& oid, const ContactAddress& address,
                        DoneCallback done) {
-  auto target = leaf_.TryRoute(oid);
-  if (!target.ok()) {
-    done(target.status());
-    return;
-  }
-  kGlsDelete.Call(&rpc_, *target, AddressRequest{oid, address},
-                  [done = std::move(done)](Result<sim::EmptyMessage> result) {
-                    done(result.ok() ? OkStatus() : result.status());
-                  },
-                  MakeWriteCallOptions());
+  DeleteBatch({{oid, address}}, std::move(done));
 }
 
 void GlsClient::DeleteBatch(
     const std::vector<std::pair<ObjectId, ContactAddress>>& items, DoneCallback done) {
-  CallAddressBatches(&rpc_, leaf_, kGlsDeleteBatch, items, MakeWriteCallOptions(),
-                     std::move(done));
+  CallAddressBatches(&rpc_, leaf_, kGlsDelete, items, std::move(done));
 }
 
 namespace {
@@ -1697,8 +1401,7 @@ namespace {
 // subnode (which forwards to the root arbiter) and unwrap the wire response.
 void CallOwnership(sim::Channel* rpc, const DirectoryRef& leaf,
                    const sim::TypedMethod<ClaimWireRequest, ClaimWireResponse>& method,
-                   const MasterClaim& claim, sim::CallOptions options,
-                   GlsClient::ClaimCallback done) {
+                   const MasterClaim& claim, GlsClient::ClaimCallback done) {
   auto target = leaf.TryRoute(claim.oid);
   if (!target.ok()) {
     done(target.status());
@@ -1719,19 +1422,17 @@ void CallOwnership(sim::Channel* rpc, const DirectoryRef& leaf,
                 done(ClaimOutcome{result->granted != 0, result->epoch,
                                   result->master, result->version_floor});
               },
-              options);
+              sim::WriteCallOptions());
 }
 
 }  // namespace
 
 void GlsClient::ClaimMaster(const MasterClaim& claim, ClaimCallback done) {
-  CallOwnership(&rpc_, leaf_, kGlsClaimMaster, claim, MakeWriteCallOptions(),
-                std::move(done));
+  CallOwnership(&rpc_, leaf_, kGlsClaimMaster, claim, std::move(done));
 }
 
 void GlsClient::RenewMasterLease(const MasterClaim& claim, ClaimCallback done) {
-  CallOwnership(&rpc_, leaf_, kGlsRenewLease, claim, MakeWriteCallOptions(),
-                std::move(done));
+  CallOwnership(&rpc_, leaf_, kGlsRenewLease, claim, std::move(done));
 }
 
 void GlsClient::AllocateOid(OidCallback done) {
@@ -1747,7 +1448,7 @@ void GlsClient::AllocateOid(OidCallback done) {
                       }
                       done(result->oid);
                     },
-                    MakeWriteCallOptions());
+                    sim::WriteCallOptions());
 }
 
 }  // namespace globe::gls

@@ -18,9 +18,11 @@
 //     lookup *down* (or sideways to the OID's home sibling) remember the returned
 //     contact addresses, so repeat lookups for hot OIDs stop at the apex instead of
 //     re-walking the descent,
-//   - batched registration: gls.insert_batch / gls.delete_batch register or
-//     deregister many (OID, address) pairs in one round trip, and the
-//     forwarding-pointer chain is installed with batched gls.install_ptr_batch hops,
+//   - batched registration: gls.insert / gls.delete carry a batch of
+//     (OID, address) pairs, so a GOS registers or deregisters many replicas in
+//     one round trip, and each gls.install_ptr hop carries every OID of the
+//     batch whose forwarding pointer goes to the same parent subnode; a single
+//     registration is a batch of one,
 //   - load-aware routing: lookups may route with power-of-two choices
 //     (RouteMode::kPowerOfTwoChoices) using the issuing Channel's PeerLoad signal,
 //     so a hot OID's requests split between its home subnode and one deterministic
@@ -28,19 +30,20 @@
 //     not the hash home for answers from its cache or hands the lookup sideways to
 //     the home sibling; mutations always route strictly by hash.
 //
-// RPC methods (port sim::kPortGls on each subnode's host):
-//   gls.lookup            : LookupWireRequest -> LookupResponse
-//   gls.lookup_batch      : oids, allow_cached -> per-OID LookupResponse/status
-//   gls.insert            : oid, contact address -> empty   (stores + installs pointers)
-//   gls.insert_batch      : (oid, address) pairs -> empty   (same, one round trip)
-//   gls.delete            : oid, contact address -> empty   (removes + prunes pointers)
-//   gls.delete_batch      : (oid, address) pairs -> empty   (same, one round trip)
-//   gls.install_ptr       : oid, child domain -> empty      (internal, child -> parent)
-//   gls.install_ptr_batch : child domain, oids -> empty     (internal, child -> parent)
+// RPC methods (port sim::kPortGls on each subnode's host), one per operation:
+//   gls.lookup            : LookupWireRequest -> LookupResult (also the hop-by-hop
+//                           message of the climb and the descent)
+//   gls.lookup_all        : LookupWireRequest -> LookupResult (every registered
+//                           address; control plane)
+//   gls.insert            : (oid, address) pairs -> empty   (stores + installs pointers)
+//   gls.delete            : (oid, address) pairs -> empty   (removes + prunes pointers)
+//   gls.install_ptr       : child domain, oids -> empty     (internal, child -> parent)
 //   gls.remove_ptr        : oid, child domain -> empty      (internal, child -> parent)
 //   gls.inval_cache       : oid, child domain -> empty      (internal: delete-driven
 //                           cache invalidation chained towards the root, fanned out
 //                           to every subnode of each ancestor node)
+//   gls.scrub_address     : oid, contact address -> empty   (internal: deposed-master
+//                           cleanup, root -> down the registration subtree)
 //   gls.alloc_oid         : empty -> oid                    (OID allocation, §6.1)
 //   gls.claim_master      : oid, claimant, known epoch -> granted?, epoch, master
 //                           (master fail-over: epoch-fenced conditional ownership
@@ -122,15 +125,17 @@ struct LookupWireRequest;
 struct ClaimWireRequest;
 struct ClaimWireResponse;
 
-struct LookupResponse {
+// The answer to a lookup: the gls.lookup / gls.lookup_all response on the wire
+// and the result GlsClient hands its callers.
+struct LookupResult {
   std::vector<ContactAddress> addresses;
   uint32_t hops = 0;        // directory-to-directory messages traversed
   int32_t found_depth = 0;  // tree depth of the node holding the addresses
   int32_t apex_depth = 0;   // highest (smallest-depth) node the lookup visited
-  uint8_t from_cache = 0;   // 1 when a subnode's lookup cache produced the answer
+  bool from_cache = false;  // a subnode's lookup cache produced the answer
 
   Bytes Serialize() const;
-  static Result<LookupResponse> Deserialize(ByteSpan data);
+  static Result<LookupResult> Deserialize(ByteSpan data);
 };
 
 struct GlsOptions {
@@ -188,9 +193,8 @@ struct SubnodeStats {
   uint64_t cache_hits = 0;           // lookups answered from the lookup cache
   uint64_t cache_misses = 0;         // allow_cached lookups that had to walk pointers
   uint64_t cache_invalidations = 0;  // cache entries dropped by mutations
-  uint64_t batch_lookups = 0;        // gls.lookup_batch requests served
-  uint64_t batch_inserts = 0;        // gls.insert_batch requests served
-  uint64_t batch_deletes = 0;        // gls.delete_batch requests served
+  uint64_t insert_requests = 0;      // gls.insert requests served (any batch size)
+  uint64_t delete_requests = 0;      // gls.delete requests served (any batch size)
   uint64_t negative_cache_hits = 0;  // lookups answered NotFound from the cache
   uint64_t lookup_alls = 0;          // gls.lookup_all enumerations served here
   uint64_t master_claims = 0;          // gls.claim_master arbitrated here (root)
@@ -280,13 +284,13 @@ class DirectorySubnode {
   static constexpr uint8_t kPhaseUp = 0;
   static constexpr uint8_t kPhaseDown = 1;
 
-  using LookupResponder = std::function<void(Result<LookupResponse>)>;
+  using LookupResponder = std::function<void(Result<LookupResult>)>;
   using EmptyResponder = std::function<void(Result<sim::EmptyMessage>)>;
 
   Status CheckAuthorized(const sim::RpcContext& context) const;
 
-  // Lookup core shared by gls.lookup and gls.lookup_batch: local addresses, then the
-  // cache (when allowed), then pointer descent / sideways handoff / parent climb.
+  // gls.lookup core: local addresses, then the cache (when allowed), then pointer
+  // descent / sideways handoff / parent climb.
   void ResolveLookup(LookupWireRequest request, LookupResponder respond);
 
   // gls.lookup_all core: climb strictly by hash to the OID's root home, then
@@ -311,8 +315,8 @@ class DirectorySubnode {
   // briefly; deregistration paths need it, insert paths do not (see LookupCache).
   void InvalidateCached(const ObjectId& oid, bool quarantine);
 
-  // One deregistration applied locally plus its coherence chain; shared by
-  // gls.delete and gls.delete_batch.
+  // One deregistration applied locally plus its coherence chain: one item of a
+  // gls.delete batch, or a gls.scrub_address that found the address here.
   void ApplyDelete(const ObjectId& oid, const ContactAddress& address,
                    EmptyResponder respond);
 
@@ -324,11 +328,10 @@ class DirectorySubnode {
   void ScrubAddress(const ObjectId& oid, const ContactAddress& address,
                     EmptyResponder respond);
 
-  // Continues an insert by installing the forwarding pointer chain towards the root,
-  // then responds.
-  void PropagatePointerUp(const ObjectId& oid, EmptyResponder respond);
-  // Batched equivalent: one install_ptr_batch message per parent subnode.
-  void PropagatePointerUpBatch(const std::vector<ObjectId>& oids, EmptyResponder respond);
+  // Continues an insert by installing the forwarding pointer chain towards the root
+  // for every OID of the batch, then responds: one gls.install_ptr message per
+  // parent subnode the OIDs hash to.
+  void PropagatePointerUp(const std::vector<ObjectId>& oids, EmptyResponder respond);
   // Continues a delete by pruning the pointer chain (and, with caching on,
   // invalidating this node's sibling caches), then responds.
   void PropagateRemoveUp(const ObjectId& oid, EmptyResponder respond);
@@ -366,14 +369,6 @@ class DirectorySubnode {
   LookupCache cache_;
   // stats() refreshes the store_* fields on read, hence mutable.
   mutable SubnodeStats stats_;
-};
-
-struct LookupResult {
-  std::vector<ContactAddress> addresses;
-  uint32_t hops = 0;
-  int32_t found_depth = 0;
-  int32_t apex_depth = 0;
-  bool from_cache = false;
 };
 
 // One attempt to take (gls.claim_master) or keep (gls.renew_lease) mastership
@@ -416,8 +411,6 @@ class GlsClient {
   GlsClient(sim::Transport* transport, sim::NodeId node, DirectoryRef leaf_directory);
 
   using LookupCallback = std::function<void(Result<LookupResult>)>;
-  using BatchLookupCallback =
-      std::function<void(Result<std::vector<Result<LookupResult>>>)>;
   using DoneCallback = std::function<void(Status)>;
   using OidCallback = std::function<void(Result<ObjectId>)>;
 
@@ -425,9 +418,6 @@ class GlsClient {
   // `allow_cached` lets directory subnodes answer from their lookup caches
   // (TTL-bounded staleness in exchange for fewer directory hops).
   void Lookup(const ObjectId& oid, bool allow_cached, LookupCallback done);
-  // Resolves many OIDs in one round trip per leaf subnode. The result vector is
-  // positional: results[i] belongs to oids[i]. Batches always group by hash home.
-  void LookupBatch(const std::vector<ObjectId>& oids, BatchLookupCallback done);
 
   // Exhaustive enumeration: EVERY contact address registered anywhere in the
   // tree, not just the nearest (the climb goes to the OID's root home and
@@ -436,15 +426,17 @@ class GlsClient {
   // always walks to the root and bypasses every cache.
   void LookupAll(const ObjectId& oid, LookupCallback done);
 
+  // A gls.insert batch of one.
   void Insert(const ObjectId& oid, const ContactAddress& address, DoneCallback done);
-  // Registers many (OID, address) pairs in one round trip per leaf subnode; the
-  // aggregate status is OK only if every registration succeeded.
+  // Registers many (OID, address) pairs in one gls.insert round trip per leaf
+  // subnode; the aggregate status is OK only if every registration succeeded.
   void InsertBatch(const std::vector<std::pair<ObjectId, ContactAddress>>& items,
                    DoneCallback done);
+  // A gls.delete batch of one.
   void Delete(const ObjectId& oid, const ContactAddress& address, DoneCallback done);
-  // Deregisters many (OID, address) pairs in one round trip per leaf subnode; the
-  // aggregate status is OK only if every deregistration succeeded. Mirrors
-  // InsertBatch; used by GOS decommission.
+  // Deregisters many (OID, address) pairs in one gls.delete round trip per leaf
+  // subnode; the aggregate status is OK only if every deregistration succeeded.
+  // Mirrors InsertBatch; used by GOS decommission.
   void DeleteBatch(const std::vector<std::pair<ObjectId, ContactAddress>>& items,
                    DoneCallback done);
   void AllocateOid(OidCallback done);
@@ -463,48 +455,22 @@ class GlsClient {
 
   // Default for the single-OID Lookup overload without an explicit flag.
   void set_allow_cached(bool allow) { allow_cached_ = allow; }
-  bool allow_cached() const { return allow_cached_; }
 
   // Routing mode for single-OID lookups (mutations always hash-route).
   void set_route_mode(RouteMode mode) { route_mode_ = mode; }
-  RouteMode route_mode() const { return route_mode_; }
-
-  // Applied to every call this client issues (lookups and mutations alike),
-  // except mutations whose budget was pinned with set_write_retry_policy.
-  void set_retry_policy(sim::RetryPolicy policy) {
-    if (!write_retry_explicit_) {
-      write_retry_ = policy;
-    }
-    retry_ = std::move(policy);
-  }
-  // Budget for the mutating calls only (Insert/Delete, the batches, and
-  // AllocateOid), overriding set_retry_policy there in either call order.
-  // Defaults to 3 attempts with the UNAVAILABLE-only predicate: GLS mutations
-  // are executed at most once server-side, so a lost response is safe to retry;
-  // lookups keep the single-attempt default unless set_retry_policy says
-  // otherwise.
-  void set_write_retry_policy(sim::RetryPolicy policy) {
-    write_retry_explicit_ = true;
-    write_retry_ = std::move(policy);
-  }
 
   const DirectoryRef& leaf_directory() const { return leaf_; }
   const sim::Channel& channel() const { return rpc_; }
 
  private:
-  // The canonical write budget; mutations are deduped server-side (rpc.h).
-  static sim::RetryPolicy DefaultWriteRetry() { return sim::WriteCallOptions().retry; }
-
-  sim::CallOptions MakeCallOptions() const;
-  sim::CallOptions MakeWriteCallOptions() const;
-
+  // Lookups make a single attempt (sim::CallOptions defaults). Mutations
+  // (Insert/Delete, the batches, AllocateOid and the mastership calls) use
+  // sim::WriteCallOptions(): 3 attempts on UNAVAILABLE, safe because GLS
+  // mutations are executed at most once server-side.
   sim::Channel rpc_;
   DirectoryRef leaf_;
   bool allow_cached_ = false;
   RouteMode route_mode_ = RouteMode::kHashOnly;
-  sim::RetryPolicy retry_;
-  sim::RetryPolicy write_retry_ = DefaultWriteRetry();
-  bool write_retry_explicit_ = false;
 };
 
 }  // namespace globe::gls

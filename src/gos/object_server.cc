@@ -589,7 +589,7 @@ void ObjectServer::Restore(ByteSpan checkpoint, std::function<void(Status)> done
 
   // Rebuild every replica first, collecting the GLS bookkeeping: the stale
   // addresses to drop and the fresh ones to register. The fresh registrations then
-  // go out as one gls.insert_batch instead of N gls.insert round trips.
+  // go out as one gls.insert batch instead of N single-item round trips.
   Status build_error = OkStatus();
   std::vector<std::pair<gls::ObjectId, gls::ContactAddress>> stale;
   std::vector<std::pair<gls::ObjectId, gls::ContactAddress>> fresh;
@@ -696,7 +696,7 @@ void ObjectServer::Decommission(std::function<void(Status)> done) {
   }
 
   // Stop every replica first (peers deregister from masters etc.), then drop all
-  // GLS registrations in one gls.delete_batch instead of N gls.delete round trips.
+  // GLS registrations in one gls.delete batch instead of N single-item round trips.
   auto remaining = std::make_shared<size_t>(replications.size());
   auto shared_done = std::make_shared<std::function<void(Status)>>(std::move(done));
   auto deregister = std::make_shared<std::function<void()>>(

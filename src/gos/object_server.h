@@ -289,7 +289,7 @@ class ObjectServer {
   void Restore(ByteSpan checkpoint, std::function<void(Status)> done);
 
   // Takes the server out of service: shuts down every hosted replica and
-  // deregisters all their contact addresses in one gls.delete_batch round trip.
+  // deregisters all their contact addresses in one gls.delete round trip.
   void Decommission(std::function<void(Status)> done);
 
   // Local (non-RPC) variants of the moderator commands, used by in-process tools.

@@ -1,5 +1,7 @@
 #include "src/sec/secure_transport.h"
 
+#include <algorithm>
+
 #include "src/sec/cipher.h"
 #include "src/util/hmac.h"
 #include "src/util/log.h"
@@ -115,8 +117,10 @@ SecureTransport::Session* SecureTransport::GetOrEstablish(sim::NodeId src,
     inner_->Send({src, kHandshakeSinkPort}, {dst, kHandshakeSinkPort},
                  Bytes(profile_.handshake_bytes));
     double one_way = inner_->EstimateDeliveryDelayUs(src, dst, 0);
-    double ready_at = static_cast<double>(inner_->clock()->Now()) +
-                      profile_.handshake_rtts * 2 * one_way + profile_.handshake_cpu_us;
+    sim::SimTime ready_at =
+        inner_->clock()->Now() +
+        static_cast<sim::SimTime>(profile_.handshake_rtts * 2 * one_way +
+                                  profile_.handshake_cpu_us);
     session.delivery_floor[src] = ready_at;
     session.delivery_floor[dst] = ready_at;
     ++stats_.handshakes;
@@ -142,7 +146,6 @@ void SecureTransport::Send(const sim::Endpoint& src, const sim::Endpoint& dst,
     return;
   }
 
-  double extra_delay_us = 0;
   Session* session = GetOrEstablish(src.node, dst.node);
   if (session == nullptr) {
     return;  // handshake failed: connection refused, message lost
@@ -179,32 +182,35 @@ void SecureTransport::Send(const sim::Endpoint& src, const sim::Endpoint& dst,
   frame_scratch_.WriteLengthPrefixed(ciphertext);
   frame_scratch_.WriteLengthPrefixed(mac);
 
-  // Enforce per-direction FIFO delivery (TCP semantics under TLS): delay the frame
-  // until at least the channel's delivery floor, then advance the floor. Crypto CPU
-  // and floor padding are charged by holding the frame back on the clock before it
-  // enters the inner transport, so the arrival time matches the old model exactly:
-  // send time + extra + the inner transport's own delay.
-  double base_delay =
-      inner_->EstimateDeliveryDelayUs(src.node, dst.node, frame_scratch_.size());
-  double now = static_cast<double>(inner_->clock()->Now());
-  double delivery_at = now + base_delay + extra_delay_us + crypto_us;
-  double& floor = session->delivery_floor[src.node];
-  if (delivery_at < floor) {
-    extra_delay_us += floor - delivery_at;
-    delivery_at = floor;
-  }
-  floor = delivery_at;
+  // Enforce per-direction FIFO delivery (TCP semantics under TLS). Crypto CPU and
+  // floor padding are charged by holding the frame back on the clock until
+  // `send_at`, when it enters the inner transport, which delivers it base_delay
+  // later. Both are whole microseconds, as the clock and the network apply them.
+  // The frame arrives no earlier than the frame sent ahead of it, and enters the
+  // inner transport no earlier either: deliveries due at the same time run in
+  // the order they were handed to the inner transport.
+  auto base_delay = static_cast<sim::SimTime>(
+      inner_->EstimateDeliveryDelayUs(src.node, dst.node, frame_scratch_.size()));
+  sim::SimTime now = inner_->clock()->Now();
+  sim::SimTime& floor = session->delivery_floor[src.node];
+  sim::SimTime& held_until = session->held_until[src.node];
+  sim::SimTime send_at = std::max({now + static_cast<sim::SimTime>(crypto_us),
+                                   floor > base_delay ? floor - base_delay : 0,
+                                   held_until});
+  floor = send_at + base_delay;
 
   ++stats_.frames_sent;
   stats_.crypto_us += crypto_us;
-  double hold_us = extra_delay_us + crypto_us;
-  if (hold_us <= 0) {
+  // A frame held until now may not have entered the inner transport yet: only
+  // once every held frame is due before now may this one go straight in.
+  if (send_at == now && held_until < now) {
     inner_->Send(src, dst, frame_scratch_.span());
     return;
   }
+  held_until = send_at;
   // Held-back frames outlive the scratch buffer: the closure owns a copy.
   inner_->clock()->ScheduleAfter(
-      static_cast<sim::SimTime>(hold_us),
+      send_at - now,
       [this, alive = std::weak_ptr<bool>(alive_), src, dst,
        frame = Bytes(frame_scratch_.data())]() {
         auto a = alive.lock();

@@ -135,8 +135,13 @@ class SecureTransport : public sim::Transport {
     std::map<sim::NodeId, uint64_t> last_accepted; // per receiving direction
     // TLS runs over TCP: frames on one channel may not overtake each other. Per
     // sending direction this holds the earliest time the next frame may arrive,
-    // initialized to the end of the handshake.
-    std::map<sim::NodeId, double> delivery_floor;
+    // initialized to the end of the handshake and then to the previous frame's
+    // arrival...
+    std::map<sim::NodeId, sim::SimTime> delivery_floor;
+    // ...and the time the last held-back frame enters the inner transport: a
+    // later frame enters no earlier, so a tie in arrival time is delivered in
+    // send order.
+    std::map<sim::NodeId, sim::SimTime> held_until;
   };
 
   using NodePair = std::pair<sim::NodeId, sim::NodeId>;

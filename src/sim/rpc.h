@@ -364,8 +364,8 @@ Result<T> DeserializeMessage(ByteSpan data) {
 //   static Result<T> Deserialize(ByteSpan);
 // One constant describes the method for both sides of the wire:
 //
-//   inline const TypedMethod<LookupWireRequest, LookupResponse> kGlsLookup{"gls.lookup"};
-//   kGlsLookup.Call(&channel, server, request, [](Result<LookupResponse> r) { ... });
+//   inline const TypedMethod<LookupWireRequest, LookupResult> kGlsLookup{"gls.lookup"};
+//   kGlsLookup.Call(&channel, server, request, [](Result<LookupResult> r) { ... });
 //   kGlsLookup.Register(&server, [](const RpcContext&, const LookupWireRequest& req) {
 //     ...
 //   });

@@ -243,7 +243,7 @@ TEST(ChaosExactlyOnceTest, DuplicateDeliveredGosWriteMutatesStateOnce) {
   EXPECT_GE(w.network->stats().dropped_per_link.at({master_host, client_host}), 1u);
 }
 
-// Same story one layer down: a duplicate-delivered gls.insert_batch must
+// Same story one layer down: a duplicate-delivered gls.insert batch must
 // register its addresses and install its pointer chain exactly once.
 TEST(ChaosExactlyOnceTest, DuplicateDeliveredGlsInsertBatchMutatesStateOnce) {
   ChaosWorld w(0x615);
@@ -282,7 +282,7 @@ TEST(ChaosExactlyOnceTest, DuplicateDeliveredGlsInsertBatchMutatesStateOnce) {
   }
   ASSERT_NE(leaf_subnode, nullptr);
   // One execution: one batch served, one insert applied, one address stored.
-  EXPECT_EQ(leaf_subnode->stats().batch_inserts, 1u);
+  EXPECT_EQ(leaf_subnode->stats().insert_requests, 1u);
   EXPECT_EQ(leaf_subnode->stats().inserts, 1u);
   EXPECT_EQ(leaf_subnode->NumAddresses(oid), 1u);
   // The pointer chain above was installed exactly once per ancestor level — a

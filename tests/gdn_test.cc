@@ -238,6 +238,47 @@ TEST_F(GdnWorldTest, HttpdCachesBindings) {
   EXPECT_GE(httpd->stats().bind_reuses, 1u);
 }
 
+// Requests for a package that arrive while its bind is running join that bind. A
+// second bind would replace the first proxy, leak its GLS registration, and
+// leave the requests routed to it stalled until their timeout.
+TEST_F(GdnWorldTest, ConcurrentRequestsShareOneBind) {
+  const Bytes content(3000, 0x5a);
+  auto oid = world_.PublishPackage("/apps/crowd", {{"f", content}},
+                                   dso::kProtoCacheInval, 0);
+  ASSERT_TRUE(oid.ok()) << oid.status();
+
+  sim::NodeId user = world_.user_hosts().back();
+  GdnHttpd* httpd = world_.NearestHttpd(user);
+  auto browser = world_.MakeBrowser(user);
+  std::vector<Result<http::HttpResponse>> responses(4, Unavailable("pending"));
+  for (size_t i = 0; i < responses.size(); ++i) {
+    browser->Fetch(httpd->node(), "/packages/apps/crowd/files/f",
+                   [&responses, i](Result<http::HttpResponse> r) {
+                     responses[i] = std::move(r);
+                   });
+  }
+  world_.Run();
+  for (const auto& response : responses) {
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->status_code, 200);
+    EXPECT_EQ(response->body, content);
+  }
+  EXPECT_EQ(httpd->stats().binds, 1u);
+
+  size_t registered_on_httpd = 0;
+  for (const auto& subnode : world_.gls().subnodes()) {
+    for (const auto& [entry_oid, entry] : subnode->ExportEntries()) {
+      if (entry_oid != *oid) {
+        continue;
+      }
+      for (const gls::ContactAddress& address : entry.addresses) {
+        registered_on_httpd += address.endpoint.node == httpd->node() ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(registered_on_httpd, 1u);
+}
+
 TEST_F(GdnWorldTest, HttpdActsAsReplicaAfterBind) {
   // With cache/invalidate replication, the HTTPD's local representative becomes a
   // cache replica registered in the GLS — a second download's reads are local.

@@ -717,7 +717,7 @@ TEST_F(GlsTreeTest, InsertBatchRegistersAllInOneRoundTrip) {
   DomainId leaf_domain = world_.topology.NodeDomain(world_.hosts[0]);
   auto leaf_subnodes = deployment_.SubnodesOf(leaf_domain);
   ASSERT_EQ(leaf_subnodes.size(), 1u);
-  EXPECT_EQ(leaf_subnodes[0]->stats().batch_inserts, 1u);
+  EXPECT_EQ(leaf_subnodes[0]->stats().insert_requests, 1u);
   EXPECT_EQ(leaf_subnodes[0]->stats().inserts, 8u);
 
   // Every registration is findable from the other side of the world.
@@ -727,30 +727,6 @@ TEST_F(GlsTreeTest, InsertBatchRegistersAllInOneRoundTrip) {
     ASSERT_EQ(result->addresses.size(), 1u);
     EXPECT_EQ(result->addresses[0], address);
   }
-}
-
-TEST_F(GlsTreeTest, LookupBatchReturnsPositionalResults) {
-  ObjectId registered = ObjectId::Generate(&rng_);
-  ObjectId unknown = ObjectId::Generate(&rng_);
-  InsertAt(registered, world_.hosts[0]);
-
-  auto client = deployment_.MakeClient(world_.hosts[1]);
-  Result<std::vector<Result<LookupResult>>> out = Unavailable("pending");
-  client->LookupBatch({registered, unknown},
-                      [&](Result<std::vector<Result<LookupResult>>> results) {
-                        out = std::move(results);
-                      });
-  simulator_.Run();
-  ASSERT_TRUE(out.ok()) << out.status();
-  ASSERT_EQ(out->size(), 2u);
-  ASSERT_TRUE((*out)[0].ok()) << (*out)[0].status();
-  ASSERT_EQ((*out)[0]->addresses.size(), 1u);
-  EXPECT_EQ((*out)[0]->addresses[0].endpoint.node, world_.hosts[0]);
-  ASSERT_FALSE((*out)[1].ok());
-  EXPECT_EQ((*out)[1].status().code(), StatusCode::kNotFound);
-
-  DomainId leaf_domain = world_.topology.NodeDomain(world_.hosts[1]);
-  EXPECT_EQ(deployment_.SubnodesOf(leaf_domain)[0]->stats().batch_lookups, 1u);
 }
 
 // Cached lookups and batch mutations keep the §6.1 authorization requirement:
@@ -893,7 +869,7 @@ TEST_F(GlsTreeTest, CrashedDirectoryMakesLookupsFailThenRecoverAfterRestart) {
   EXPECT_EQ(result->addresses[0].endpoint.node, world_.hosts[0]);
 }
 
-// ---------------------------------------------------------------- delete_batch
+// ---------------------------------------------------------------- DeleteBatch
 
 TEST_F(GlsTreeTest, DeleteBatchDeregistersAllInOneRoundTrip) {
   std::vector<std::pair<ObjectId, ContactAddress>> items;
@@ -917,7 +893,7 @@ TEST_F(GlsTreeTest, DeleteBatchDeregistersAllInOneRoundTrip) {
   DomainId leaf_domain = world_.topology.NodeDomain(world_.hosts[0]);
   auto leaf_subnodes = deployment_.SubnodesOf(leaf_domain);
   ASSERT_EQ(leaf_subnodes.size(), 1u);
-  EXPECT_EQ(leaf_subnodes[0]->stats().batch_deletes, 1u);
+  EXPECT_EQ(leaf_subnodes[0]->stats().delete_requests, 1u);
   EXPECT_EQ(leaf_subnodes[0]->stats().deletes, 8u);
   EXPECT_EQ(leaf_subnodes[0]->TotalEntries(), 0u);
 

@@ -202,7 +202,7 @@ TEST_F(GosTest, RestoreReregistersAllReplicasInOneBatch) {
   auto leaf_subnodes =
       deployment_.SubnodesOf(world_.topology.NodeDomain(world_.hosts[0]));
   ASSERT_EQ(leaf_subnodes.size(), 1u);
-  uint64_t batches_before = leaf_subnodes[0]->stats().batch_inserts;
+  uint64_t batches_before = leaf_subnodes[0]->stats().insert_requests;
   uint64_t inserts_before = leaf_subnodes[0]->stats().inserts;
 
   Status restore_status = InvalidArgument("pending");
@@ -211,8 +211,8 @@ TEST_F(GosTest, RestoreReregistersAllReplicasInOneBatch) {
   ASSERT_TRUE(restore_status.ok()) << restore_status;
   ASSERT_EQ(gos_a_->num_replicas(), 4u);
 
-  // All four fresh addresses went to the leaf directory in one insert_batch.
-  EXPECT_EQ(leaf_subnodes[0]->stats().batch_inserts, batches_before + 1);
+  // All four fresh addresses went to the leaf directory in one gls.insert.
+  EXPECT_EQ(leaf_subnodes[0]->stats().insert_requests, batches_before + 1);
   EXPECT_EQ(leaf_subnodes[0]->stats().inserts, inserts_before + 4);
 
   // And every object resolves to exactly its new address.
@@ -238,7 +238,7 @@ TEST_F(GosTest, DecommissionRemovesAllReplicasInOneDeleteBatch) {
   auto leaf_subnodes =
       deployment_.SubnodesOf(world_.topology.NodeDomain(world_.hosts[0]));
   ASSERT_EQ(leaf_subnodes.size(), 1u);
-  uint64_t batches_before = leaf_subnodes[0]->stats().batch_deletes;
+  uint64_t batches_before = leaf_subnodes[0]->stats().delete_requests;
   uint64_t deletes_before = leaf_subnodes[0]->stats().deletes;
 
   Status status = InvalidArgument("pending");
@@ -248,8 +248,8 @@ TEST_F(GosTest, DecommissionRemovesAllReplicasInOneDeleteBatch) {
   EXPECT_EQ(gos_a_->num_replicas(), 0u);
   EXPECT_EQ(gos_a_->stats().replicas_removed, 4u);
 
-  // All four deregistrations went to the leaf directory in one delete_batch.
-  EXPECT_EQ(leaf_subnodes[0]->stats().batch_deletes, batches_before + 1);
+  // All four deregistrations went to the leaf directory in one gls.delete.
+  EXPECT_EQ(leaf_subnodes[0]->stats().delete_requests, batches_before + 1);
   EXPECT_EQ(leaf_subnodes[0]->stats().deletes, deletes_before + 4);
 
   // The objects are gone from the GLS worldwide.

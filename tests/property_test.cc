@@ -44,7 +44,7 @@ TEST_P(DecoderFuzzTest, AllDecodersSurviveRandomBytes) {
     { auto r = dns::UpdateRequest::Deserialize(junk); (void)r; }
     { auto r = dns::ZoneTransfer::Deserialize(junk); (void)r; }
     { auto r = dns::Zone::Deserialize(junk); (void)r; }
-    { auto r = gls::LookupResponse::Deserialize(junk); (void)r; }
+    { auto r = gls::LookupResult::Deserialize(junk); (void)r; }
     { auto r = http::HttpRequest::Parse(junk); (void)r; }
     { auto r = http::HttpResponse::Parse(junk); (void)r; }
     {

@@ -10,14 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
 #include "src/gdn/world.h"
 
 namespace globe::gdn {
 namespace {
 
-class RobustnessTest : public ::testing::TestWithParam<uint64_t> {
+template <typename Param>
+class RobustnessFixture : public ::testing::TestWithParam<Param> {
  protected:
-  RobustnessTest() {
+  RobustnessFixture() {
     status_ = world_.PublishPackage("/apps/canary", {{"f", ToBytes("alive")}},
                                     dso::kProtoMasterSlave, 0, {1})
                   .ok()
@@ -64,6 +68,8 @@ class RobustnessTest : public ::testing::TestWithParam<uint64_t> {
   Status status_;
 };
 
+using RobustnessTest = RobustnessFixture<uint64_t>;
+
 TEST_P(RobustnessTest, RandomGarbageToEveryCriticalPort) {
   ASSERT_TRUE(status_.ok());
   Rng rng(GetParam());
@@ -75,28 +81,6 @@ TEST_P(RobustnessTest, RandomGarbageToEveryCriticalPort) {
       Bytes garbage = rng.RandomBytes(rng.UniformInt(300));
       world_.network().Send({attacker, 9999}, endpoint, std::move(garbage));
     }
-  }
-  world_.Run();
-  VerifyWorldStillWorks();
-}
-
-TEST_P(RobustnessTest, TruncatedRealFramesToEveryCriticalPort) {
-  ASSERT_TRUE(status_.ok());
-  Rng rng(GetParam() + 100);
-
-  // A plausible RPC request frame, truncated at every prefix length.
-  ByteWriter w;
-  w.WriteU8(0);  // request
-  w.WriteU64(42);
-  w.WriteString("gls.lookup");
-  w.WriteLengthPrefixed(rng.RandomBytes(24));
-  Bytes frame = w.Take();
-
-  auto endpoints = CriticalEndpoints();
-  for (const auto& endpoint : endpoints) {
-    size_t cut = rng.UniformInt(frame.size());
-    Bytes truncated(frame.begin(), frame.begin() + cut);
-    world_.network().Send({world_.user_hosts()[0], 1234}, endpoint, std::move(truncated));
   }
   world_.Run();
   VerifyWorldStillWorks();
@@ -130,7 +114,126 @@ TEST_P(RobustnessTest, CorruptHttpRequests) {
   VerifyWorldStillWorks();
 }
 
+// Batch counts arrive from outside: a count above the directory's cap, or one
+// promising more items than the payload holds, is refused before any item is
+// decoded or applied.
+TEST_P(RobustnessTest, HostileBatchCountsAreRejected) {
+  ASSERT_TRUE(status_.ok());
+  Rng rng(GetParam() + 300);
+  auto directory_state = [&] {
+    std::vector<std::tuple<gls::ObjectId, std::vector<gls::ContactAddress>,
+                           std::set<sim::DomainId>>>
+        state;
+    for (const auto& subnode : world_.gls().subnodes()) {
+      for (const auto& [oid, entry] : subnode->ExportEntries()) {
+        state.emplace_back(oid, entry.addresses, entry.pointers);
+      }
+    }
+    return state;
+  };
+  const auto before = directory_state();
+
+  const gls::DirectorySubnode& target = *world_.gls().subnodes().front();
+  const gls::ContactAddress address{{world_.user_hosts()[0], 4242}, 1,
+                                    gls::ReplicaRole::kMaster};
+  // gls.insert / gls.delete and gls.install_ptr payloads promising `count`
+  // items and holding `present`.
+  auto address_batch = [&](uint64_t count, size_t present) {
+    ByteWriter w;
+    w.WriteVarint(count);
+    for (size_t i = 0; i < present; ++i) {
+      gls::ObjectId::Generate(&rng).Serialize(&w);
+      address.Serialize(&w);
+    }
+    return w.Take();
+  };
+  auto pointer_batch = [&](uint64_t count, size_t present) {
+    ByteWriter w;
+    w.WriteU32(target.domain());
+    w.WriteVarint(count);
+    for (size_t i = 0; i < present; ++i) {
+      gls::ObjectId::Generate(&rng).Serialize(&w);
+    }
+    return w.Take();
+  };
+  constexpr uint64_t kAboveCap = 100001;  // the directory accepts 100000 items
+  const std::vector<std::pair<const char*, Bytes>> calls = {
+      {"gls.insert", address_batch(kAboveCap, kAboveCap)},
+      {"gls.insert", address_batch(3, 2)},
+      {"gls.delete", address_batch(kAboveCap, kAboveCap)},
+      {"gls.delete", address_batch(3, 2)},
+      {"gls.install_ptr", pointer_batch(kAboveCap, kAboveCap)},
+      {"gls.install_ptr", pointer_batch(3, 2)},
+  };
+  sim::Channel channel(world_.transport(), world_.user_hosts()[0]);
+  std::vector<Status> statuses(calls.size(), OkStatus());
+  for (size_t i = 0; i < calls.size(); ++i) {
+    channel.Call(
+        target.endpoint(), calls[i].first, calls[i].second,
+        [&statuses, i](Result<sim::PayloadView> r) { statuses[i] = r.status(); });
+  }
+  world_.Run();
+  for (size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(statuses[i].code(), StatusCode::kInvalidArgument)
+        << calls[i].first << " #" << i << ": " << statuses[i];
+  }
+  EXPECT_EQ(directory_state(), before);
+  VerifyWorldStillWorks();
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RobustnessTest, ::testing::Values(1, 2, 3));
+
+// Every method a GLS directory subnode serves.
+const char* const kGlsMethods[] = {
+    "gls.lookup",
+    "gls.lookup_all",
+    "gls.insert",
+    "gls.delete",
+    "gls.install_ptr",
+    "gls.remove_ptr",
+    "gls.inval_cache",
+    "gls.scrub_address",
+    "gls.alloc_oid",
+    "gls.claim_master",
+    "gls.renew_lease",
+};
+
+// (seed, GLS method name).
+using GlsFrameRobustnessTest = RobustnessFixture<std::tuple<uint64_t, const char*>>;
+
+TEST_P(GlsFrameRobustnessTest, TruncatedRealFramesToEveryCriticalPort) {
+  ASSERT_TRUE(status_.ok());
+  const auto& [seed, method] = GetParam();
+  Rng rng(seed + 100);
+  const Bytes payload = rng.RandomBytes(24);
+
+  // A plausible RPC request frame for `method`.
+  auto frame = [&](uint64_t call_id, ByteSpan body) {
+    ByteWriter w;
+    w.WriteU8(0);         // request
+    w.WriteU64(call_id);  // request id
+    w.WriteU64(call_id);  // call id
+    w.WriteString(method);
+    w.WriteLengthPrefixed(body);
+    return w.Take();
+  };
+  // Each endpoint gets the frame cut at a random length, and a whole frame whose
+  // payload is cut at a random length, which reaches the method's own decoder.
+  const Bytes whole = frame(42, payload);
+  for (const auto& endpoint : CriticalEndpoints()) {
+    Bytes truncated(whole.begin(), whole.begin() + rng.UniformInt(whole.size()));
+    world_.network().Send({world_.user_hosts()[0], 1234}, endpoint, std::move(truncated));
+    size_t cut = rng.UniformInt(payload.size());
+    world_.network().Send({world_.user_hosts()[0], 1234}, endpoint,
+                          frame(43, ByteSpan(payload.data(), cut)));
+  }
+  world_.Run();
+  VerifyWorldStillWorks();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GlsFrameRobustnessTest,
+                         ::testing::Combine(::testing::Values<uint64_t>(1, 2, 3),
+                                            ::testing::ValuesIn(kGlsMethods)));
 
 // Secured world under the same abuse: the secure transport must additionally count
 // (not crash on) malformed frames.

@@ -314,6 +314,40 @@ TEST_F(SecureTransportTest, ReplayedFrameIsRejected) {
   EXPECT_GE(transport_.stats().replay_rejects, 1u);
 }
 
+// Frames on one channel arrive in the order they were sent, whatever their sizes:
+// a larger frame's fractional transmit time plus its MAC cost must not let the
+// smaller frame sent right behind it arrive first, or the receiver rejects the
+// earlier sequence number as a replay.
+TEST_F(SecureTransportTest, BackToBackFramesArriveInSendOrder) {
+  std::vector<uint32_t> received;
+  transport_.RegisterPort(host_b_, 700, [&](const sim::TransportDelivery& delivery) {
+    ByteReader r(delivery.payload.span());
+    received.push_back(r.ReadU32().value());
+  });
+  uint32_t sent = 0;
+  auto send = [&](size_t size) {
+    ByteWriter w;
+    w.WriteU32(sent++);
+    Bytes payload = w.Take();
+    payload.resize(size, 0x5a);
+    transport_.Send({host_a_, 9}, {host_b_, 700}, payload);
+  };
+  send(4);  // establishes the session
+  simulator_.Run();
+  for (size_t first = 5; first <= 100; ++first) {
+    for (size_t second = 4; second < first; ++second) {
+      send(first);
+      send(second);
+      simulator_.Run();
+    }
+  }
+  ASSERT_EQ(received.size(), sent);
+  for (uint32_t i = 0; i < sent; ++i) {
+    ASSERT_EQ(received[i], i);
+  }
+  EXPECT_EQ(transport_.stats().replay_rejects, 0u);
+}
+
 TEST_F(SecureTransportTest, EavesdropperSeesPlaintextWithoutEncryption) {
   encrypt_ = false;
   std::string wire;
