@@ -69,6 +69,11 @@ GUARDED_COLUMNS = {
     # that. "lost" must stay at its zero baseline (any growth from zero fails
     # regardless of threshold).
     "BENCH_planet_scale.json": ["events/sec", "peak rss", "lost"],
+    # Protocol comparison: one table per write mix, all with the same headers
+    # (paired by position). Mean operation latency and WAN bytes are exact
+    # properties of each protocol's traffic, and "max staleness" bounds how far
+    # secondaries trail the primary (zero baselines must stay zero).
+    "BENCH_replication_protocols.json": ["mean op", "wan bytes", "max staleness"],
 }
 EXCLUDED_COLUMN_MARKERS = ["saved"]
 # Columns where larger values are improvements: the threshold bounds shrinkage
@@ -81,13 +86,19 @@ HIGHER_IS_BETTER = ["events/sec"]
 # table's wall-clock seconds vary run to run — pin an explicit width instead.
 LABEL_COLUMNS = {"BENCH_planet_scale.json": 1}
 
-_NUMBER = re.compile(r"^\s*(-?\d+(?:\.\d+)?)")
+_NUMBER = re.compile(r"^\s*(-?\d+(?:\.\d+)?)\s*([A-Za-z]*)")
+# Cells format sizes and times in the unit that fits (19.86 KB, then 1.02 MB),
+# so a value is compared in base units: a unit change is not a 1000x swing.
+_UNITS = {"B": 1, "KB": 1024, "MB": 1024**2, "GB": 1024**3,
+          "us": 1e-3, "ms": 1, "s": 1e3}
 
 
 def leading_number(cell):
-    """The numeric prefix of a cell like '25.4 ms' or '6', else None."""
+    """The numeric prefix of a cell like '25.4 ms' or '6', in base units."""
     match = _NUMBER.match(cell)
-    return float(match.group(1)) if match else None
+    if not match:
+        return None
+    return float(match.group(1)) * _UNITS.get(match.group(2), 1)
 
 
 def load(path):
@@ -121,10 +132,14 @@ def compare_file(name, baseline, current, threshold):
     if not guards:
         return []
     problems = []
-    current_tables = {table_key(t): t for t in current.get("tables", [])}
+    # Tables pair by headers; tables that share headers pair in order.
+    current_tables = {}
+    for table in current.get("tables", []):
+        current_tables.setdefault(table_key(table), []).append(table)
     for base_table in baseline.get("tables", []):
         headers = base_table.get("headers", [])
-        cur_table = current_tables.get(tuple(headers))
+        same_headers = current_tables.get(tuple(headers), [])
+        cur_table = same_headers.pop(0) if same_headers else None
         if cur_table is None:
             problems.append(f"{name}: table {headers} missing from current run")
             continue

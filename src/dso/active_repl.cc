@@ -1,7 +1,6 @@
 #include "src/dso/active_repl.h"
 
 #include <limits>
-#include <memory>
 
 #include "src/util/log.h"
 
@@ -41,6 +40,8 @@ struct ApplyMessage {
 };
 
 const sim::TypedMethod<EndpointMessage, VersionedState> kArRegister{"ar.register"};
+const sim::TypedMethod<EndpointMessage, sim::EmptyMessage> kArUnregister{
+    "ar.unregister"};
 // Ordering a write executes it at the sequencer and claims a version slot, so a
 // duplicate delivery must be answered from the dedup table, never re-ordered.
 // ar.apply needs no dedup: ApplyOrdered drops already-applied versions itself,
@@ -54,134 +55,28 @@ ActiveReplMember::ActiveReplMember(sim::Transport* transport, sim::NodeId host,
                                    std::unique_ptr<SemanticsObject> semantics,
                                    sim::Endpoint sequencer, WriteGuard write_guard,
                                    FailoverConfig failover)
-    : comm_(transport, host),
-      semantics_(std::move(semantics)),
-      write_guard_(std::move(write_guard)),
-      sequencer_(sequencer),
-      group_(&comm_, sequencer.node == sim::kNoNode ? GroupRole::kMaster
-                                                    : GroupRole::kSlave) {
-  failover.protocol = kProtoActiveRepl;
-  ReplicaGroup::Callbacks callbacks;
-  callbacks.on_won_mastership = [this](uint64_t committed_floor) {
-    sequencer_ = sim::Endpoint{};
-    if (group_.quorum_enabled()) {
-      // Execute the buffered suffix the acked-write floor covers, then drop
-      // the rest: anything above the floor was refused at its sequencer and
-      // must not resurrect through this election.
-      group_.RecordCommit(committed_floor);
-      DrainPending();
-    }
-    pending_.clear();  // our state is now the authoritative prefix
-  };
-  callbacks.on_adopted_master = [this](sim::Endpoint new_sequencer, uint64_t) {
-    sequencer_ = new_sequencer;
-    RegisterWithSequencer([](Status) {});
-  };
-  callbacks.version = [this] { return version_; };
-  callbacks.durable_version = [this] { return DurableVersion(); };
-  group_.EnableFailover(std::move(failover), std::move(callbacks));
-
-  comm_.RegisterAsync(kDsoInvoke, [this](const sim::RpcContext& ctx,
-                                         Invocation invocation,
-                                         std::function<void(Result<Bytes>)> respond) {
-    if (!invocation.read_only && write_guard_) {
-      if (Status s = write_guard_(ctx); !s.ok()) {
-        respond(s);
-        return;
-      }
-    }
-    InvokeFrom(invocation, ctx.client.node,
-               [respond = std::move(respond)](Result<Bytes> result) {
-                 respond(std::move(result));
-               });
-  });
-  comm_.Register(kDsoGetState,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<VersionedState> {
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
-                 });
-  comm_.Register(kDsoMasterEndpoint,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<EndpointMessage> {
-                   return EndpointMessage{is_sequencer() ? comm_.endpoint()
-                                                         : sequencer_};
-                 });
-  comm_.Register(kDsoLease,
-                 [this](const sim::RpcContext& ctx,
-                        const LeaseMessage& lease) -> Result<PushAck> {
-                   if (write_guard_) {
-                     RETURN_IF_ERROR(write_guard_(ctx));
-                   }
-                   PushAck ack = group_.FenceIncoming(lease.epoch);
-                   if (ack.accepted != 0 && !is_sequencer()) {
-                     if (lease.master != sequencer_) {
-                       sequencer_ = lease.master;
-                     }
-                     // The lease carries the commit floor: execute buffered
-                     // writes it has reached; a floor past our contiguous
-                     // suffix exposes a hole only a snapshot can fill.
-                     group_.RecordCommit(lease.committed);
-                     DrainPending();
-                     MaybeResync();
-                   }
-                   ack.durable_version = DurableVersion();
-                   return ack;
-                 });
-
-  // Sequencer-only methods: harmless to register everywhere, they just fail politely
-  // on non-sequencers.
-  comm_.Register(kArRegister,
-                 [this](const sim::RpcContext&,
-                        const EndpointMessage& request) -> Result<VersionedState> {
-                   if (!is_sequencer()) {
-                     return FailedPrecondition("not the sequencer");
-                   }
-                   group_.AddMember(request.endpoint);
-                   if (write_in_flight_) {
-                     // Mid-quorum-round: hand out the rollback point, never
-                     // state that may yet be rolled back and refused.
-                     return VersionedState{pre_write_version_, group_.epoch(),
-                                           pre_write_version_, pre_write_state_};
-                   }
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
-                 });
+    : Replica(transport, host, std::move(semantics),
+              sequencer.node == sim::kNoNode ? GroupRole::kMaster : GroupRole::kSlave,
+              sequencer, std::move(write_guard), std::move(failover),
+              ReplicaMethods{kProtoActiveRepl, &kArOrder, &kArRegister,
+                             &kArUnregister}) {
+  // A member forwards writes here; only the sequencer orders them, through the
+  // same write path as every other write entry.
   comm_.RegisterAsync(kArOrder, [this](const sim::RpcContext& ctx,
                                        Invocation invocation,
-                                       std::function<void(Result<Bytes>)> respond) {
-    if (group_.retired()) {
-      group_.CountRetiredRefusal();
-      respond(FailedPrecondition("replica retired (object migrated); rebind"));
-      return;
-    }
+                                       InvokeCallback respond) {
     if (!is_sequencer()) {
       respond(FailedPrecondition("not the sequencer"));
       return;
     }
-    if (write_guard_) {
-      if (Status s = write_guard_(ctx); !s.ok()) {
-        respond(s);
-        return;
-      }
-    }
-    OrderWrite(invocation, ctx.client.node,
-               [respond = std::move(respond)](Result<Bytes> result) {
-                 respond(std::move(result));
-               });
+    HandleInvoke(ctx, invocation, std::move(respond));
   });
   comm_.Register(kArApply,
                  [this](const sim::RpcContext& ctx,
                         const ApplyMessage& msg) -> Result<PushAck> {
-                   if (write_guard_) {
-                     RETURN_IF_ERROR(write_guard_(ctx));
-                   }
-                   PushAck ack = group_.FenceIncoming(msg.epoch);
+                   ASSIGN_OR_RETURN(PushAck ack, AdmitPush(ctx, msg.epoch));
                    if (ack.accepted == 0) {
                      return ack;  // deposed sequencer: refuse the apply
-                   }
-                   if (is_sequencer()) {
-                     return PushAck{0, group_.epoch()};
                    }
                    group_.RecordCommit(msg.committed);
                    RETURN_IF_ERROR(ApplyOrdered(msg.version, msg.invocation));
@@ -190,119 +85,14 @@ ActiveReplMember::ActiveReplMember(sim::Transport* transport, sim::NodeId host,
                  });
 }
 
-void ActiveReplMember::Start(std::function<void(Status)> done) {
-  if (is_sequencer()) {
-    group_.StartMaster(std::move(done));
-    return;
-  }
-  RegisterWithSequencer([this, done = std::move(done)](Status s) {
-    // Watch regardless of the registration outcome: a member whose sequencer
-    // moved (restore across an election) recovers through the claim path.
-    group_.StartFollower();
-    done(s);
-  });
-}
-
-void ActiveReplMember::Shutdown(std::function<void(Status)> done) {
-  group_.Stop();
-  done(OkStatus());
-}
-
-void ActiveReplMember::RegisterWithSequencer(std::function<void(Status)> done) {
-  comm_.Call(kArRegister, sequencer_, EndpointMessage{comm_.endpoint()},
-             [this, done = std::move(done)](Result<VersionedState> result) {
-               if (!result.ok()) {
-                 done(result.status());
-                 return;
-               }
-               Status s = semantics_->SetState(result->state);
-               if (s.ok()) {
-                 version_ = result->version;
-                 pending_.clear();  // buffered applies predate this snapshot
-                 group_.RecordCommit(result->committed);
-                 if (result->epoch > group_.epoch()) {
-                   group_.set_epoch(result->epoch);
-                 }
-                 group_.RecordLease();
-               }
-               done(s);
-             },
-             WriteCallOptions());
-}
-
-void ActiveReplMember::Invoke(const Invocation& invocation, InvokeCallback done) {
-  InvokeFrom(invocation, comm_.endpoint().node, std::move(done));
-}
-
-void ActiveReplMember::InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                                  InvokeCallback done) {
-  if (group_.retired()) {
-    group_.CountRetiredRefusal();
-    done(FailedPrecondition("replica retired (object migrated); rebind"));
-    return;
-  }
-  if (invocation.read_only) {
-    Result<Bytes> result = semantics_->Invoke(invocation);
-    if (access_hook_ && result.ok()) {
-      access_hook_(AccessSample{false, result->size(), client});
-    }
-    done(std::move(result));
-    return;
-  }
-  if (is_sequencer()) {
-    if (group_.quorum_enabled()) {
-      write_queue_.push_back(QueuedWrite{invocation, client, std::move(done)});
-      PumpQuorumOrders();
-      return;
-    }
-    OrderWrite(invocation, client, std::move(done));
-    return;
-  }
-  comm_.Call(kArOrder, sequencer_, invocation,
-             [done = std::move(done)](Result<Bytes> result) { done(std::move(result)); },
-             WriteCallOptions());
-}
-
-void ActiveReplMember::OrderWrite(const Invocation& invocation, sim::NodeId client,
-                                  InvokeCallback done) {
-  Result<Bytes> result = semantics_->Invoke(invocation);
-  if (!result.ok()) {
-    done(std::move(result));
-    return;
-  }
-  ++version_;
-  if (access_hook_) {
-    access_hook_(AccessSample{true, invocation.args.size(), client});
-  }
-
-  // Apply fan-out through the group engine: retries on loss (ApplyOrdered is
-  // version-guarded, so duplicates are no-ops), drops unreachable members (they
-  // re-register for a snapshot), and a fenced apply — a member on a newer
-  // epoch — fails the write unacknowledged: we were deposed.
-  ApplyMessage broadcast{version_, group_.epoch(), version_, invocation};
-  auto shared_done = std::make_shared<InvokeCallback>(std::move(done));
-  auto shared_result = std::make_shared<Result<Bytes>>(std::move(result));
-  bool strict = group_.failover_enabled();
-  group_.FanOut(kArApply, broadcast, 5 * sim::kSecond, /*drop_unreachable=*/true,
-                /*commit_point=*/0,
-                [shared_done, shared_result, strict](const FanOutResult& fan) {
-                  if (fan.fenced) {
-                    (*shared_done)(FailedPrecondition(
-                        "no longer the sequencer: deposed by epoch " +
-                        std::to_string(fan.fence_epoch)));
-                    return;
-                  }
-                  if (strict && fan.failures > 0) {
-                    // As in master/slave: an evicted member may be elected
-                    // later, so an apply it never received must not be acked.
-                    (*shared_done)(FailedPrecondition(
-                        "write ordered but not fully replicated: " +
-                        std::to_string(fan.failures) + " of " +
-                        std::to_string(fan.peers) + " apply(s) unconfirmed"));
-                    return;
-                  }
-                  (*shared_done)(std::move(*shared_result));
-                });
+void ActiveReplMember::FanOutWrite(const Invocation& write, uint64_t committed,
+                                   uint64_t commit_point,
+                                   std::function<void(const FanOutResult&)> done) {
+  // Retries on loss (ApplyOrdered is version-guarded, so duplicates are
+  // no-ops); unreachable members are dropped and re-register for a snapshot.
+  group_.FanOut(kArApply, ApplyMessage{version_, group_.epoch(), committed, write},
+                kFanOutDeadline, /*drop_unreachable=*/true, commit_point,
+                std::move(done));
 }
 
 Status ActiveReplMember::ApplyOrdered(uint64_t write_version,
@@ -317,6 +107,11 @@ Status ActiveReplMember::ApplyOrdered(uint64_t write_version,
   Status s = DrainPending();
   MaybeResync();
   return s;
+}
+
+void ActiveReplMember::ApplyUpTo(uint64_t) {
+  DrainPending();
+  MaybeResync();
 }
 
 Status ActiveReplMember::DrainPending() {
@@ -344,7 +139,7 @@ Status ActiveReplMember::DrainPending() {
 
 void ActiveReplMember::MaybeResync() {
   if (!group_.quorum_enabled() || resync_in_flight_ || is_sequencer() ||
-      sequencer_.node == sim::kNoNode) {
+      primary_.node == sim::kNoNode) {
     return;
   }
   if (group_.committed_version() <= DurableVersion()) {
@@ -353,113 +148,7 @@ void ActiveReplMember::MaybeResync() {
   // The commit floor moved past a write we never received (we were unreachable
   // for one broadcast): no later broadcast can fill the hole, only a snapshot.
   resync_in_flight_ = true;
-  RegisterWithSequencer([this](Status) { resync_in_flight_ = false; });
-}
-
-void ActiveReplMember::PumpQuorumOrders() {
-  if (write_in_flight_ || write_queue_.empty()) {
-    return;
-  }
-  if (!is_sequencer()) {
-    // Deposed while writes were queued: forward them to the winner.
-    while (!write_queue_.empty()) {
-      QueuedWrite w = std::move(write_queue_.front());
-      write_queue_.pop_front();
-      comm_.Call(kArOrder, sequencer_, w.invocation,
-                 [done = std::move(w.done)](Result<Bytes> result) {
-                   done(std::move(result));
-                 },
-                 WriteCallOptions());
-    }
-    return;
-  }
-  if (!group_.QuorumPossible()) {
-    QueuedWrite w = std::move(write_queue_.front());
-    write_queue_.pop_front();
-    group_.CountQuorumRefusal();
-    w.done(FailedPrecondition(
-        "write refused: quorum unreachable (" +
-        std::to_string(1 + group_.num_members()) + " of " +
-        std::to_string(group_.group_strength()) + " replicas reachable, need " +
-        std::to_string(group_.quorum_size()) + "); nothing was applied"));
-    PumpQuorumOrders();
-    return;
-  }
-
-  write_in_flight_ = true;
-  QueuedWrite w = std::move(write_queue_.front());
-  write_queue_.pop_front();
-  pre_write_state_ = semantics_->GetState();
-  pre_write_version_ = version_;
-  Result<Bytes> result = semantics_->Invoke(w.invocation);
-  if (!result.ok()) {
-    write_in_flight_ = false;
-    w.done(std::move(result));
-    PumpQuorumOrders();
-    return;
-  }
-  ++version_;
-  if (access_hook_) {
-    access_hook_(AccessSample{true, w.invocation.args.size(), w.client});
-  }
-
-  uint64_t commit_point = version_;
-  // Stamp the CURRENT floor: members buffer this write and execute it once the
-  // floor — published below before the ack — reaches it.
-  ApplyMessage broadcast{commit_point, group_.epoch(),
-                         group_.committed_version(), w.invocation};
-  auto shared_done = std::make_shared<InvokeCallback>(std::move(w.done));
-  auto shared_result = std::make_shared<Result<Bytes>>(std::move(result));
-  group_.FanOut(
-      kArApply, broadcast, 5 * sim::kSecond, /*drop_unreachable=*/true,
-      commit_point,
-      [this, shared_done, shared_result, commit_point](const FanOutResult& fan) {
-        auto refuse = [&](const std::string& why) {
-          RollbackWrite();
-          group_.CountQuorumRefusal();
-          write_in_flight_ = false;
-          (*shared_done)(FailedPrecondition(why));
-          PumpQuorumOrders();
-        };
-        if (fan.fenced) {
-          refuse("no longer the sequencer: deposed by epoch " +
-                 std::to_string(fan.fence_epoch) + "; write rolled back");
-          return;
-        }
-        size_t votes = 1 + fan.acks;
-        if (votes < group_.quorum_size()) {
-          refuse("write under-replicated (" + std::to_string(votes) + " of " +
-                 std::to_string(group_.group_strength()) +
-                 " replicas hold it, need " +
-                 std::to_string(group_.quorum_size()) + "); rolled back");
-          return;
-        }
-        group_.PublishCommitFloor(
-            commit_point, [this, shared_done, shared_result](Status s) {
-              if (!s.ok()) {
-                RollbackWrite();
-                group_.CountQuorumRefusal();
-                write_in_flight_ = false;
-                (*shared_done)(FailedPrecondition(
-                    "write held by a quorum but the commit floor could not be "
-                    "published; rolled back: " +
-                    s.message()));
-                PumpQuorumOrders();
-                return;
-              }
-              group_.CountQuorumCommit();
-              write_in_flight_ = false;
-              (*shared_done)(std::move(*shared_result));
-              PumpQuorumOrders();
-            });
-      });
-}
-
-void ActiveReplMember::RollbackWrite() {
-  if (Status s = semantics_->SetState(pre_write_state_); !s.ok()) {
-    GLOG_ERROR << "quorum rollback failed to restore state: " << s;
-  }
-  version_ = pre_write_version_;
+  Join([this](Status) { resync_in_flight_ = false; });
 }
 
 }  // namespace globe::dso

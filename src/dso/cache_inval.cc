@@ -1,8 +1,6 @@
 #include "src/dso/cache_inval.h"
 
-#include <memory>
-
-#include "src/util/log.h"
+#include <algorithm>
 
 namespace globe::dso {
 
@@ -14,154 +12,59 @@ const sim::TypedMethod<EndpointMessage, sim::EmptyMessage> kCiUnregister{
 const sim::TypedMethod<sim::EmptyMessage, VersionedState> kCiFetch{"ci.fetch"};
 const sim::TypedMethod<VersionMessage, PushAck> kCiInvalidate{"ci.invalidate"};
 
+constexpr ReplicaMethods kCiMethods{kProtoCacheInval, &kDsoInvoke, nullptr,
+                                    &kCiUnregister};
+
 }  // namespace
 
 CacheInvalMaster::CacheInvalMaster(sim::Transport* transport, sim::NodeId host,
                                    std::unique_ptr<SemanticsObject> semantics,
                                    WriteGuard write_guard)
-    : comm_(transport, host),
-      semantics_(std::move(semantics)),
-      write_guard_(std::move(write_guard)),
-      group_(&comm_, GroupRole::kMaster) {
-  comm_.RegisterAsync(kDsoInvoke, [this](const sim::RpcContext& ctx,
-                                         Invocation invocation,
-                                         std::function<void(Result<Bytes>)> respond) {
-    if (!invocation.read_only && write_guard_) {
-      if (Status s = write_guard_(ctx); !s.ok()) {
-        respond(s);
-        return;
-      }
-    }
-    InvokeFrom(invocation, ctx.client.node,
-               [respond = std::move(respond)](Result<Bytes> result) {
-                 respond(std::move(result));
-               });
-  });
-  comm_.Register(kDsoGetState,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<VersionedState> {
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
-                 });
-  comm_.Register(kDsoMasterEndpoint,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<EndpointMessage> {
-                   return EndpointMessage{comm_.endpoint()};
-                 });
+    : Replica(transport, host, std::move(semantics), GroupRole::kMaster,
+              sim::Endpoint{}, std::move(write_guard), FailoverConfig{},
+              kCiMethods) {
   comm_.Register(kCiRegister,
                  [this](const sim::RpcContext&,
                         const EndpointMessage& request) -> Result<VersionMessage> {
                    group_.AddMember(request.endpoint);
                    return VersionMessage{version_, group_.epoch()};
                  });
-  comm_.Register(kCiUnregister,
-                 [this](const sim::RpcContext&,
-                        const EndpointMessage& request) -> Result<sim::EmptyMessage> {
-                   group_.RemoveMember(request.endpoint);
-                   return sim::EmptyMessage{};
-                 });
   comm_.Register(kCiFetch,
                  [this](const sim::RpcContext&,
                         const sim::EmptyMessage&) -> Result<VersionedState> {
                    ++fetches_served_;
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
+                   return CurrentState();
                  });
 }
 
-void CacheInvalMaster::Invoke(const Invocation& invocation, InvokeCallback done) {
-  InvokeFrom(invocation, comm_.endpoint().node, std::move(done));
-}
-
-void CacheInvalMaster::InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                                  InvokeCallback done) {
-  if (group_.retired()) {
-    group_.CountRetiredRefusal();
-    done(FailedPrecondition("replica retired (object migrated); rebind"));
-    return;
-  }
-  if (invocation.read_only) {
-    Result<Bytes> result = semantics_->Invoke(invocation);
-    if (access_hook_ && result.ok()) {
-      access_hook_(AccessSample{false, result->size(), client});
-    }
-    done(std::move(result));
-    return;
-  }
-  ExecuteWrite(invocation, client, std::move(done));
-}
-
-void CacheInvalMaster::ExecuteWrite(const Invocation& invocation, sim::NodeId client,
-                                    InvokeCallback done) {
-  Result<Bytes> result = semantics_->Invoke(invocation);
-  if (!result.ok()) {
-    done(std::move(result));
-    return;
-  }
-  ++version_;
-  if (access_hook_) {
-    access_hook_(AccessSample{true, invocation.args.size(), client});
-  }
-
-  // Invalidations through the group fan-out, retrying on loss: the cache
-  // compares versions, so a duplicate invalidation is harmless, and a lost one
-  // would leave a cache serving stale reads for ever — exactly the message this
-  // protocol cannot afford to drop. Unreachable caches are kept in the set: a
-  // cache that returns must still receive the next invalidation, or it would
-  // serve its pre-outage copy indefinitely.
-  VersionMessage invalidation{version_, group_.epoch()};
-  auto shared_done = std::make_shared<InvokeCallback>(std::move(done));
-  auto shared_result = std::make_shared<Result<Bytes>>(std::move(result));
-  group_.FanOut(kCiInvalidate, invalidation, 5 * sim::kSecond,
-                /*drop_unreachable=*/false, /*commit_point=*/0,
-                [shared_done, shared_result](const FanOutResult&) {
-                  (*shared_done)(std::move(*shared_result));
+void CacheInvalMaster::FanOutWrite(const Invocation&, uint64_t, uint64_t,
+                                   std::function<void(const FanOutResult&)> done) {
+  // Invalidations retry on loss: the cache compares versions, so a duplicate
+  // invalidation is harmless, and a lost one would leave a cache serving stale
+  // reads for ever — exactly the message this protocol cannot afford to drop.
+  // Unreachable caches are kept in the set: a cache that returns must still
+  // receive the next invalidation, or it would serve its pre-outage copy
+  // indefinitely.
+  group_.FanOut(kCiInvalidate, VersionMessage{version_, group_.epoch()},
+                kFanOutDeadline, /*drop_unreachable=*/false, /*commit_point=*/0,
+                [done = std::move(done)](const FanOutResult&) {
+                  done(FanOutResult{});
                 });
 }
 
 CacheInvalCache::CacheInvalCache(sim::Transport* transport, sim::NodeId host,
                                  std::unique_ptr<SemanticsObject> semantics,
                                  sim::Endpoint master, WriteGuard write_guard)
-    : comm_(transport, host),
-      semantics_(std::move(semantics)),
-      write_guard_(std::move(write_guard)),
-      master_(master),
-      group_(&comm_, GroupRole::kCache) {
-  comm_.RegisterAsync(kDsoInvoke, [this](const sim::RpcContext& ctx,
-                                         Invocation invocation,
-                                         std::function<void(Result<Bytes>)> respond) {
-    if (!invocation.read_only && write_guard_) {
-      if (Status s = write_guard_(ctx); !s.ok()) {
-        respond(s);
-        return;
-      }
-    }
-    InvokeFrom(invocation, ctx.client.node,
-               [respond = std::move(respond)](Result<Bytes> result) {
-                 respond(std::move(result));
-               });
-  });
-  comm_.Register(kDsoGetState,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<VersionedState> {
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
-                 });
-  comm_.Register(kDsoMasterEndpoint,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<EndpointMessage> {
-                   return EndpointMessage{master_};
-                 });
+    : Replica(transport, host, std::move(semantics), GroupRole::kCache, master,
+              std::move(write_guard), FailoverConfig{}, kCiMethods) {
   comm_.Register(kCiInvalidate,
                  [this](const sim::RpcContext& ctx,
                         const VersionMessage& msg) -> Result<PushAck> {
-                   if (write_guard_) {
-                     RETURN_IF_ERROR(write_guard_(ctx));
-                   }
-                   PushAck ack = group_.FenceIncoming(msg.epoch);
+                   ASSIGN_OR_RETURN(PushAck ack, AdmitPush(ctx, msg.epoch));
                    if (ack.accepted == 0) {
                      return ack;  // stale-epoch master: keep our copy
                    }
+                   invalidated_ = std::max(invalidated_, msg.version);
                    if (msg.version > version_) {
                      valid_ = false;
                    }
@@ -171,7 +74,7 @@ CacheInvalCache::CacheInvalCache(sim::Transport* transport, sim::NodeId host,
 
 void CacheInvalCache::Start(std::function<void(Status)> done) {
   // Registration is find-before-insert on the master: safe to retry.
-  comm_.Call(kCiRegister, master_, EndpointMessage{comm_.endpoint()},
+  comm_.Call(kCiRegister, primary_, EndpointMessage{comm_.endpoint()},
              [this, done = std::move(done)](Result<VersionMessage> result) {
                if (result.ok() && result->epoch > group_.epoch()) {
                  group_.set_epoch(result->epoch);
@@ -181,68 +84,38 @@ void CacheInvalCache::Start(std::function<void(Status)> done) {
              WriteCallOptions());
 }
 
-void CacheInvalCache::Shutdown(std::function<void(Status)> done) {
-  group_.Stop();
-  comm_.Call(kCiUnregister, master_, EndpointMessage{comm_.endpoint()},
-             [done = std::move(done)](Result<sim::EmptyMessage> result) {
-               done(result.ok() ? OkStatus() : result.status());
-             },
-             WriteCallOptions());
-}
-
-void CacheInvalCache::WithValidState(std::function<void(Status)> fn) {
+void CacheInvalCache::ServeRead(const Invocation& invocation, sim::NodeId client,
+                                InvokeCallback done) {
   if (valid_) {
-    fn(OkStatus());
+    Replica::ServeRead(invocation, client, std::move(done));
     return;
   }
   ++fetches_;
-  comm_.Call(kCiFetch, master_, sim::EmptyMessage{},
-             [this, fn = std::move(fn)](Result<VersionedState> result) {
+  comm_.Call(kCiFetch, primary_, sim::EmptyMessage{},
+             [this, invocation, client,
+              done = std::move(done)](Result<VersionedState> result) mutable {
                if (!result.ok()) {
-                 fn(result.status());
+                 done(result.status());
                  return;
                }
-               Status s = semantics_->SetState(result->state);
-               if (s.ok()) {
+               // A fetch never moves the copy backwards (two fetches raced and
+               // the newer answer landed first).
+               if (result->version >= version_) {
+                 if (Status s = semantics_->SetState(result->state); !s.ok()) {
+                   done(s);
+                   return;
+                 }
                  version_ = result->version;
                  if (result->epoch > group_.epoch()) {
                    group_.set_epoch(result->epoch);
                  }
-                 valid_ = true;
                }
-               fn(s);
+               // A small invalidation can overtake a large fetch answer: the
+               // copy is valid only if no invalidation named a newer version.
+               // The read that fetched it may still use it.
+               valid_ = version_ >= invalidated_;
+               Replica::ServeRead(invocation, client, std::move(done));
              });
-}
-
-void CacheInvalCache::Invoke(const Invocation& invocation, InvokeCallback done) {
-  InvokeFrom(invocation, comm_.endpoint().node, std::move(done));
-}
-
-void CacheInvalCache::InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                                 InvokeCallback done) {
-  if (group_.retired()) {
-    group_.CountRetiredRefusal();
-    done(FailedPrecondition("replica retired (object migrated); rebind"));
-    return;
-  }
-  if (invocation.read_only) {
-    WithValidState([this, invocation, client, done = std::move(done)](Status s) {
-      if (!s.ok()) {
-        done(s);
-        return;
-      }
-      Result<Bytes> result = semantics_->Invoke(invocation);
-      if (access_hook_ && result.ok()) {
-        access_hook_(AccessSample{false, result->size(), client});
-      }
-      done(std::move(result));
-    });
-    return;
-  }
-  // Writes forward to the master, which dedups dso.invoke — retries are safe.
-  comm_.Call(kDsoInvoke, master_, invocation,
-             [done = std::move(done)](Result<Bytes> result) { done(std::move(result)); },
-             WriteCallOptions());
 }
 
 }  // namespace globe::dso

@@ -6,12 +6,16 @@
 // objects whose state is large relative to the read traffic — the situation the GDN's
 // popular-but-rarely-updated software packages are in.
 //
-// Cache tracking and the invalidation fan-out ride on the shared dso::ReplicaGroup
-// layer; invalidations are epoch-stamped like every other group push. Caches hold
-// the terminal kCache role — they are never electable (a cache may not even hold
-// valid state), so this protocol has no master fail-over.
+// Both roles are dso::Replica: the serving path, the master's write path and the
+// cache's leaving on Shutdown are the shared core. Cache tracking and the
+// invalidation fan-out ride on dso::ReplicaGroup; invalidations are epoch-stamped
+// like every other group push. What is cache/invalidate's own: the fan-out carries
+// only a version, the master acks after the invalidation round whatever the caches
+// answer and keeps unreachable caches, and a cache joins without state and fetches
+// it lazily. Caches hold the terminal kCache role — they are never electable (a
+// cache may not even hold valid state), so this protocol has no master fail-over.
 //
-// Peer methods (beyond dso.invoke / dso.get_state):
+// Peer methods (beyond dso.invoke / dso.get_state / dso.master_endpoint):
 //   ci.register   : endpoint -> version, epoch  (cache joins; no state transferred)
 //   ci.unregister : endpoint -> empty
 //   ci.fetch      : empty -> VersionedState     (cache -> master, on demand)
@@ -21,97 +25,51 @@
 #define SRC_DSO_CACHE_INVAL_H_
 
 #include <memory>
-#include <vector>
 
-#include "src/dso/comm.h"
-#include "src/dso/protocols.h"
-#include "src/dso/replica_group.h"
-#include "src/dso/subobjects.h"
-#include "src/dso/wire.h"
+#include "src/dso/replica.h"
 
 namespace globe::dso {
 
-class CacheInvalMaster : public ReplicationObject {
+class CacheInvalMaster : public Replica {
  public:
   CacheInvalMaster(sim::Transport* transport, sim::NodeId host,
                    std::unique_ptr<SemanticsObject> semantics,
                    WriteGuard write_guard = nullptr);
 
-  void Invoke(const Invocation& invocation, InvokeCallback done) override;
-  uint64_t version() const override { return version_; }
-  uint64_t epoch() const override { return group_.epoch(); }
-  void set_epoch(uint64_t e) override { group_.set_epoch(e); }
-  std::optional<gls::ContactAddress> contact_address() const override {
-    return gls::ContactAddress{comm_.endpoint(), kProtoCacheInval,
-                               ToReplicaRole(group_.role())};
-  }
-
   size_t num_caches() const { return group_.num_members(); }
   uint64_t fetches_served() const { return fetches_served_; }
-  SemanticsObject* semantics() override { return semantics_.get(); }
-  void set_version(uint64_t v) override { version_ = v; }
-  const ReplicaGroup* group() const override { return &group_; }
-  void set_access_hook(AccessHook hook) override { access_hook_ = std::move(hook); }
 
  private:
-  // Reads and writes both execute at the master (caches forward writes here),
-  // so both sample kinds are recorded here.
-  void InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                  InvokeCallback done);
-  void ExecuteWrite(const Invocation& invocation, sim::NodeId client,
-                    InvokeCallback done);
+  // Invalidates every cache and reports an empty round: the write is acked
+  // whatever the caches answer.
+  void FanOutWrite(const Invocation& write, uint64_t committed, uint64_t commit_point,
+                   std::function<void(const FanOutResult&)> done) override;
 
-  CommunicationObject comm_;
-  std::unique_ptr<SemanticsObject> semantics_;
-  WriteGuard write_guard_;
-  ReplicaGroup group_;
-  uint64_t version_ = 0;
   uint64_t fetches_served_ = 0;
-  AccessHook access_hook_;
 };
 
-class CacheInvalCache : public ReplicationObject {
+class CacheInvalCache : public Replica {
  public:
   CacheInvalCache(sim::Transport* transport, sim::NodeId host,
                   std::unique_ptr<SemanticsObject> semantics, sim::Endpoint master,
                   WriteGuard write_guard = nullptr);
 
+  // Registers with the master; no state is transferred.
   void Start(std::function<void(Status)> done) override;
-  void Shutdown(std::function<void(Status)> done) override;
 
-  void Invoke(const Invocation& invocation, InvokeCallback done) override;
-  uint64_t version() const override { return version_; }
-  uint64_t epoch() const override { return group_.epoch(); }
-  void set_epoch(uint64_t e) override { group_.set_epoch(e); }
-  std::optional<gls::ContactAddress> contact_address() const override {
-    return gls::ContactAddress{comm_.endpoint(), kProtoCacheInval,
-                               ToReplicaRole(group_.role())};
-  }
-
-  SemanticsObject* semantics() override { return semantics_.get(); }
-  void set_version(uint64_t v) override { version_ = v; }
-  const ReplicaGroup* group() const override { return &group_; }
   bool valid() const { return valid_; }
   uint64_t fetches() const { return fetches_; }
-  void set_access_hook(AccessHook hook) override { access_hook_ = std::move(hook); }
 
  private:
-  // Reads served from the local copy are recorded here; forwarded writes are
-  // recorded at the master, not here, so they are never double-counted.
-  void InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                  InvokeCallback done);
-  // Ensures a valid local copy (fetching if necessary), then runs fn.
-  void WithValidState(std::function<void(Status)> fn);
+  // Serves the read from the local copy, fetching it first if invalid.
+  void ServeRead(const Invocation& invocation, sim::NodeId client,
+                 InvokeCallback done) override;
 
-  CommunicationObject comm_;
-  std::unique_ptr<SemanticsObject> semantics_;
-  WriteGuard write_guard_;
-  sim::Endpoint master_;
-  ReplicaGroup group_;
   bool valid_ = false;
-  uint64_t version_ = 0;
+  // Newest version an invalidation named: a fetch answered below it may serve
+  // the read that issued it, but leaves the copy invalid.
+  uint64_t invalidated_ = 0;
   uint64_t fetches_ = 0;
-  AccessHook access_hook_;
 };
 
 }  // namespace globe::dso

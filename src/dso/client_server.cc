@@ -5,54 +5,9 @@ namespace globe::dso {
 ClientServerServer::ClientServerServer(sim::Transport* transport, sim::NodeId host,
                                        std::unique_ptr<SemanticsObject> semantics,
                                        WriteGuard write_guard)
-    : comm_(transport, host),
-      semantics_(std::move(semantics)),
-      write_guard_(std::move(write_guard)),
-      group_(&comm_, GroupRole::kMaster) {
-  comm_.Register(kDsoInvoke,
-                 [this](const sim::RpcContext& ctx,
-                        const Invocation& invocation) -> Result<Bytes> {
-                   if (group_.retired()) {
-                     group_.CountRetiredRefusal();
-                     return FailedPrecondition(
-                         "replica retired (object migrated); rebind");
-                   }
-                   if (!invocation.read_only && write_guard_) {
-                     RETURN_IF_ERROR(write_guard_(ctx));
-                   }
-                   return Execute(invocation, ctx.client.node);
-                 });
-  comm_.Register(kDsoGetState,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<VersionedState> {
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
-                 });
-  comm_.Register(kDsoMasterEndpoint,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<EndpointMessage> {
-                   return EndpointMessage{comm_.endpoint()};
-                 });
-}
-
-Result<Bytes> ClientServerServer::Execute(const Invocation& invocation,
-                                          sim::NodeId client) {
-  if (!invocation.read_only) {
-    ++version_;
-  }
-  Result<Bytes> result = semantics_->Invoke(invocation);
-  if (access_hook_ && result.ok()) {
-    access_hook_(AccessSample{!invocation.read_only,
-                              invocation.read_only ? result->size()
-                                                   : invocation.args.size(),
-                              client});
-  }
-  return result;
-}
-
-void ClientServerServer::Invoke(const Invocation& invocation, InvokeCallback done) {
-  done(Execute(invocation, comm_.endpoint().node));
-}
+    : Replica(transport, host, std::move(semantics), GroupRole::kMaster,
+              sim::Endpoint{}, std::move(write_guard), FailoverConfig{},
+              ReplicaMethods{kProtoClientServer}) {}
 
 RemoteProxy::RemoteProxy(sim::Transport* transport, sim::NodeId host,
                          gls::ContactAddress peer)

@@ -7,56 +7,28 @@
 // replicas of all protocols accept "dso.invoke" and route reads/writes per their own
 // rules, so a proxy only needs to pick the nearest replica and forward.
 //
-// Peer methods:
-//   dso.invoke    : Invocation -> result bytes
-//   dso.get_state : empty -> VersionedState
+// Peer methods (all from the dso::Replica core):
+//   dso.invoke          : Invocation -> result bytes
+//   dso.get_state       : empty -> VersionedState
+//   dso.master_endpoint : empty -> endpoint
 
 #ifndef SRC_DSO_CLIENT_SERVER_H_
 #define SRC_DSO_CLIENT_SERVER_H_
 
 #include <memory>
 
-#include "src/dso/comm.h"
-#include "src/dso/protocols.h"
-#include "src/dso/replica_group.h"
-#include "src/dso/subobjects.h"
-#include "src/dso/wire.h"
+#include "src/dso/replica.h"
 
 namespace globe::dso {
 
-class ClientServerServer : public ReplicationObject {
+// The single server is a dso::Replica that is always the primary: the shared
+// serving path and lease-only write path with no followers to tell, so every
+// access — read or write — executes and is recorded here.
+class ClientServerServer : public Replica {
  public:
   ClientServerServer(sim::Transport* transport, sim::NodeId host,
                      std::unique_ptr<SemanticsObject> semantics,
                      WriteGuard write_guard = nullptr);
-
-  void Invoke(const Invocation& invocation, InvokeCallback done) override;
-  uint64_t version() const override { return version_; }
-  uint64_t epoch() const override { return group_.epoch(); }
-  void set_epoch(uint64_t e) override { group_.set_epoch(e); }
-  std::optional<gls::ContactAddress> contact_address() const override {
-    return gls::ContactAddress{comm_.endpoint(), kProtoClientServer,
-                               ToReplicaRole(group_.role())};
-  }
-
-  SemanticsObject* semantics() override { return semantics_.get(); }
-  void set_version(uint64_t v) override { version_ = v; }
-  const ReplicaGroup* group() const override { return &group_; }
-  void set_access_hook(AccessHook hook) override { access_hook_ = std::move(hook); }
-
- private:
-  // Single-server protocol: every access — read or write — executes here, so
-  // every sample is recorded here, attributed to the invoking client.
-  Result<Bytes> Execute(const Invocation& invocation, sim::NodeId client);
-
-  CommunicationObject comm_;
-  std::unique_ptr<SemanticsObject> semantics_;
-  WriteGuard write_guard_;
-  // Single-replica protocol: the group is a trivial permanent master — no
-  // members, no transitions — but role/epoch bookkeeping stays uniform.
-  ReplicaGroup group_;
-  uint64_t version_ = 0;
-  AccessHook access_hook_;
 };
 
 // Thin client-side representative: no semantics subobject, no local state; every

@@ -1,7 +1,5 @@
 #include "src/dso/master_slave.h"
 
-#include <memory>
-
 #include "src/util/log.h"
 
 namespace globe::dso {
@@ -23,124 +21,21 @@ MasterSlaveReplica::MasterSlaveReplica(sim::Transport* transport, sim::NodeId ho
                                        GroupRole role, sim::Endpoint master,
                                        WriteGuard write_guard,
                                        FailoverConfig failover)
-    : comm_(transport, host),
-      semantics_(std::move(semantics)),
-      write_guard_(std::move(write_guard)),
-      master_(master),
-      group_(&comm_, role) {
-  failover.protocol = kProtoMasterSlave;
-  ReplicaGroup::Callbacks callbacks;
-  callbacks.on_won_mastership = [this](uint64_t committed_floor) {
-    // The member list starts empty: surviving slaves join as their own lease
-    // watches fire and their claims lose to ours.
-    master_ = sim::Endpoint{};
-    // The grant names the acked-write floor: execute the staged suffix up to
-    // exactly there, discard anything above it (those writes were refused at
-    // their master and must not resurrect through an election).
-    ApplyStagedUpTo(committed_floor);
-    staged_ = Staged{};
-  };
-  callbacks.on_adopted_master = [this](sim::Endpoint new_master, uint64_t) {
-    master_ = new_master;
-    // Join the winner and refresh our snapshot (this also discards anything a
-    // deposed master diverged on — those writes were never acknowledged). On
-    // failure the lease watch retries via the next claim.
-    RegisterWithMaster([](Status) {});
-  };
-  callbacks.version = [this] { return version_; };
-  callbacks.durable_version = [this] { return DurableVersion(); };
-  group_.EnableFailover(std::move(failover), std::move(callbacks));
-
-  comm_.RegisterAsync(kDsoInvoke, [this](const sim::RpcContext& ctx,
-                                         Invocation invocation,
-                                         std::function<void(Result<Bytes>)> respond) {
-    if (!invocation.read_only && write_guard_) {
-      if (Status s = write_guard_(ctx); !s.ok()) {
-        respond(s);
-        return;
-      }
-    }
-    InvokeFrom(invocation, ctx.client.node,
-               [respond = std::move(respond)](Result<Bytes> result) {
-                 respond(std::move(result));
-               });
-  });
-  comm_.Register(kDsoGetState,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<VersionedState> {
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
-                 });
-  comm_.Register(kDsoMasterEndpoint,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<EndpointMessage> {
-                   return EndpointMessage{group_.is_master() ? comm_.endpoint()
-                                                             : master_};
-                 });
-  comm_.Register(kDsoLease,
-                 [this](const sim::RpcContext& ctx,
-                        const LeaseMessage& lease) -> Result<PushAck> {
-                   if (write_guard_) {
-                     RETURN_IF_ERROR(write_guard_(ctx));
-                   }
-                   PushAck ack = group_.FenceIncoming(lease.epoch);
-                   if (ack.accepted != 0 && !group_.is_master()) {
-                     if (lease.master != master_) {
-                       // A newer master introduced itself before our watch
-                       // fired (we are in its member list, or we would not get
-                       // leases).
-                       master_ = lease.master;
-                     }
-                     // The lease piggybacks the commit floor: execute staged
-                     // writes the floor has reached, so slave staleness under
-                     // quorum mode is bounded by one lease interval.
-                     group_.RecordCommit(lease.committed);
-                     ApplyStagedUpTo(lease.committed);
-                   }
-                   ack.durable_version = DurableVersion();
-                   return ack;
-                 });
-  comm_.Register(kMsRegisterSlave,
-                 [this](const sim::RpcContext&,
-                        const EndpointMessage& request) -> Result<VersionedState> {
-                   if (!group_.is_master()) {
-                     return FailedPrecondition("not the master");
-                   }
-                   group_.AddMember(request.endpoint);
-                   if (write_in_flight_) {
-                     // Mid-quorum-round: hand out the rollback point, never
-                     // state that may yet be rolled back and refused.
-                     return VersionedState{pre_write_version_, group_.epoch(),
-                                           pre_write_version_, pre_write_state_};
-                   }
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
-                 });
-  comm_.Register(kMsUnregisterSlave,
-                 [this](const sim::RpcContext&,
-                        const EndpointMessage& request) -> Result<sim::EmptyMessage> {
-                   group_.RemoveMember(request.endpoint);
-                   return sim::EmptyMessage{};
-                 });
+    : Replica(transport, host, std::move(semantics), role, master,
+              std::move(write_guard), std::move(failover),
+              ReplicaMethods{kProtoMasterSlave, &kDsoInvoke, &kMsRegisterSlave,
+                             &kMsUnregisterSlave}) {
   comm_.Register(
       kMsStatePush,
       [this](const sim::RpcContext& ctx,
              const VersionedState& push) -> Result<PushAck> {
-        if (write_guard_) {
-          RETURN_IF_ERROR(write_guard_(ctx));
-        }
-        PushAck ack = group_.FenceIncoming(push.epoch);
+        ASSIGN_OR_RETURN(PushAck ack, AdmitPush(ctx, push.epoch));
         if (ack.accepted == 0) {
           return ack;  // stale master: refuse, report our epoch
         }
-        if (group_.is_master()) {
-          // Two masters under one epoch should not exist; refuse rather than
-          // let a peer overwrite the authoritative copy.
-          return PushAck{0, group_.epoch()};
-        }
         // The push carries the commit floor: settle anything it has reached.
         group_.RecordCommit(push.committed);
-        ApplyStagedUpTo(push.committed);
+        ApplyUpTo(push.committed);
         if (push.version <= push.committed) {
           // Committed (non-quorum masters stamp committed == version): apply
           // directly, exactly the original eager-push behaviour.
@@ -160,263 +55,17 @@ MasterSlaveReplica::MasterSlaveReplica(sim::Transport* transport, sim::NodeId ho
       });
 }
 
-void MasterSlaveReplica::Start(std::function<void(Status)> done) {
-  if (group_.is_master()) {
-    group_.StartMaster(std::move(done));
-    return;
-  }
-  RegisterWithMaster([this, done = std::move(done)](Status s) {
-    // The lease watch starts even when the registration failed (e.g. a replica
-    // restored from a checkpoint whose master moved): the watch times out,
-    // claims, and either wins mastership or adopts the GLS record's master and
-    // re-registers there — the self-healing loop.
-    group_.StartFollower();
-    done(s);
-  });
+void MasterSlaveReplica::FanOutWrite(const Invocation&, uint64_t committed,
+                                     uint64_t commit_point,
+                                     std::function<void(const FanOutResult&)> done) {
+  group_.FanOut(kMsStatePush,
+                VersionedState{version_, group_.epoch(), committed,
+                               semantics_->GetState()},
+                kFanOutDeadline, /*drop_unreachable=*/true, commit_point,
+                std::move(done));
 }
 
-void MasterSlaveReplica::RegisterWithMaster(std::function<void(Status)> done) {
-  // Registration is find-before-insert on the master, so retrying it is safe.
-  comm_.Call(kMsRegisterSlave, master_, EndpointMessage{comm_.endpoint()},
-             [this, done = std::move(done)](Result<VersionedState> result) {
-               if (!result.ok()) {
-                 done(result.status());
-                 return;
-               }
-               Status s = semantics_->SetState(result->state);
-               if (s.ok()) {
-                 version_ = result->version;
-                 // The snapshot supersedes anything held from a previous
-                 // membership — including a staged write that was refused.
-                 staged_ = Staged{};
-                 group_.RecordCommit(result->committed);
-                 if (result->epoch > group_.epoch()) {
-                   group_.set_epoch(result->epoch);
-                 }
-                 group_.RecordLease();
-               }
-               done(s);
-             },
-             WriteCallOptions());
-}
-
-void MasterSlaveReplica::Shutdown(std::function<void(Status)> done) {
-  group_.Stop();
-  if (group_.is_master()) {
-    done(OkStatus());
-    return;
-  }
-  comm_.Call(kMsUnregisterSlave, master_, EndpointMessage{comm_.endpoint()},
-             [done = std::move(done)](Result<sim::EmptyMessage> result) {
-               done(result.ok() ? OkStatus() : result.status());
-             },
-             WriteCallOptions());
-}
-
-void MasterSlaveReplica::Invoke(const Invocation& invocation, InvokeCallback done) {
-  InvokeFrom(invocation, comm_.endpoint().node, std::move(done));
-}
-
-void MasterSlaveReplica::InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                                    InvokeCallback done) {
-  if (group_.retired()) {
-    // The object migrated away from this binding: refusing reads too is the
-    // point — a retired slave must never serve dead state silently.
-    group_.CountRetiredRefusal();
-    done(FailedPrecondition("replica retired (object migrated); rebind"));
-    return;
-  }
-  if (invocation.read_only) {
-    Result<Bytes> result = semantics_->Invoke(invocation);
-    if (access_hook_ && result.ok()) {
-      access_hook_(AccessSample{false, result->size(), client});
-    }
-    done(std::move(result));
-    return;
-  }
-  if (group_.is_master()) {
-    if (group_.quorum_enabled()) {
-      write_queue_.push_back(QueuedWrite{invocation, client, std::move(done)});
-      PumpQuorumWrites();
-      return;
-    }
-    ExecuteWrite(invocation, client, std::move(done));
-    return;
-  }
-  // Writes go to the master; our copy is refreshed by its push. dso.invoke is
-  // deduped on the master, so the retry budget cannot double-execute a write.
-  comm_.Call(kDsoInvoke, master_, invocation,
-             [done = std::move(done)](Result<Bytes> result) { done(std::move(result)); },
-             WriteCallOptions());
-}
-
-void MasterSlaveReplica::ExecuteWrite(const Invocation& invocation,
-                                      sim::NodeId client, InvokeCallback done) {
-  Result<Bytes> result = semantics_->Invoke(invocation);
-  if (!result.ok()) {
-    done(std::move(result));
-    return;
-  }
-  ++version_;
-  if (access_hook_) {
-    access_hook_(AccessSample{true, invocation.args.size(), client});
-  }
-
-  // Eager push through the group fan-out: one epoch-stamped state message per
-  // slave, respond when all have answered (a dead slave must not wedge the
-  // master; with fail-over on it is dropped from the set and rejoins through
-  // its own lease watch). A slave refusing under a newer epoch means WE were
-  // deposed, so the write must not be acknowledged.
-  VersionedState push{version_, group_.epoch(), version_, semantics_->GetState()};
-  auto shared_done = std::make_shared<InvokeCallback>(std::move(done));
-  auto shared_result = std::make_shared<Result<Bytes>>(std::move(result));
-  bool strict = group_.failover_enabled();
-  group_.FanOut(kMsStatePush, push, 5 * sim::kSecond, /*drop_unreachable=*/true,
-                /*commit_point=*/0,
-                [shared_done, shared_result, strict](const FanOutResult& fan) {
-                  if (fan.fenced) {
-                    (*shared_done)(FailedPrecondition(
-                        "no longer master: deposed by epoch " +
-                        std::to_string(fan.fence_epoch)));
-                    return;
-                  }
-                  if (strict && fan.failures > 0) {
-                    // With fail-over on, an evicted slave may later be elected:
-                    // acknowledging a write it never received would break the
-                    // acked-write floor. Refuse the ack (definitive, so the
-                    // dedup table replays it — a retry must not re-execute).
-                    // The outcome is INDETERMINATE, not rolled back: the write
-                    // stays applied locally and becomes visible if this master
-                    // survives — the floor only promises that *acked* writes
-                    // are never lost, never that refused ones vanish.
-                    (*shared_done)(FailedPrecondition(
-                        "write executed but not fully replicated: " +
-                        std::to_string(fan.failures) + " of " +
-                        std::to_string(fan.peers) + " push(es) unconfirmed"));
-                    return;
-                  }
-                  (*shared_done)(std::move(*shared_result));
-                });
-}
-
-void MasterSlaveReplica::PumpQuorumWrites() {
-  if (write_in_flight_ || write_queue_.empty()) {
-    return;
-  }
-  if (!group_.is_master()) {
-    // Demoted while writes were queued: forward them to the winner (deduped
-    // there, so a client retry cannot double-execute).
-    while (!write_queue_.empty()) {
-      QueuedWrite w = std::move(write_queue_.front());
-      write_queue_.pop_front();
-      comm_.Call(kDsoInvoke, master_, w.invocation,
-                 [done = std::move(w.done)](Result<Bytes> result) {
-                   done(std::move(result));
-                 },
-                 WriteCallOptions());
-    }
-    return;
-  }
-  if (!group_.QuorumPossible()) {
-    // The reachable group cannot assemble a majority (e.g. this master is
-    // partitioned from everyone): refuse without executing. Definitive — the
-    // dedup table replays the refusal, and nothing was applied anywhere.
-    QueuedWrite w = std::move(write_queue_.front());
-    write_queue_.pop_front();
-    group_.CountQuorumRefusal();
-    w.done(FailedPrecondition(
-        "write refused: quorum unreachable (" +
-        std::to_string(1 + group_.num_members()) + " of " +
-        std::to_string(group_.group_strength()) + " replicas reachable, need " +
-        std::to_string(group_.quorum_size()) + "); nothing was applied"));
-    PumpQuorumWrites();
-    return;
-  }
-
-  write_in_flight_ = true;
-  QueuedWrite w = std::move(write_queue_.front());
-  write_queue_.pop_front();
-  pre_write_state_ = semantics_->GetState();
-  pre_write_version_ = version_;
-  Result<Bytes> result = semantics_->Invoke(w.invocation);
-  if (!result.ok()) {
-    write_in_flight_ = false;
-    w.done(std::move(result));
-    PumpQuorumWrites();
-    return;
-  }
-  ++version_;
-  if (access_hook_) {
-    access_hook_(AccessSample{true, w.invocation.args.size(), w.client});
-  }
-
-  uint64_t commit_point = version_;
-  // The push stamps the CURRENT floor, not the new write: members stage this
-  // write and execute it only once the floor catches up — which happens after
-  // the floor publication below succeeds, via the next push or lease.
-  VersionedState push{commit_point, group_.epoch(), group_.committed_version(),
-                      semantics_->GetState()};
-  auto shared_done = std::make_shared<InvokeCallback>(std::move(w.done));
-  auto shared_result = std::make_shared<Result<Bytes>>(std::move(result));
-  group_.FanOut(
-      kMsStatePush, push, 5 * sim::kSecond, /*drop_unreachable=*/true,
-      commit_point,
-      [this, shared_done, shared_result, commit_point](const FanOutResult& fan) {
-        auto refuse = [&](const std::string& why) {
-          RollbackWrite();
-          group_.CountQuorumRefusal();
-          write_in_flight_ = false;
-          (*shared_done)(FailedPrecondition(why));
-          PumpQuorumWrites();
-        };
-        if (fan.fenced) {
-          refuse("no longer master: deposed by epoch " +
-                 std::to_string(fan.fence_epoch) + "; write rolled back");
-          return;
-        }
-        // This master's own durable copy plus every member whose durable
-        // version reached the write.
-        size_t votes = 1 + fan.acks;
-        if (votes < group_.quorum_size()) {
-          refuse("write under-replicated (" + std::to_string(votes) + " of " +
-                 std::to_string(group_.group_strength()) +
-                 " replicas hold it, need " +
-                 std::to_string(group_.quorum_size()) + "); rolled back");
-          return;
-        }
-        // A quorum durably holds the write: publish the exact floor to the
-        // arbiter, and only then ack. If publication fails the write is rolled
-        // back and refused even though members hold it staged — staged entries
-        // above the floor never execute and are overwritten by the slot reuse.
-        group_.PublishCommitFloor(
-            commit_point, [this, shared_done, shared_result](Status s) {
-              if (!s.ok()) {
-                RollbackWrite();
-                group_.CountQuorumRefusal();
-                write_in_flight_ = false;
-                (*shared_done)(FailedPrecondition(
-                    "write held by a quorum but the commit floor could not be "
-                    "published; rolled back: " +
-                    s.message()));
-                PumpQuorumWrites();
-                return;
-              }
-              group_.CountQuorumCommit();
-              write_in_flight_ = false;
-              (*shared_done)(std::move(*shared_result));
-              PumpQuorumWrites();
-            });
-      });
-}
-
-void MasterSlaveReplica::RollbackWrite() {
-  if (Status s = semantics_->SetState(pre_write_state_); !s.ok()) {
-    GLOG_ERROR << "quorum rollback failed to restore state: " << s;
-  }
-  version_ = pre_write_version_;
-}
-
-void MasterSlaveReplica::ApplyStagedUpTo(uint64_t floor) {
+void MasterSlaveReplica::ApplyUpTo(uint64_t floor) {
   if (staged_.version == 0 || staged_.version > floor) {
     return;
   }

@@ -1,7 +1,9 @@
 // Shared membership/epoch layer beneath the replication protocols.
 //
-// Every replication subobject in src/dso used to hand-roll the same three
-// mechanisms; this class owns them exactly once:
+// Every replica of every protocol is a dso::Replica (src/dso/replica.h), the
+// core that owns the serving path, the primary write path (lease-only and
+// quorum) and the follower join. Each Replica holds one ReplicaGroup, which
+// owns three mechanisms beneath that core:
 //   - membership: the peer endpoints a master pushes to (find-before-insert
 //     registration, unregistration, drop-on-unreachable),
 //   - an explicit role state machine: master / slave / peer / cache, with the
@@ -142,15 +144,15 @@ class ReplicaGroup {
  public:
   struct Callbacks {
     // The replica won (or resumed) mastership: role is kMaster, the epoch is
-    // updated, the renewal cadence is running. Protocols reset master-pointer
-    // state here. `committed_floor` is the arbiter's acked-write floor at the
-    // moment of the grant: a quorum-mode protocol applies its staged writes up
-    // to (exactly) the floor and discards anything above it — those writes
-    // were refused at their master and must not resurrect.
+    // updated, the renewal cadence is running. The replica core clears its
+    // primary endpoint here. `committed_floor` is the arbiter's acked-write
+    // floor at the moment of the grant: a quorum-mode replica applies its held
+    // writes up to (exactly) the floor and discards anything above it — those
+    // writes were refused at their master and must not resurrect.
     std::function<void(uint64_t committed_floor)> on_won_mastership;
     // A newer master exists — lost claim, fenced push, rejected renewal. Role
-    // is kSlave (after a demotion) and the epoch is updated; protocols point
-    // their forwarding at `master` and re-register with it here.
+    // is kSlave (after a demotion) and the epoch is updated; the replica core
+    // points its forwarding at `master` and rejoins it here.
     std::function<void(sim::Endpoint master, uint64_t epoch)> on_adopted_master;
     // Current write version, stamped into lease broadcasts (optional).
     std::function<uint64_t()> version;

@@ -194,6 +194,7 @@ void SecureTransport::Send(const sim::Endpoint& src, const sim::Endpoint& dst,
   sim::SimTime now = inner_->clock()->Now();
   sim::SimTime& floor = session->delivery_floor[src.node];
   sim::SimTime& held_until = session->held_until[src.node];
+  uint64_t& held = session->held[src.node];
   sim::SimTime send_at = std::max({now + static_cast<sim::SimTime>(crypto_us),
                                    floor > base_delay ? floor - base_delay : 0,
                                    held_until});
@@ -202,20 +203,27 @@ void SecureTransport::Send(const sim::Endpoint& src, const sim::Endpoint& dst,
   ++stats_.frames_sent;
   stats_.crypto_us += crypto_us;
   // A frame held until now may not have entered the inner transport yet: only
-  // once every held frame is due before now may this one go straight in.
-  if (send_at == now && held_until < now) {
+  // once every held frame has gone in, and was due before now, may this one go
+  // straight in.
+  if (send_at == now && held_until < now && held == 0) {
     inner_->Send(src, dst, frame_scratch_.span());
     return;
   }
   held_until = send_at;
+  ++held;
   // Held-back frames outlive the scratch buffer: the closure owns a copy.
   inner_->clock()->ScheduleAfter(
       send_at - now,
-      [this, alive = std::weak_ptr<bool>(alive_), src, dst,
-       frame = Bytes(frame_scratch_.data())]() {
+      [this, alive = std::weak_ptr<bool>(alive_), session_id = session->id, src,
+       dst, frame = Bytes(frame_scratch_.data())]() {
         auto a = alive.lock();
         if (!a || !*a) {
           return;
+        }
+        // ResetChannel may have dropped the session meanwhile.
+        if (auto pair = session_by_id_.find(session_id);
+            pair != session_by_id_.end()) {
+          --sessions_.at(pair->second).held[src.node];
         }
         inner_->Send(src, dst, frame);
       });

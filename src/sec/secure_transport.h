@@ -142,6 +142,10 @@ class SecureTransport : public sim::Transport {
     // later frame enters no earlier, so a tie in arrival time is delivered in
     // send order.
     std::map<sim::NodeId, sim::SimTime> held_until;
+    // Held-back frames that have not entered the inner transport yet. On a
+    // real event loop a timer already due can still be waiting while I/O runs,
+    // so the time alone cannot say whether the way in is clear.
+    std::map<sim::NodeId, uint64_t> held;
   };
 
   using NodePair = std::pair<sim::NodeId, sim::NodeId>;

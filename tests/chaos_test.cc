@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/dso/master_slave.h"
@@ -1209,10 +1210,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFailoverSweepTest,
 // ------------------------------------------------- quorum-acknowledged writes
 //
 // The three documented fail-over loss windows, each replayed under quorum mode
-// (gos_options.failover_quorum): a write is acked only once a strict majority
-// of the group durably holds it and its commit floor reached the GLS arbiter.
-// Shared invariants: zero acked writes lost, a definitively refused write
-// never resurfaces, and every scenario replays byte-identically per seed.
+// (gos_options.failover_quorum) on both primary protocols — master/slave and
+// active replication share one quorum write path: a write is acked only once a
+// strict majority of the group durably holds it and its commit floor reached
+// the GLS arbiter. Shared invariants: zero acked writes lost, a definitively
+// refused write never resurfaces, and every scenario replays byte-identically
+// per (protocol, seed).
 
 struct QuorumSummary {
   uint64_t executed_events = 0;
@@ -1284,14 +1287,51 @@ struct QuorumHarness {
   size_t refused_writes = 0;
 };
 
+// (primary protocol, chaos seed) for the quorum scenarios.
+using QuorumParam = std::tuple<gls::ProtocolId, uint64_t>;
+
+class ChaosQuorumTest : public ::testing::TestWithParam<QuorumParam> {};
+
+std::string QuorumParamName(const ::testing::TestParamInfo<QuorumParam>& info) {
+  return std::string(std::get<0>(info.param) == dso::kProtoMasterSlave
+                         ? "master_slave"
+                         : "active") +
+         "_" + std::to_string(std::get<1>(info.param));
+}
+
+// A write sent to a member rather than the primary reaches the same quorum
+// write path: forwarded (dso.invoke on master/slave, ar.order on active),
+// committed by a majority, its floor published before the ack.
+TEST_P(ChaosQuorumTest, WriteThroughAMemberIsQuorumCommitted) {
+  auto [protocol, seed] = GetParam();
+  FailoverWorld w(seed, /*quorum=*/true);
+  auto [oid, master_address] = w.CreateMaster(protocol);
+  gls::ContactAddress member_address = w.CreateSlave(w.gos_b.get(), oid);
+  w.CreateSlave(w.gos_c.get(), oid);
+  QuorumHarness h(&w);
+
+  h.WriteAt(w.simulator.Now() + 100 * kMillisecond, "fwd", 1,
+            member_address.endpoint);
+  w.RunFor(5 * kSecond);
+  EXPECT_EQ(h.acked["fwd"], 1u);
+
+  dso::ReplicationObject* primary = w.gos_a->FindReplica(oid);
+  ASSERT_NE(primary, nullptr);
+  EXPECT_EQ(primary->version(), 1u);
+  EXPECT_EQ(primary->group()->stats().quorum_commits, 1u);
+  const gls::DirectorySubnode* arbiter = w.RootArbiter(oid);
+  ASSERT_NE(arbiter, nullptr);
+  EXPECT_GE(arbiter->OwnerVersionFloor(oid), primary->version());
+}
+
 // Loss window 1: the master crashes mid-commit — after executing a write and
 // fanning it out, before (or while) publishing its commit floor. The write was
 // never acked, so it may land (a majority staged it) or vanish (the pushes
 // died with the master); what it must never do is cost an *acked* write. The
 // elected slave resumes at exactly the arbiter's floor.
-QuorumSummary RunQuorumCrashScenario(uint64_t seed) {
+QuorumSummary RunQuorumCrashScenario(gls::ProtocolId protocol, uint64_t seed) {
   FailoverWorld w(seed, /*quorum=*/true);
-  auto [oid, master_address] = w.CreateMaster();
+  auto [oid, master_address] = w.CreateMaster(protocol);
   w.CreateSlave(w.gos_b.get(), oid);
   w.CreateSlave(w.gos_c.get(), oid);
   QuorumHarness h(&w);
@@ -1363,21 +1403,17 @@ QuorumSummary RunQuorumCrashScenario(uint64_t seed) {
   return summary;
 }
 
-class ChaosQuorumCrashTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ChaosQuorumCrashTest, MasterCrashMidCommitLosesNoAckedWriteAndReplays) {
-  QuorumSummary first = RunQuorumCrashScenario(GetParam());
+TEST_P(ChaosQuorumTest, MasterCrashMidCommitLosesNoAckedWriteAndReplays) {
+  auto [protocol, seed] = GetParam();
+  QuorumSummary first = RunQuorumCrashScenario(protocol, seed);
   EXPECT_EQ(first.masters, 1);
   EXPECT_EQ(first.winner_epoch, 2u);
   EXPECT_GE(first.acked_writes, 2u);
-  QuorumSummary second = RunQuorumCrashScenario(GetParam());
+  QuorumSummary second = RunQuorumCrashScenario(protocol, seed);
   EXPECT_EQ(first.executed_events, second.executed_events);
   EXPECT_EQ(first.state_hash, second.state_hash);
   EXPECT_TRUE(first == second);
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ChaosQuorumCrashTest,
-                         ::testing::ValuesIn(ChaosSeeds()));
 
 // Loss window 2: the master is partitioned from every member (and the
 // directory) while a client it can still reach keeps writing. Lease-only mode
@@ -1385,9 +1421,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosQuorumCrashTest,
 // election happening behind the partition. Quorum mode refuses the burst: the
 // first write rolls back when its fan-out cannot assemble a majority, the
 // rest are refused up front, and nothing the isolated master did survives.
-QuorumSummary RunQuorumIsolationScenario(uint64_t seed) {
+QuorumSummary RunQuorumIsolationScenario(gls::ProtocolId protocol, uint64_t seed) {
   FailoverWorld w(seed, /*quorum=*/true);
-  auto [oid, master_address] = w.CreateMaster();
+  auto [oid, master_address] = w.CreateMaster(protocol);
   w.CreateSlave(w.gos_b.get(), oid);
   w.CreateSlave(w.gos_c.get(), oid);
   QuorumHarness h(&w);
@@ -1486,32 +1522,27 @@ QuorumSummary RunQuorumIsolationScenario(uint64_t seed) {
   return summary;
 }
 
-class ChaosQuorumIsolationTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ChaosQuorumIsolationTest, IsolatedMasterRefusesWritesAndReplays) {
-  QuorumSummary first = RunQuorumIsolationScenario(GetParam());
+TEST_P(ChaosQuorumTest, IsolatedMasterRefusesWritesAndReplays) {
+  auto [protocol, seed] = GetParam();
+  QuorumSummary first = RunQuorumIsolationScenario(protocol, seed);
   EXPECT_EQ(first.masters, 1);
   EXPECT_EQ(first.winner_epoch, 2u);
-  QuorumSummary second = RunQuorumIsolationScenario(GetParam());
+  QuorumSummary second = RunQuorumIsolationScenario(protocol, seed);
   EXPECT_EQ(first.executed_events, second.executed_events);
   EXPECT_EQ(first.state_hash, second.state_hash);
   EXPECT_TRUE(first == second);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ChaosQuorumIsolationTest,
-                         ::testing::ValuesIn(ChaosSeeds()));
-
-// Loss window 3: partition healing with a divergent deposed master — on the
-// active-replication protocol, so both quorum write paths face the chaos
-// suite. The partitioned sequencer executes a write the group never saw
-// (transient divergence), rolls it back when the quorum round fails, and is
-// deposed behind the partition; the new sequencer meanwhile commits a write
-// REUSING the same version slot. Healing must fence the deposed sequencer,
-// converge all three members on the winner's history, and never resurrect the
-// rolled-back write.
-QuorumSummary RunQuorumDivergenceScenario(uint64_t seed) {
+// Loss window 3: partition healing with a divergent deposed master. The
+// partitioned primary executes a write the group never saw (transient
+// divergence), rolls it back when the quorum round fails, and is deposed
+// behind the partition; the new primary meanwhile commits a write REUSING the
+// same version slot. Healing must fence the deposed primary, converge all
+// three replicas on the winner's history, and never resurrect the rolled-back
+// write.
+QuorumSummary RunQuorumDivergenceScenario(gls::ProtocolId protocol, uint64_t seed) {
   FailoverWorld w(seed, /*quorum=*/true);
-  auto [oid, master_address] = w.CreateMaster(dso::kProtoActiveRepl);
+  auto [oid, master_address] = w.CreateMaster(protocol);
   w.CreateSlave(w.gos_b.get(), oid);
   w.CreateSlave(w.gos_c.get(), oid);
   QuorumHarness h(&w);
@@ -1611,20 +1642,22 @@ QuorumSummary RunQuorumDivergenceScenario(uint64_t seed) {
   return summary;
 }
 
-class ChaosQuorumDivergenceTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ChaosQuorumDivergenceTest, HealedDivergentDeposedMasterConvergesAndReplays) {
-  QuorumSummary first = RunQuorumDivergenceScenario(GetParam());
+TEST_P(ChaosQuorumTest, HealedDivergentDeposedMasterConvergesAndReplays) {
+  auto [protocol, seed] = GetParam();
+  QuorumSummary first = RunQuorumDivergenceScenario(protocol, seed);
   EXPECT_EQ(first.masters, 1);
   EXPECT_EQ(first.winner_epoch, 2u);
-  QuorumSummary second = RunQuorumDivergenceScenario(GetParam());
+  QuorumSummary second = RunQuorumDivergenceScenario(protocol, seed);
   EXPECT_EQ(first.executed_events, second.executed_events);
   EXPECT_EQ(first.state_hash, second.state_hash);
   EXPECT_TRUE(first == second);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ChaosQuorumDivergenceTest,
-                         ::testing::ValuesIn(ChaosSeeds()));
+INSTANTIATE_TEST_SUITE_P(Protocols, ChaosQuorumTest,
+                         ::testing::Combine(::testing::Values(dso::kProtoMasterSlave,
+                                                              dso::kProtoActiveRepl),
+                                            ::testing::ValuesIn(ChaosSeeds())),
+                         QuorumParamName);
 
 // ----------------------------------------------------------- decommissioning
 

@@ -154,6 +154,23 @@ class ProtocolTest : public ::testing::Test {
     return r.ReadString().value();
   }
 
+  // A replica of `protocol` built through the factory; a follower finds its
+  // primary among `peers`.
+  std::unique_ptr<ReplicationObject> MakeReplicaOf(
+      gls::ProtocolId protocol, NodeId host, gls::ReplicaRole role,
+      std::vector<gls::ContactAddress> peers = {}, AccessHook hook = nullptr) {
+    ReplicaSetup setup;
+    setup.transport = &transport_;
+    setup.host = host;
+    setup.semantics = std::make_unique<MapObject>();
+    setup.role = role;
+    setup.peers = std::move(peers);
+    setup.access_hook = std::move(hook);
+    auto replica = MakeReplica(protocol, std::move(setup));
+    EXPECT_TRUE(replica.ok()) << replica.status();
+    return replica.ok() ? std::move(*replica) : nullptr;
+  }
+
   sim::Simulator simulator_;
   UniformWorld world_;
   sim::Network network_;
@@ -420,6 +437,66 @@ TEST_F(ProtocolTest, CacheUnregisterStopsInvalidations) {
   EXPECT_EQ(master.num_caches(), 0u);
 }
 
+// A small invalidation can overtake a large fetch answer on the wire. The
+// cache must then stay invalid at the fetched version: the read that issued
+// the fetch may use it, the next read must fetch again.
+TEST_F(ProtocolTest, InvalidationOvertakingAFetchLeavesTheCacheInvalid) {
+  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
+  InvokeSync(&master, Put("bulk", std::string(200 * 1024, 'x')));
+  InvokeSync(&master, Put("k", "old"));
+  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<MapObject>(),
+                        master.contact_address()->endpoint);
+  StartSync(&cache);
+
+  Result<Bytes> first = Unavailable("pending");
+  cache.Invoke(Get("k"), [&](Result<Bytes> r) { first = std::move(r); });
+  while (master.fetches_served() == 0 && simulator_.Step()) {
+  }
+  ASSERT_EQ(master.fetches_served(), 1u);
+  // The fetch answer (version 2, ~200 KB) is on the wire; this write's
+  // invalidation (version 3) overtakes it.
+  ASSERT_TRUE(InvokeSync(&master, Put("k", "new")).ok());
+  ASSERT_TRUE(first.ok()) << first.status();
+
+  EXPECT_EQ(GetSync(&cache, "k"), "new");
+  EXPECT_EQ(cache.version(), master.version());
+}
+
+// Protocols with followers that join the primary: master/slave and active.
+class FollowerProtocolTest : public ProtocolTest,
+                             public ::testing::WithParamInterface<gls::ProtocolId> {};
+
+// A member that shut down has left its primary: the next write fans out to
+// nobody instead of retrying a departed member for the whole retry budget.
+TEST_P(FollowerProtocolTest, ShutdownMemberHasLeftThePrimary) {
+  auto primary = MakeReplicaOf(GetParam(), world_.hosts[0], gls::ReplicaRole::kMaster);
+  auto member = MakeReplicaOf(GetParam(), world_.hosts[2], gls::ReplicaRole::kSlave,
+                              {*primary->contact_address()});
+  StartSync(member.get());
+  ASSERT_EQ(primary->group()->num_members(), 1u);
+
+  Status status = InvalidArgument("pending");
+  member->Shutdown([&](Status s) { status = s; });
+  simulator_.Run();
+  ASSERT_TRUE(status.ok()) << status;
+  member.reset();
+
+  sim::SimTime issued = simulator_.Now();
+  sim::SimTime acked_at = 0;
+  Result<Bytes> result = Unavailable("pending");
+  primary->Invoke(Put("k", "v"), [&](Result<Bytes> r) {
+    result = std::move(r);
+    acked_at = simulator_.Now();
+  });
+  simulator_.Run();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(acked_at, issued);
+  EXPECT_EQ(primary->group()->num_members(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, FollowerProtocolTest,
+                         ::testing::Values(kProtoMasterSlave, kProtoActiveRepl));
+
 // ---------------------------------------------------------------- Factories
 
 TEST_F(ProtocolTest, MakeReplicaRejectsUnknownProtocol) {
@@ -638,6 +715,19 @@ TEST_P(AllProtocolsTest, ProxyReadYourWrites) {
   ASSERT_TRUE(read_result.ok()) << read_result.status();
   ByteReader r(*read_result);
   EXPECT_EQ(r.ReadString().value(), "value");
+}
+
+// Every protocol's primary: a write the semantics rejects is not a write. The
+// version stays put and no access sample is recorded.
+TEST_P(AllProtocolsTest, RejectedWriteLeavesVersionAndTelemetryUntouched) {
+  std::vector<AccessSample> samples;
+  auto primary = MakeReplicaOf(GetParam(), world_.hosts[0], gls::ReplicaRole::kMaster, {},
+                               [&](const AccessSample& s) { samples.push_back(s); });
+  auto result = InvokeSync(primary.get(), Invocation{"no_such_write", {}, false});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(primary->version(), 0u);
+  EXPECT_TRUE(samples.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, AllProtocolsTest,

@@ -20,9 +20,11 @@
 //   - a request pinned across a deferred (service-time) dispatch stays valid,
 //   - a response view stashed past the channel callback stays valid, and
 //   - batched MAC verification rejects exactly the tampered frame in a batch.
-// Plus socket-only end-to-ends: a real HTTP GET over a plain TCP socket
-// fetches a package file from a StandaloneGdnNode, and read buffers recycle
-// through the pool under connection churn without invalidating pinned views.
+// Plus socket-only cases: a frame the secure transport holds back keeps its
+// place when the loop runs I/O before the frame's due timer, a real HTTP GET
+// over a plain TCP socket fetches a package file from a StandaloneGdnNode, and
+// read buffers recycle through the pool under connection churn without
+// invalidating pinned views.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -31,6 +33,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -601,6 +604,56 @@ INSTANTIATE_TEST_SUITE_P(Backends, TransportConformanceTest,
                          [](const ::testing::TestParamInfo<Backend>& info) {
                            return info.param == Backend::kSim ? "sim" : "net";
                          });
+
+// ---- Socket-only: the secure transport's hold on a real event loop. ----
+
+// The loop may run I/O before a timer that is already due. A frame sent then
+// must still queue behind the frame held ahead of it (here for its ~2 ms MAC
+// cost), or it overtakes that frame and the receiver rejects the held one as a
+// replay.
+TEST(SecureTransportOnSockets, FrameSentWhileAHeldTimerIsLateKeepsItsPlace) {
+  net::EventLoop loop;
+  net::SocketTransport sockets(&loop);
+  sim::NodeId client = 1;
+  sim::NodeId server = 2;
+  ASSERT_TRUE(sockets.Listen(server).ok());
+
+  sec::KeyRegistry registry;
+  sec::CryptoProfile profile;  // MAC cost 0.01 us/byte: 200 KB is held ~2 ms
+  profile.handshake_cpu_us = 0;
+  profile.handshake_bytes = 64;
+  profile.handshake_rtts = 0;
+  sec::SecureTransport secure(&sockets, &registry, profile);
+  secure.SetNodeCredential(client, registry.Register("held-client", sec::Role::kGdnHost));
+  secure.SetNodeCredential(server, registry.Register("held-server", sec::Role::kGdnHost));
+  secure.SetChannelPolicy([](sim::NodeId, sim::NodeId) {
+    sec::ChannelConfig config;
+    config.auth = sec::AuthMode::kMutualAuth;
+    return config;
+  });
+
+  std::vector<size_t> sizes;
+  secure.RegisterPort(server, 7020, [&](const sim::TransportDelivery& d) {
+    if (!d.transport_error) {
+      sizes.push_back(d.payload.span().size());
+    }
+  });
+  secure.Send({client, 41000}, {server, 7020}, Bytes{0});  // establishes the session
+  ASSERT_TRUE(loop.RunUntil([&]() { return sizes.size() == 1; }, 10 * sim::kSecond));
+
+  constexpr size_t kLarge = 200 * 1024;
+  secure.Send({client, 41000}, {server, 7020}, Bytes(kLarge, 0x5a));
+  // Outlast the hold without turning the loop: its timer is due but not run.
+  auto spin_until = std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+  while (std::chrono::steady_clock::now() < spin_until) {
+  }
+  secure.Send({client, 41000}, {server, 7020}, Bytes{1});
+
+  loop.RunUntil([&]() { return sizes.size() == 3; }, 5 * sim::kSecond);
+  EXPECT_EQ(sizes, (std::vector<size_t>{1, kLarge, 1}));
+  EXPECT_EQ(secure.stats().replay_rejects, 0u);
+  secure.UnregisterPort(server, 7020);
+}
 
 // ---- Socket-only end to end: plain HTTP over a real TCP socket. ----
 
