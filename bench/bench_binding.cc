@@ -109,7 +109,7 @@ int main() {
   for (uint32_t ttl : {0u, 60u, 300u, 1800u, 3600u}) {
     gdn::GdnWorldConfig sweep_config;
     sweep_config.fanouts = {2, 2, 2};
-    sweep_config.gns_record_ttl = ttl;
+    sweep_config.naming_authority.record_ttl = ttl;
     gdn::GdnWorld sweep_world(sweep_config);
     auto sweep_oid = sweep_world.PublishPackage("/apps/ttl/pkg", {{"f", Bytes(100, 1)}},
                                                 dso::kProtoMasterSlave, 0);

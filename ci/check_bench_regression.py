@@ -74,6 +74,14 @@ GUARDED_COLUMNS = {
     # properties of each protocol's traffic, and "max staleness" bounds how far
     # secondaries trail the primary (zero baselines must stay zero).
     "BENCH_replication_protocols.json": ["mean op", "wan bytes", "max staleness"],
+    # Binding: the cold and warm bind totals cover the GNS/GLS/install path a
+    # GDN-HTTPD takes, and the TTL sweep's upstream queries track the naming
+    # authority's record TTL. Rows are labelled by their first cell alone.
+    "BENCH_binding.json": ["total", "upstream"],
+    # Flash-crowd download: latency, WAN bytes and origin messages per
+    # deployment (the zero origin messages of the replicated deployment must
+    # stay zero).
+    "BENCH_gdn_download.json": ["mean latency", "wan bytes", "origin msgs"],
 }
 EXCLUDED_COLUMN_MARKERS = ["saved"]
 # Columns where larger values are improvements: the threshold bounds shrinkage
@@ -84,7 +92,7 @@ HIGHER_IS_BETTER = ["events/sec"]
 # guarded column (right when labels precede all data columns). Benches whose
 # guarded columns sit to the right of unguarded machine-bound data — the planet
 # table's wall-clock seconds vary run to run — pin an explicit width instead.
-LABEL_COLUMNS = {"BENCH_planet_scale.json": 1}
+LABEL_COLUMNS = {"BENCH_planet_scale.json": 1, "BENCH_binding.json": 1}
 
 _NUMBER = re.compile(r"^\s*(-?\d+(?:\.\d+)?)\s*([A-Za-z]*)")
 # Cells format sizes and times in the unit that fits (19.86 KB, then 1.02 MB),

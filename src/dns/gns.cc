@@ -73,20 +73,11 @@ Status GnsNamingAuthority::CheckModerator(const sim::RpcContext& context) const 
   // Paper §6.1 requirement 3: "A GDN Naming Authority should accept only updates from
   // moderator tools operated by official GDN moderators." The secure transport gives
   // us the authenticated peer; the registry gives its role.
-  if (!options_.enforce_authorization) {
-    return OkStatus();
-  }
-  if (context.peer_principal == sec::kAnonymous || !context.integrity_protected) {
-    return PermissionDenied("GNS update requires an authenticated channel");
-  }
-  auto role = registry_->RoleOf(context.peer_principal);
-  if (!role.ok()) {
-    return PermissionDenied("unknown principal");
-  }
-  if (*role != sec::Role::kModerator && *role != sec::Role::kAdministrator) {
-    return PermissionDenied("caller is not a GDN moderator");
-  }
-  return OkStatus();
+  static constexpr sec::Role kModerators[] = {sec::Role::kModerator,
+                                              sec::Role::kAdministrator};
+  return options_.enforce_authorization
+             ? sec::CheckRole(registry_, context, kModerators)
+             : OkStatus();
 }
 
 Result<sim::EmptyMessage> GnsNamingAuthority::HandleAdd(const sim::RpcContext& context,

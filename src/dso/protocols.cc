@@ -10,21 +10,8 @@
 namespace globe::dso {
 
 WriteGuard RequireRoles(const sec::KeyRegistry* registry, std::vector<sec::Role> roles) {
-  return [registry, roles = std::move(roles)](const sim::RpcContext& context) -> Status {
-    if (context.peer_principal == sec::kAnonymous || !context.integrity_protected) {
-      return PermissionDenied(
-          "state-modifying request requires an authenticated channel");
-    }
-    auto role = registry->RoleOf(context.peer_principal);
-    if (!role.ok()) {
-      return PermissionDenied("unknown principal");
-    }
-    for (sec::Role allowed : roles) {
-      if (*role == allowed) {
-        return OkStatus();
-      }
-    }
-    return PermissionDenied("sender role not authorized to modify this object");
+  return [registry, roles = std::move(roles)](const sim::RpcContext& context) {
+    return sec::CheckRole(registry, context, roles);
   };
 }
 

@@ -50,8 +50,7 @@ Replica::Replica(sim::Transport* transport, sim::NodeId host,
   comm_.Register(kDsoMasterEndpoint,
                  [this](const sim::RpcContext&,
                         const sim::EmptyMessage&) -> Result<EndpointMessage> {
-                   return EndpointMessage{group_.is_master() ? comm_.endpoint()
-                                                             : primary_};
+                   return EndpointMessage{master_endpoint()};
                  });
   if (methods_.leave != nullptr) {
     comm_.Register(*methods_.leave,

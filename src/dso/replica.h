@@ -78,6 +78,9 @@ class Replica : public ReplicationObject {
   std::optional<gls::ContactAddress> contact_address() const override {
     return group_.self_address(group_.role());
   }
+  sim::Endpoint master_endpoint() const override {
+    return group_.is_master() ? comm_.endpoint() : primary_;
+  }
   SemanticsObject* semantics() override { return semantics_.get(); }
   const ReplicaGroup* group() const override { return &group_; }
   void set_access_hook(AccessHook hook) override { access_hook_ = std::move(hook); }

@@ -24,7 +24,7 @@ void RuntimeSystem::Bind(const gls::ObjectId& oid, BindOptions options,
       done(lookup.status());
       return;
     }
-    FinishBind(oid, std::move(options), std::move(*lookup), std::move(done));
+    FinishBind(oid, std::move(options), std::move(lookup->addresses), std::move(done));
   });
 }
 
@@ -51,13 +51,36 @@ void RuntimeSystem::BindByName(std::string_view globe_name, BindOptions options,
 }
 
 void RuntimeSystem::FinishBind(const gls::ObjectId& oid, BindOptions options,
-                               gls::LookupResult lookup, BindCallback done) {
+                               std::vector<gls::ContactAddress> addresses,
+                               BindCallback done) {
   auto object = std::make_unique<BoundObject>();
   object->oid = oid;
-  object->lookup = lookup;
 
-  if (!options.as_replica.has_value()) {
-    auto proxy = MakeProxy(transport_, host_, lookup.addresses);
+  if (options.as_replica.has_value() && !addresses.empty()) {
+    // Replica installation: instantiate the semantics subobject from the
+    // repository ("remote class loading") and build the protocol replica.
+    auto semantics = repository_->Instantiate(options.semantics_type);
+    if (!semantics.ok()) {
+      ++stats_.bind_failures;
+      done(semantics.status());
+      return;
+    }
+    ReplicaSetup setup;
+    setup.transport = transport_;
+    setup.host = host_;
+    setup.semantics = std::move(*semantics);
+    setup.role = *options.as_replica;
+    setup.peers = addresses;
+    auto replica = MakeReplica(addresses.front().protocol, std::move(setup));
+    if (replica.ok()) {
+      object->replication = std::move(*replica);
+    }
+  }
+  if (object->replication == nullptr) {
+    // A thin proxy: asked for, or the fallback for protocols that admit no
+    // further replicas (e.g. client/server) — the GDN-HTTPD case: it *may* act
+    // as a replica, not must.
+    auto proxy = MakeProxy(transport_, host_, addresses);
     if (!proxy.ok()) {
       ++stats_.bind_failures;
       done(proxy.status());
@@ -68,53 +91,12 @@ void RuntimeSystem::FinishBind(const gls::ObjectId& oid, BindOptions options,
     done(std::move(object));
     return;
   }
-
-  // Replica installation: instantiate the semantics subobject from the repository
-  // ("remote class loading"), build the protocol replica, start it, optionally
-  // register its contact address.
-  if (lookup.addresses.empty()) {
-    ++stats_.bind_failures;
-    done(NotFound("object has no contact addresses"));
-    return;
-  }
-  auto semantics = repository_->Instantiate(options.semantics_type);
-  if (!semantics.ok()) {
-    ++stats_.bind_failures;
-    done(semantics.status());
-    return;
-  }
-  ReplicaSetup setup;
-  setup.transport = transport_;
-  setup.host = host_;
-  setup.semantics = std::move(*semantics);
-  setup.role = *options.as_replica;
-  setup.peers = lookup.addresses;
-  setup.failover = options.failover;
-  setup.failover.oid = oid;
-  setup.failover.leaf_directory = gls_.leaf_directory();
-  auto replica = MakeReplica(lookup.addresses.front().protocol, std::move(setup));
-  if (!replica.ok()) {
-    // Protocols that admit no further replicas (e.g. client/server) fall back to a
-    // thin proxy — the GDN-HTTPD case: it *may* act as a replica, not must.
-    auto proxy = MakeProxy(transport_, host_, lookup.addresses);
-    if (!proxy.ok()) {
-      ++stats_.bind_failures;
-      done(replica.status());
-      return;
-    }
-    object->replication = std::move(*proxy);
-    object->control = std::make_unique<ControlObject>(object->replication.get());
-    done(std::move(object));
-    return;
-  }
-  object->replication = std::move(*replica);
   object->control = std::make_unique<ControlObject>(object->replication.get());
 
-  // Start (fetch state), then optionally publish in the GLS.
+  // Start (fetch state), then publish the replica's contact address in the GLS.
   auto* replication = object->replication.get();
   auto shared_object = std::make_shared<std::unique_ptr<BoundObject>>(std::move(object));
-  bool register_in_gls = options.register_in_gls;
-  replication->Start([this, shared_object, register_in_gls,
+  replication->Start([this, shared_object,
                       done = std::move(done)](Status status) mutable {
     if (!status.ok()) {
       ++stats_.bind_failures;
@@ -123,18 +105,12 @@ void RuntimeSystem::FinishBind(const gls::ObjectId& oid, BindOptions options,
     }
     ++stats_.replicas_installed;
     BoundObject* installed = shared_object->get();
-    auto address = installed->replication->contact_address();
-    if (!register_in_gls || !address.has_value()) {
-      done(std::move(*shared_object));
-      return;
-    }
-    gls_.Insert(installed->oid, *address,
+    gls_.Insert(installed->oid, *installed->replication->contact_address(),
                 [shared_object, done = std::move(done)](Status insert_status) mutable {
                   if (!insert_status.ok()) {
                     done(insert_status);
                     return;
                   }
-                  (*shared_object)->registered_in_gls = true;
                   done(std::move(*shared_object));
                 });
   });
@@ -147,10 +123,6 @@ void RuntimeSystem::Unbind(std::unique_ptr<BoundObject> object,
   raw->replication->Shutdown([this, shared_object,
                               done = std::move(done)](Status status) mutable {
     BoundObject* released = shared_object->get();
-    if (!released->registered_in_gls) {
-      done(status);
-      return;
-    }
     auto address = released->replication->contact_address();
     if (!address.has_value()) {
       done(status);

@@ -26,26 +26,19 @@ namespace globe::dso {
 
 struct BindOptions {
   // When set, install a local replica with this role (requires the semantics type to
-  // be available in the implementation repository) instead of a thin proxy.
+  // be available in the implementation repository) instead of a thin proxy, and
+  // publish its contact address in the GLS so other clients can find it.
   std::optional<gls::ReplicaRole> as_replica;
   uint16_t semantics_type = 0;
-  // Publish the new replica's contact address in the GLS so other clients can find
-  // it. Only meaningful with as_replica.
-  bool register_in_gls = false;
-  // Fail-over wiring for the installed replica (set failover.enabled plus the
-  // lease timings; oid, leaf directory and protocol are filled in by the
-  // runtime). Only meaningful with as_replica on a protocol that re-elects
-  // (master/slave, active); needs register_in_gls to be useful.
-  FailoverConfig failover;
 };
 
-// A bound local representative plus its metadata.
+// A bound local representative plus its metadata. A replica's contact address
+// (replication->contact_address()) is what the bind registered in the GLS;
+// proxies have none.
 struct BoundObject {
   gls::ObjectId oid;
   std::unique_ptr<ReplicationObject> replication;
   std::unique_ptr<ControlObject> control;
-  gls::LookupResult lookup;           // GLS metrics for this bind
-  bool registered_in_gls = false;
 
   void Invoke(std::string method, Bytes args, bool read_only, InvokeCallback done) {
     control->Invoke(std::move(method), std::move(args), read_only, std::move(done));
@@ -74,8 +67,8 @@ class RuntimeSystem {
   // Binds by symbolic name: GNS resolve, then Bind.
   void BindByName(std::string_view globe_name, BindOptions options, BindCallback done);
 
-  // Gracefully releases a bound object: protocol shutdown plus GLS deregistration if
-  // the bind registered a replica.
+  // Gracefully releases a bound object: protocol shutdown plus, for a replica, GLS
+  // deregistration of its contact address.
   void Unbind(std::unique_ptr<BoundObject> object, std::function<void(Status)> done);
 
   sim::NodeId host() const { return host_; }
@@ -83,8 +76,8 @@ class RuntimeSystem {
   const BindStats& stats() const { return stats_; }
 
  private:
-  void FinishBind(const gls::ObjectId& oid, BindOptions options, gls::LookupResult lookup,
-                  BindCallback done);
+  void FinishBind(const gls::ObjectId& oid, BindOptions options,
+                  std::vector<gls::ContactAddress> addresses, BindCallback done);
 
   sim::Transport* transport_;
   sim::NodeId host_;

@@ -95,6 +95,11 @@ class ReplicationObject {
     return std::nullopt;
   }
 
+  // The endpoint this representative follows, as dso.master_endpoint answers
+  // it: its own while it is the master, the master's while it is a secondary.
+  // Pure client proxies follow nothing and return {kNoNode, 0}.
+  virtual sim::Endpoint master_endpoint() const { return {}; }
+
   // The local semantics subobject, if this representative holds one (replicas do;
   // thin proxies return nullptr). Used by the GOS persistence machinery.
   virtual SemanticsObject* semantics() { return nullptr; }

@@ -144,9 +144,8 @@ void GdnHttpd::WithPackage(const std::string& globe_name, UseProxy use) {
 
   dso::BindOptions options;
   if (options_.bind_as_replica) {
-    options.as_replica = gls::ReplicaRole::kCache;  // adjusted per protocol below
+    options.as_replica = gls::ReplicaRole::kCache;
     options.semantics_type = kPackageTypeId;
-    options.register_in_gls = true;
   }
 
   ++stats_.binds;

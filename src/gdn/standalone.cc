@@ -36,7 +36,6 @@ StandaloneGdnNode::StandaloneGdnNode(sim::Transport* transport,
 
   sim::NodeId na_host = AddHost("gns.authority", on_node_created);
   dns::NamingAuthorityOptions na_options = options_.naming_authority;
-  na_options.record_ttl = options_.gns_record_ttl;
   // No secure transport in the standalone stack: like the paper's June-2000
   // first version, the naming authority accepts unauthenticated moderators.
   na_options.enforce_authorization = false;

@@ -34,7 +34,6 @@ namespace globe::gdn {
 struct StandaloneNodeOptions {
   std::string zone = "gdn.cs.vu.nl";
   HttpdOptions httpd;
-  uint32_t gns_record_ttl = 3600;
   dns::NamingAuthorityOptions naming_authority;
 };
 

@@ -111,7 +111,6 @@ GdnWorld::GdnWorld(GdnWorldConfig config)
   sim::NodeId na_host = world_.topology.AddNode("gns.authority", primary_site);
   CredentialHost(na_host, "naming-authority");
   dns::NamingAuthorityOptions na_options = config_.naming_authority;
-  na_options.record_ttl = config_.gns_record_ttl;
   na_options.enforce_authorization = config_.secure;
   naming_authority_ = std::make_unique<dns::GnsNamingAuthority>(
       transport_, na_host, config_.zone, &registry_, "gdn-na", tsig_keys_["gdn-na"],
@@ -315,12 +314,11 @@ std::unique_ptr<Browser> GdnWorld::MakeBrowser(sim::NodeId user) {
   return std::make_unique<Browser>(transport_, user);
 }
 
-Result<gls::ObjectId> GdnWorld::PublishPackage(const std::string& globe_name,
-                                               const std::map<std::string, Bytes>& files,
-                                               gls::ProtocolId protocol,
-                                               size_t master_country,
-                                               std::vector<size_t> replica_countries,
-                                               const std::string& description) {
+Result<gls::ObjectId> GdnWorld::PublishPackage(
+    const std::string& globe_name, const std::map<std::string, Bytes>& files,
+    gls::ProtocolId protocol, size_t master_country,
+    std::vector<size_t> replica_countries, const std::string& description,
+    std::vector<sec::PrincipalId> maintainers) {
   ReplicationScenario scenario;
   scenario.protocol = protocol;
   scenario.first_gos = goses_[master_country]->endpoint();
@@ -329,6 +327,7 @@ Result<gls::ObjectId> GdnWorld::PublishPackage(const std::string& globe_name,
   }
   scenario.secondary_role = protocol == dso::kProtoCacheInval ? gls::ReplicaRole::kCache
                                                               : gls::ReplicaRole::kSlave;
+  scenario.maintainers = std::move(maintainers);
 
   Result<gls::ObjectId> oid = Unavailable("pending");
   moderator_->CreatePackage(globe_name, scenario, [&](Result<gls::ObjectId> result) {
@@ -541,45 +540,6 @@ sec::PrincipalId GdnWorld::AddMaintainerMachine(const std::string& name,
     mutual_nodes_.insert(node);
   }
   return credential.id;
-}
-
-Result<gls::ObjectId> GdnWorld::PublishPackageWithMaintainers(
-    const std::string& globe_name, const std::map<std::string, Bytes>& files,
-    gls::ProtocolId protocol, size_t master_country,
-    std::vector<size_t> replica_countries,
-    std::vector<sec::PrincipalId> maintainers) {
-  ReplicationScenario scenario;
-  scenario.protocol = protocol;
-  scenario.first_gos = goses_[master_country]->endpoint();
-  for (size_t country : replica_countries) {
-    scenario.replica_goses.push_back(goses_[country]->endpoint());
-  }
-  scenario.secondary_role = protocol == dso::kProtoCacheInval ? gls::ReplicaRole::kCache
-                                                              : gls::ReplicaRole::kSlave;
-  scenario.maintainers = std::move(maintainers);
-
-  Result<gls::ObjectId> oid = Unavailable("pending");
-  moderator_->CreatePackage(globe_name, scenario, [&](Result<gls::ObjectId> result) {
-    oid = std::move(result);
-  });
-  Run();
-  if (!oid.ok()) {
-    return oid;
-  }
-  naming_authority_->Flush();
-  Run();
-  for (const auto& [path, content] : files) {
-    Status status = Unavailable("pending");
-    moderator_->AddFile(globe_name, path, content, [&](Status s) { status = s; });
-    Run();
-    if (!status.ok()) {
-      return status;
-    }
-  }
-  if (controller_ != nullptr) {
-    controller_->Track(*oid, protocol);
-  }
-  return oid;
 }
 
 Result<Bytes> GdnWorld::DownloadFile(sim::NodeId user, const std::string& globe_name,

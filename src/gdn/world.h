@@ -50,8 +50,9 @@ struct GdnWorldConfig {
 
   // DNS/GNS parameters.
   int dns_secondaries = 1;
+  // The authority's TXT record TTL is naming_authority.record_ttl; its
+  // enforce_authorization follows `secure`.
   dns::NamingAuthorityOptions naming_authority;
-  uint32_t gns_record_ttl = 3600;
 
   // HTTPD behaviour.
   HttpdOptions httpd;
@@ -124,12 +125,14 @@ class GdnWorld {
   // ---- Synchronous conveniences (each drains the simulator) ----
 
   // Publishes a package through the moderator tool: scenario = master at
-  // countries[master], secondaries at the other listed countries.
+  // countries[master], secondaries at the other listed countries, with
+  // `maintainers` (see AddMaintainerMachine) attached to the scenario.
   Result<gls::ObjectId> PublishPackage(const std::string& globe_name,
                                        const std::map<std::string, Bytes>& files,
                                        gls::ProtocolId protocol, size_t master_country,
                                        std::vector<size_t> replica_countries = {},
-                                       const std::string& description = "");
+                                       const std::string& description = "",
+                                       std::vector<sec::PrincipalId> maintainers = {});
 
   // A user downloads one file over HTTP via their nearest GDN-HTTPD.
   Result<Bytes> DownloadFile(sim::NodeId user, const std::string& globe_name,
@@ -190,12 +193,6 @@ class GdnWorld {
   // installs its credential and admits it to mutual authentication with GDN hosts.
   // Returns the principal id to list in a ReplicationScenario. Secure worlds only.
   sec::PrincipalId AddMaintainerMachine(const std::string& name, sim::NodeId node);
-
-  // Publishes like PublishPackage but with maintainers attached to the scenario.
-  Result<gls::ObjectId> PublishPackageWithMaintainers(
-      const std::string& globe_name, const std::map<std::string, Bytes>& files,
-      gls::ProtocolId protocol, size_t master_country,
-      std::vector<size_t> replica_countries, std::vector<sec::PrincipalId> maintainers);
 
  private:
   void SetupSecurity();

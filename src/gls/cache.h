@@ -64,7 +64,10 @@ class LookupCache {
   // blocks the hot insert -> lookup -> cache sequence.
   static constexpr sim::SimTime kPutQuarantine = 30 * sim::kSecond;
 
-  LookupCache(sim::SimTime ttl, size_t max_entries,
+  // Entry bound of a directory subnode's cache.
+  static constexpr size_t kDefaultMaxEntries = 4096;
+
+  LookupCache(sim::SimTime ttl, size_t max_entries = kDefaultMaxEntries,
               sim::SimTime negative_ttl = kDefaultNegativeTtl)
       : ttl_(ttl), negative_ttl_(negative_ttl), max_entries_(max_entries) {}
 

@@ -379,11 +379,8 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
       registry_(registry),
       rng_(rng_seed),
       store_(options.store_capacity),
-      cache_(options.cache_ttl, options.cache_max_entries,
-             options.cache_negative_ttl) {
+      cache_(options.cache_ttl) {
   server_.set_service_time(options_.service_time);
-  server_.set_worker_pool_width(
-      static_cast<size_t>(std::max(options_.service_workers, 1)));
 
   kGlsLookup.RegisterAsync(&server_, [this](const sim::RpcContext&,
                                             LookupWireRequest request,
@@ -586,23 +583,9 @@ std::vector<sim::Endpoint> DirectorySubnode::SiblingEndpoints() const {
 }
 
 Status DirectorySubnode::CheckAuthorized(const sim::RpcContext& context) const {
-  if (!options_.enforce_authorization) {
-    return OkStatus();
-  }
-  if (registry_ == nullptr) {
-    return Internal("authorization enforced but no key registry configured");
-  }
-  if (context.peer_principal == sec::kAnonymous || !context.integrity_protected) {
-    return PermissionDenied("GLS registration requires an authenticated channel");
-  }
-  auto role = registry_->RoleOf(context.peer_principal);
-  if (!role.ok()) {
-    return PermissionDenied("unknown principal");
-  }
-  if (*role != sec::Role::kGdnHost && *role != sec::Role::kAdministrator) {
-    return PermissionDenied("caller is not a GDN host");
-  }
-  return OkStatus();
+  static constexpr sec::Role kHosts[] = {sec::Role::kGdnHost, sec::Role::kAdministrator};
+  return options_.enforce_authorization ? sec::CheckRole(registry_, context, kHosts)
+                                        : OkStatus();
 }
 
 const SubnodeStats& DirectorySubnode::stats() const {
@@ -1236,8 +1219,7 @@ Status DirectorySubnode::RestoreState(ByteSpan data) {
   // Trailing sections, each absent in checkpoints taken before the feature
   // existed: the lookup cache, the master-ownership records, the dedup table.
   // An empty value is a safe restore state for every one of them.
-  LookupCache cache(options_.cache_ttl, options_.cache_max_entries,
-                    options_.cache_negative_ttl);
+  LookupCache cache(options_.cache_ttl);
   if (!r.AtEnd()) {
     RETURN_IF_ERROR(cache.Restore(&r));
   }

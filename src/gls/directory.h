@@ -151,26 +151,19 @@ struct GlsOptions {
   // touches the OID at this node. When enabled, deletes additionally chain a
   // gls.inval_cache towards the root — fanned out to every subnode of each ancestor
   // node — so no subnode anywhere serves a deregistered address from cache.
+  // Entries are bounded by LookupCache::kDefaultMaxEntries; repeat misses are
+  // cached for LookupCache::kDefaultNegativeTtl.
   bool enable_cache = false;
   sim::SimTime cache_ttl = 30 * sim::kSecond;
-  size_t cache_max_entries = 4096;
-  // TTL of negative (NotFound) cache entries: repeat misses for deleted or
-  // unknown OIDs are answered from the first cache on the climb path instead of
-  // re-walking to the root. Kept short because a registration whose mutation
-  // chain never touches this subnode only becomes visible here on expiry.
-  sim::SimTime cache_negative_ttl = LookupCache::kDefaultNegativeTtl;
 
   // Routing mode this subnode uses for the lookups it forwards (climbs, descents).
   RouteMode lookup_route_mode = RouteMode::kHashOnly;
 
   // Per-request processing cost of this subnode (0 = instantaneous). With a
-  // non-zero value requests queue FIFO on the subnode's virtual CPU pool, which
-  // is what makes load imbalance visible as tail latency (see
+  // non-zero value requests queue FIFO on the subnode's virtual CPU, which is
+  // what makes load imbalance visible as tail latency (see
   // bench_gls_partitioning's skew table).
   sim::SimTime service_time = 0;
-  // Virtual CPUs serving that queue (RpcServer::set_worker_pool_width): >1
-  // models a multi-core subnode machine.
-  int service_workers = 1;
 
   // Memory bound: how many directory entries (OIDs) this subnode keeps
   // resident. The cold tail spills to the subnode's cold store (the simulation

@@ -6,6 +6,50 @@
 
 namespace globe::gos {
 
+namespace {
+
+// One hosted replica as a checkpoint records it. The contact address names the
+// protocol and the role the replica held; `followed` is the master it followed
+// (its own endpoint while it was the master).
+struct CheckpointEntry {
+  gls::ObjectId oid;
+  uint16_t semantics_type = 0;
+  gls::ContactAddress address;
+  sim::Endpoint followed;
+  std::vector<sec::PrincipalId> maintainers;
+  uint64_t version = 0;
+  uint64_t epoch = 0;
+  Bytes state;
+
+  void Serialize(ByteWriter* w) const {
+    oid.Serialize(w);
+    w->WriteU16(semantics_type);
+    address.Serialize(w);
+    dso::SerializeEndpoint(followed, w);
+    wire::SerializeMaintainers(maintainers, w);
+    w->WriteU64(version);
+    w->WriteU64(epoch);
+    w->WriteLengthPrefixed(state);
+  }
+  static Result<CheckpointEntry> Deserialize(ByteReader* r) {
+    CheckpointEntry entry;
+    ASSIGN_OR_RETURN(entry.oid, gls::ObjectId::Deserialize(r));
+    ASSIGN_OR_RETURN(entry.semantics_type, r->ReadU16());
+    ASSIGN_OR_RETURN(entry.address, gls::ContactAddress::Deserialize(r));
+    ASSIGN_OR_RETURN(entry.followed, dso::DeserializeEndpoint(r));
+    ASSIGN_OR_RETURN(entry.maintainers, wire::DeserializeMaintainers(r));
+    ASSIGN_OR_RETURN(entry.version, r->ReadU64());
+    ASSIGN_OR_RETURN(entry.epoch, r->ReadU64());
+    // The entry owns the state past this parse: copied at the ownership
+    // boundary.
+    ASSIGN_OR_RETURN(ByteSpan state, r->ReadLengthPrefixedView());
+    entry.state = ToBytes(state);
+    return entry;
+  }
+};
+
+}  // namespace
+
 ObjectServer::ObjectServer(sim::Transport* transport, sim::NodeId host,
                            const dso::ImplementationRepository* repository,
                            gls::DirectoryRef leaf_directory,
@@ -89,23 +133,11 @@ ObjectServer::ObjectServer(sim::Transport* transport, sim::NodeId host,
 }
 
 Status ObjectServer::CheckModerator(const sim::RpcContext& context) const {
-  if (!options_.enforce_authorization) {
-    return OkStatus();
-  }
-  if (registry_ == nullptr) {
-    return Internal("authorization enforced but no key registry configured");
-  }
-  if (context.peer_principal == sec::kAnonymous || !context.integrity_protected) {
-    return PermissionDenied("GOS commands require an authenticated channel");
-  }
-  auto role = registry_->RoleOf(context.peer_principal);
-  if (!role.ok()) {
-    return PermissionDenied("unknown principal");
-  }
-  if (*role != sec::Role::kModerator && *role != sec::Role::kAdministrator) {
-    return PermissionDenied("only GDN moderators may command an object server");
-  }
-  return OkStatus();
+  static constexpr sec::Role kModerators[] = {sec::Role::kModerator,
+                                              sec::Role::kAdministrator};
+  return options_.enforce_authorization
+             ? sec::CheckRole(registry_, context, kModerators)
+             : OkStatus();
 }
 
 dso::ReplicationObject* ObjectServer::FindReplica(const gls::ObjectId& oid) {
@@ -115,28 +147,12 @@ dso::ReplicationObject* ObjectServer::FindReplica(const gls::ObjectId& oid) {
 
 gls::ProtocolId ObjectServer::ProtocolOf(const gls::ObjectId& oid) const {
   auto it = replicas_.find(oid);
-  return it == replicas_.end() ? 0 : it->second.protocol;
+  return it == replicas_.end() ? 0 : it->second.replication->contact_address()->protocol;
 }
 
 uint16_t ObjectServer::SemanticsTypeOf(const gls::ObjectId& oid) const {
   auto it = replicas_.find(oid);
-  return it == replicas_.end() ? 0 : it->second.semantics_type;
-}
-
-dso::FailoverConfig ObjectServer::FailoverFor(const gls::ObjectId& oid) const {
-  dso::FailoverConfig failover;
-  failover.enabled = options_.enable_failover;
-  failover.oid = oid;
-  failover.leaf_directory = gls_.leaf_directory();
-  failover.lease_interval = options_.failover_lease_interval;
-  failover.lease_timeout = options_.failover_lease_timeout;
-  failover.quorum = options_.failover_quorum;
-  return failover;
-}
-
-gls::ContactAddress ObjectServer::CurrentAddress(const HostedReplica& replica) {
-  auto address = replica.replication->contact_address();
-  return address.has_value() ? *address : replica.registered_address;
+  return it == replicas_.end() ? 0 : it->second.replication->semantics()->type_id();
 }
 
 void ObjectServer::CreateFirstReplica(gls::ProtocolId protocol, uint16_t semantics_type,
@@ -225,6 +241,41 @@ void ObjectServer::CreateReplica(const gls::ObjectId& oid, uint16_t semantics_ty
   });
 }
 
+Result<ObjectServer::HostedReplica> ObjectServer::Build(
+    const gls::ObjectId& oid, gls::ProtocolId protocol, gls::ReplicaRole role,
+    uint16_t semantics_type, std::vector<gls::ContactAddress> peers,
+    std::vector<sec::PrincipalId> maintainers, const Snapshot* snapshot) {
+  ASSIGN_OR_RETURN(std::unique_ptr<dso::SemanticsObject> semantics,
+                   repository_->Instantiate(semantics_type));
+  if (snapshot != nullptr) {
+    RETURN_IF_ERROR(semantics->SetState(snapshot->state));
+  }
+  dso::ReplicaSetup setup;
+  setup.transport = transport_;
+  setup.host = server_.node();
+  setup.semantics = std::move(semantics);
+  setup.role = role;
+  setup.peers = std::move(peers);
+  setup.write_guard = GuardFor(maintainers);
+  setup.failover.enabled = options_.enable_failover;
+  setup.failover.oid = oid;
+  setup.failover.leaf_directory = gls_.leaf_directory();
+  setup.failover.lease_interval = options_.failover_lease_interval;
+  setup.failover.lease_timeout = options_.failover_lease_timeout;
+  setup.failover.quorum = options_.failover_quorum;
+  setup.access_hook = metrics_.HookFor(oid);
+  ASSIGN_OR_RETURN(std::unique_ptr<dso::ReplicationObject> replication,
+                   dso::MakeReplica(protocol, std::move(setup)));
+  if (!replication->contact_address().has_value()) {
+    return Internal("replica has no contact address");
+  }
+  if (snapshot != nullptr) {
+    replication->set_version(snapshot->version);
+    replication->set_epoch(snapshot->epoch);
+  }
+  return HostedReplica{std::move(replication), std::move(maintainers)};
+}
+
 void ObjectServer::InstallReplica(const gls::ObjectId& oid, gls::ProtocolId protocol,
                                   uint16_t semantics_type, gls::ReplicaRole role,
                                   std::vector<gls::ContactAddress> peers,
@@ -234,42 +285,14 @@ void ObjectServer::InstallReplica(const gls::ObjectId& oid, gls::ProtocolId prot
     done(AlreadyExists("replica of " + oid.ToHex() + " already hosted here"));
     return;
   }
-  auto semantics = repository_->Instantiate(semantics_type);
-  if (!semantics.ok()) {
-    done(semantics.status());
+  auto hosted = Build(oid, protocol, role, semantics_type, std::move(peers),
+                      std::move(maintainers), nullptr);
+  if (!hosted.ok()) {
+    done(hosted.status());
     return;
   }
-  dso::ReplicaSetup setup;
-  setup.transport = transport_;
-  setup.host = server_.node();
-  setup.semantics = std::move(*semantics);
-  setup.role = role;
-  setup.peers = std::move(peers);
-  setup.write_guard = GuardFor(maintainers);
-  setup.failover = FailoverFor(oid);
-  setup.access_hook = metrics_.HookFor(oid);
-  auto replica = dso::MakeReplica(protocol, std::move(setup));
-  if (!replica.ok()) {
-    done(replica.status());
-    return;
-  }
-
-  HostedReplica hosted;
-  hosted.protocol = protocol;
-  hosted.semantics_type = semantics_type;
-  hosted.role = role;
-  hosted.maintainers = std::move(maintainers);
-  hosted.replication = std::move(*replica);
-  hosted.semantics = hosted.replication->semantics();
-  auto address = hosted.replication->contact_address();
-  if (!address.has_value()) {
-    done(Internal("replica has no contact address"));
-    return;
-  }
-  hosted.registered_address = *address;
-
-  dso::ReplicationObject* replication = hosted.replication.get();
-  replicas_[oid] = std::move(hosted);
+  dso::ReplicationObject* replication = hosted->replication.get();
+  replicas_[oid] = std::move(*hosted);
 
   replication->Start([this, oid, done = std::move(done)](Status status) mutable {
     if (!status.ok()) {
@@ -277,9 +300,8 @@ void ObjectServer::InstallReplica(const gls::ObjectId& oid, gls::ProtocolId prot
       done(status);
       return;
     }
-    const gls::ContactAddress& registered = replicas_.at(oid).registered_address;
-    gls_.Insert(oid, registered, [this, oid, address = registered,
-                                  done = std::move(done)](Status s) {
+    gls::ContactAddress address = *replicas_.at(oid).replication->contact_address();
+    gls_.Insert(oid, address, [this, oid, address, done = std::move(done)](Status s) {
       if (!s.ok()) {
         replicas_.erase(oid);
         done(s);
@@ -300,7 +322,7 @@ void ObjectServer::RemoveReplica(const gls::ObjectId& oid,
   }
   // Deregister what the replica advertises NOW: fail-over may have rewritten
   // its role (and hence its GLS record) since the replica was installed.
-  gls::ContactAddress address = CurrentAddress(it->second);
+  gls::ContactAddress address = *it->second.replication->contact_address();
   dso::ReplicationObject* replication = it->second.replication.get();
   replication->Shutdown([this, oid, address, done = std::move(done)](Status) {
     gls_.Delete(oid, address, [this, oid, address, done = std::move(done)](Status s) {
@@ -340,99 +362,63 @@ void ObjectServer::SwitchProtocol(const gls::ObjectId& oid,
     done(NotFound("no replica of " + oid.ToHex() + " hosted here"));
     return;
   }
-  HostedReplica& old = it->second;
-  if (old.role != gls::ReplicaRole::kMaster) {
+  dso::ReplicationObject* replication = it->second.replication.get();
+  // The role the replica holds now, not the one it was installed with: a
+  // promoted slave may switch, a deposed master may not.
+  gls::ContactAddress old_address = *replication->contact_address();
+  if (old_address.role != gls::ReplicaRole::kMaster) {
     done(FailedPrecondition("only the master replica may switch protocol"));
     return;
   }
-  if (old.protocol == new_protocol) {
+  if (old_address.protocol == new_protocol) {
     done(OkStatus());
     return;
   }
 
   // Snapshot everything the new incarnation needs before tearing the old one
-  // down: state, version, epoch, and the address the GLS currently advertises.
-  Bytes state = old.semantics != nullptr ? old.semantics->GetState() : Bytes{};
-  uint64_t version = old.replication->version();
-  uint64_t epoch = old.replication->epoch();
-  gls::ContactAddress old_address = CurrentAddress(old);
-  uint16_t semantics_type = old.semantics_type;
-  std::vector<sec::PrincipalId> maintainers = old.maintainers;
-
-  dso::ReplicationObject* replication = old.replication.get();
+  // down. It lives one epoch above the old group: stragglers still carrying
+  // the old epoch are fenced instead of landing on the fresh replica.
+  Snapshot snapshot{replication->semantics()->GetState(), replication->version(),
+                    replication->epoch() + 1};
   // Foreign replicas of the old incarnation (HTTPD-side replicas installed via
   // bind_as_replica, secondaries hosted on other servers) are torn down by a
   // dso.retire fan-out once the fresh registration is in place — see RebuildAs.
-  replication->Shutdown([this, oid, new_protocol, state = std::move(state),
-                         version, epoch, old_address, semantics_type,
-                         maintainers = std::move(maintainers),
-                         done = std::move(done)](Status) mutable {
+  replication->Shutdown([this, oid, new_protocol, snapshot = std::move(snapshot),
+                         old_address, done = std::move(done)](Status) mutable {
     // Master shutdowns complete synchronously, so this callback may still be
     // on the old replication object's stack. Defer the rebuild one event so
     // replacing (= destroying) that object is safe.
     transport_->clock()->ScheduleAfter(
-        0, [this, oid, new_protocol, state = std::move(state), version, epoch,
-            old_address, semantics_type, maintainers = std::move(maintainers),
+        0, [this, oid, new_protocol, snapshot = std::move(snapshot), old_address,
             done = std::move(done)]() mutable {
-          RebuildAs(oid, new_protocol, state, version, epoch, old_address,
-                    semantics_type, std::move(maintainers), std::move(done));
+          RebuildAs(oid, new_protocol, snapshot, old_address, std::move(done));
         });
   });
 }
 
 void ObjectServer::RebuildAs(const gls::ObjectId& oid, gls::ProtocolId new_protocol,
-                             const Bytes& state, uint64_t version, uint64_t epoch,
+                             const Snapshot& snapshot,
                              const gls::ContactAddress& old_address,
-                             uint16_t semantics_type,
-                             std::vector<sec::PrincipalId> maintainers,
                              std::function<void(Status)> done) {
   auto it = replicas_.find(oid);
   if (it == replicas_.end()) {
     done(FailedPrecondition("replica of " + oid.ToHex() + " removed mid-switch"));
     return;
   }
-  auto semantics = repository_->Instantiate(semantics_type);
-  if (!semantics.ok()) {
-    done(semantics.status());
-    return;
-  }
-  if (Status set = (*semantics)->SetState(state); !set.ok()) {
-    done(set);
-    return;
-  }
-  dso::ReplicaSetup setup;
-  setup.transport = transport_;
-  setup.host = server_.node();
-  setup.semantics = std::move(*semantics);
-  setup.role = gls::ReplicaRole::kMaster;
-  setup.write_guard = GuardFor(maintainers);
-  setup.failover = FailoverFor(oid);
-  setup.access_hook = metrics_.HookFor(oid);
-  auto replica = dso::MakeReplica(new_protocol, std::move(setup));
-  if (!replica.ok()) {
-    done(replica.status());
-    return;
-  }
-  // The new incarnation lives one epoch above the old group: stragglers still
-  // carrying the old epoch are fenced instead of landing on the fresh replica.
-  (*replica)->set_version(version);
-  (*replica)->set_epoch(epoch + 1);
-
   HostedReplica& hosted = it->second;
-  hosted.protocol = new_protocol;
-  hosted.replication = std::move(*replica);
-  hosted.semantics = hosted.replication->semantics();
-  auto address = hosted.replication->contact_address();
-  if (!address.has_value()) {
-    done(Internal("replica has no contact address"));
+  auto rebuilt = Build(oid, new_protocol, gls::ReplicaRole::kMaster,
+                       hosted.replication->semantics()->type_id(), {},
+                       hosted.maintainers, &snapshot);
+  if (!rebuilt.ok()) {
+    done(rebuilt.status());
     return;
   }
-  hosted.registered_address = *address;
+  hosted = std::move(*rebuilt);
   // Clients still bound to the old incarnation must fail fast, not wait out
   // a 30 s call deadline against a silently closed port.
   TombstoneEndpoint(oid, old_address.endpoint);
 
-  hosted.replication->Start([this, oid, old_address, epoch,
+  hosted.replication->Start([this, oid, old_address, new_epoch = snapshot.epoch,
                              done = std::move(done)](Status status) mutable {
     if (!status.ok()) {
       done(status);
@@ -443,17 +429,17 @@ void ObjectServer::RebuildAs(const gls::ObjectId& oid, gls::ProtocolId new_proto
       done(FailedPrecondition("replica of " + oid.ToHex() + " removed mid-switch"));
       return;
     }
-    gls::ContactAddress fresh = it->second.registered_address;
+    gls::ContactAddress fresh = *it->second.replication->contact_address();
     // Swap the GLS registration: drop the old incarnation's address, register
     // the new one. The insert drives the insert-path invalidation chain, so
     // cached lookups converge on the new address without waiting out a TTL.
-    gls_.Delete(oid, old_address, [this, oid, fresh, epoch,
+    gls_.Delete(oid, old_address, [this, oid, fresh, new_epoch,
                                    done = std::move(done)](Status) mutable {
-      gls_.Insert(oid, fresh, [this, oid, fresh, epoch,
+      gls_.Insert(oid, fresh, [this, oid, fresh, new_epoch,
                                done = std::move(done)](Status s) {
         if (s.ok()) {
           ++stats_.protocol_switches;
-          RetireForeignReplicas(oid, fresh.endpoint, epoch + 1);
+          RetireForeignReplicas(oid, fresh.endpoint, new_epoch);
         }
         done(s);
       });
@@ -496,20 +482,17 @@ void ObjectServer::RetireForeignReplicas(const gls::ObjectId& oid,
 Bytes ObjectServer::Checkpoint() const {
   ByteWriter w;
   w.WriteVarint(replicas_.size());
-  for (const auto& [oid, replica] : replicas_) {
-    oid.Serialize(&w);
-    w.WriteU16(replica.protocol);
-    w.WriteU16(replica.semantics_type);
-    w.WriteU8(static_cast<uint8_t>(replica.role));
-    replica.registered_address.Serialize(&w);
-    w.WriteU64(replica.replication->version());
-    w.WriteU64(replica.replication->epoch());
-    w.WriteVarint(replica.maintainers.size());
-    for (sec::PrincipalId maintainer : replica.maintainers) {
-      w.WriteU64(maintainer);
-    }
-    w.WriteLengthPrefixed(replica.semantics != nullptr ? replica.semantics->GetState()
-                                                       : Bytes{});
+  for (const auto& [oid, hosted] : replicas_) {
+    dso::ReplicationObject& replica = *hosted.replication;
+    CheckpointEntry{oid,
+                    replica.semantics()->type_id(),
+                    *replica.contact_address(),
+                    replica.master_endpoint(),
+                    hosted.maintainers,
+                    replica.version(),
+                    replica.epoch(),
+                    replica.semantics()->GetState()}
+        .Serialize(&w);
   }
   // Optional trailer (absent in pre-telemetry checkpoints): the access
   // telemetry, so a restarted server resumes with warm rate estimates.
@@ -519,66 +502,25 @@ Bytes ObjectServer::Checkpoint() const {
 }
 
 void ObjectServer::Restore(ByteSpan checkpoint, std::function<void(Status)> done) {
-  struct Entry {
-    gls::ObjectId oid;
-    gls::ProtocolId protocol;
-    uint16_t semantics_type;
-    gls::ReplicaRole role;
-    gls::ContactAddress old_address;
-    uint64_t version;
-    uint64_t epoch;
-    std::vector<sec::PrincipalId> maintainers;
-    Bytes state;
-  };
-  std::vector<Entry> entries;
-  {
-    ByteReader r(checkpoint);
-    auto count = r.ReadVarint();
-    if (!count.ok()) {
-      done(count.status());
-      return;
-    }
-    for (uint64_t i = 0; i < *count; ++i) {
-      Entry entry;
-      auto oid = gls::ObjectId::Deserialize(&r);
-      auto protocol = r.ReadU16();
-      auto semantics_type = r.ReadU16();
-      auto role = r.ReadU8();
-      auto address = gls::ContactAddress::Deserialize(&r);
-      auto version = r.ReadU64();
-      auto epoch = r.ReadU64();
-      std::vector<sec::PrincipalId> maintainers;
-      auto maintainer_count = r.ReadVarint();
-      if (maintainer_count.ok()) {
-        for (uint64_t j = 0; j < *maintainer_count; ++j) {
-          auto id = r.ReadU64();
-          if (!id.ok()) {
-            done(InvalidArgument("corrupt GOS checkpoint"));
-            return;
-          }
-          maintainers.push_back(*id);
-        }
+  // Parse everything before building anything: a corrupt checkpoint hosts no
+  // replica and sends no GLS traffic.
+  std::vector<CheckpointEntry> entries;
+  ByteReader r(checkpoint);
+  Status parsed = [&]() -> Status {
+    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
+    for (uint64_t i = 0; i < count; ++i) {
+      auto entry = CheckpointEntry::Deserialize(&r);
+      if (!entry.ok()) {
+        return InvalidArgument("corrupt GOS checkpoint");
       }
-      auto state = r.ReadLengthPrefixedView();
-      if (!oid.ok() || !protocol.ok() || !semantics_type.ok() || !role.ok() ||
-          !address.ok() || !version.ok() || !epoch.ok() || !maintainer_count.ok() ||
-          !state.ok()) {
-        done(InvalidArgument("corrupt GOS checkpoint"));
-        return;
-      }
-      // The entry owns the snapshot past this parse (the checkpoint buffer is
-      // released before replicas rebuild): copied at the ownership boundary.
-      entries.push_back(Entry{*oid, *protocol, *semantics_type,
-                              static_cast<gls::ReplicaRole>(*role), *address, *version,
-                              *epoch, std::move(maintainers), ToBytes(*state)});
+      entries.push_back(std::move(*entry));
     }
     // Optional telemetry trailer (pre-telemetry checkpoints end here).
-    if (!r.AtEnd()) {
-      if (Status s = metrics_.Restore(&r); !s.ok()) {
-        done(s);
-        return;
-      }
-    }
+    return r.AtEnd() ? OkStatus() : metrics_.Restore(&r);
+  }();
+  if (!parsed.ok()) {
+    done(parsed);
+    return;
   }
 
   ++stats_.restores;
@@ -593,75 +535,40 @@ void ObjectServer::Restore(ByteSpan checkpoint, std::function<void(Status)> done
   Status build_error = OkStatus();
   std::vector<std::pair<gls::ObjectId, gls::ContactAddress>> stale;
   std::vector<std::pair<gls::ObjectId, gls::ContactAddress>> fresh;
-  auto record_failure = [&build_error](Status s) {
-    if (!s.ok() && build_error.ok()) {
-      build_error = std::move(s);
+  for (CheckpointEntry& entry : entries) {
+    // Ports changed across the reboot: a secondary follows the master it
+    // followed before, and the stale contact address is dropped.
+    std::vector<gls::ContactAddress> peers;
+    if (entry.address.role != gls::ReplicaRole::kMaster) {
+      peers.push_back(gls::ContactAddress{entry.followed, entry.address.protocol,
+                                          gls::ReplicaRole::kMaster});
     }
-  };
-
-  for (auto& entry : entries) {
-    // Reconstruct the replica with its saved state; ports changed across the reboot,
-    // so drop the stale contact address and register the new one.
-    auto semantics = repository_->Instantiate(entry.semantics_type);
-    if (!semantics.ok()) {
-      record_failure(semantics.status());
+    Snapshot snapshot{std::move(entry.state), entry.version, entry.epoch};
+    auto hosted = Build(entry.oid, entry.address.protocol, entry.address.role,
+                        entry.semantics_type, std::move(peers),
+                        std::move(entry.maintainers), &snapshot);
+    if (!hosted.ok()) {
+      if (build_error.ok()) {
+        build_error = hosted.status();
+      }
       continue;
     }
-    Status set = (*semantics)->SetState(entry.state);
-    if (!set.ok()) {
-      record_failure(set);
-      continue;
-    }
-    dso::ReplicaSetup setup;
-    setup.transport = transport_;
-    setup.host = server_.node();
-    setup.semantics = std::move(*semantics);
-    setup.role = entry.role;
-    setup.write_guard = GuardFor(entry.maintainers);
-    setup.failover = FailoverFor(entry.oid);
-    setup.access_hook = metrics_.HookFor(entry.oid);
-    // Secondary replicas would need peers; restore keeps them in their role but they
-    // re-register with the master lazily via the GLS addresses.
-    if (entry.role != gls::ReplicaRole::kMaster) {
-      setup.peers.push_back(gls::ContactAddress{
-          entry.old_address.endpoint, entry.protocol, gls::ReplicaRole::kMaster});
-    }
-    auto replica = dso::MakeReplica(entry.protocol, std::move(setup));
-    if (!replica.ok()) {
-      record_failure(replica.status());
-      continue;
-    }
-    (*replica)->set_version(entry.version);
-    (*replica)->set_epoch(entry.epoch);
+    dso::ReplicationObject* replication = hosted->replication.get();
+    replicas_[entry.oid] = std::move(*hosted);
+    stale.emplace_back(entry.oid, entry.address);
+    fresh.emplace_back(entry.oid, *replication->contact_address());
 
-    HostedReplica hosted;
-    hosted.protocol = entry.protocol;
-    hosted.semantics_type = entry.semantics_type;
-    hosted.role = entry.role;
-    hosted.maintainers = entry.maintainers;
-    hosted.replication = std::move(*replica);
-    hosted.semantics = hosted.replication->semantics();
-    hosted.registered_address = *hosted.replication->contact_address();
-    gls::ContactAddress new_address = hosted.registered_address;
-    replicas_[entry.oid] = std::move(hosted);
-
-    stale.emplace_back(entry.oid, entry.old_address);
-    fresh.emplace_back(entry.oid, new_address);
-
-    // With fail-over on, the rebuilt replica resumes its group role: a master
+    // The rebuilt replica resumes its group role: a master with fail-over
     // re-claims (or discovers it lost) GLS mastership at its checkpointed
-    // epoch; a slave starts its lease watch (its recorded master peer is the
-    // stale pre-crash address, so the initial re-registration usually fails —
-    // the watch then claims, is refused, and adopts the live master from the
-    // GLS ownership record within about a lease timeout).
-    if (options_.enable_failover) {
-      replicas_.at(entry.oid).replication->Start([oid = entry.oid](Status s) {
-        if (!s.ok()) {
-          GLOG_WARN << "restored replica of " << oid.ToHex()
-                    << " could not resume its group role: " << s;
-        }
-      });
-    }
+    // epoch; a secondary rejoins the master it followed and, with fail-over,
+    // starts its lease watch (if that master moved, the watch claims, is
+    // refused, and adopts the live master from the GLS ownership record).
+    replication->Start([oid = entry.oid](Status s) {
+      if (!s.ok()) {
+        GLOG_WARN << "restored replica of " << oid.ToHex()
+                  << " could not resume its group role: " << s;
+      }
+    });
   }
 
   if (fresh.empty()) {
@@ -691,7 +598,7 @@ void ObjectServer::Decommission(std::function<void(Status)> done) {
   for (auto& [oid, replica] : replicas_) {
     // Current addresses, not installation-time ones: a fail-over role change
     // re-registered the replica under its new role.
-    registered.emplace_back(oid, CurrentAddress(replica));
+    registered.emplace_back(oid, *replica.replication->contact_address());
     replications.push_back(replica.replication.get());
   }
 

@@ -9,9 +9,14 @@
 //
 // "Globe Object Servers allow replicas to save their state during a reboot and
 // reconstruct themselves afterwards" (§4): Checkpoint() serializes every hosted
-// replica (OID, protocol, role, semantics type and state, old contact address);
-// Restore() rebuilds them on fresh ports, deregisters the stale contact addresses
-// from the GLS and registers the new ones.
+// replica (OID, semantics type, current contact address — which names protocol
+// and role —, the master endpoint it follows, version, epoch, maintainers and
+// state); Restore() rebuilds them on fresh ports, deregisters the stale contact
+// addresses from the GLS and registers the new ones.
+//
+// The hosted replica is the only record of what it is: role, protocol and
+// address come from its contact address, which fail-over rewrites, so a
+// promoted slave switches protocol and checkpoints as the master it now is.
 //
 // RPC methods (port sim::kPortGos), moderator-only when a registry is enforced
 // (§6.1 requirement 1):
@@ -44,8 +49,8 @@ inline void SerializeMaintainers(const std::vector<sec::PrincipalId>& maintainer
   }
 }
 
-// Maintainer lists ride as an optional trailer so pre-maintainer requests (and
-// checkpoints) stay readable.
+// Maintainer lists ride as an optional trailer so pre-maintainer requests stay
+// readable.
 inline Result<std::vector<sec::PrincipalId>> DeserializeMaintainers(ByteReader* r) {
   std::vector<sec::PrincipalId> maintainers;
   if (r->AtEnd()) {
@@ -276,16 +281,18 @@ class ObjectServer {
   // the hosted replica down, rebuilds it under `new_protocol` with the same
   // semantics state and version, bumps the group epoch by one so in-flight
   // traffic fenced on the old epoch cannot land on the new incarnation, and
-  // swaps the GLS registration to the new contact address. The object must be
-  // hosted here in the master role.
+  // swaps the GLS registration to the new contact address. The replica hosted
+  // here must be the master now: a deposed master refuses.
   void SwitchProtocol(const gls::ObjectId& oid, gls::ProtocolId new_protocol,
                       std::function<void(Status)> done);
 
   // Persistence: full-state snapshot of every hosted replica.
   Bytes Checkpoint() const;
 
-  // Rebuilds replicas from a checkpoint after a restart. Must be called on a freshly
-  // constructed server. `done` fires after every replica is re-registered in the GLS.
+  // Rebuilds replicas from a checkpoint after a restart and starts them: masters
+  // resume their mastership, secondaries rejoin the master they followed. Must be
+  // called on a freshly constructed server. `done` fires after every replica is
+  // re-registered in the GLS.
   void Restore(ByteSpan checkpoint, std::function<void(Status)> done);
 
   // Takes the server out of service: shuts down every hosted replica and
@@ -308,26 +315,28 @@ class ObjectServer {
 
  private:
   struct HostedReplica {
-    gls::ProtocolId protocol = 0;
-    uint16_t semantics_type = 0;
-    gls::ReplicaRole role = gls::ReplicaRole::kMaster;
-    std::vector<sec::PrincipalId> maintainers;
     std::unique_ptr<dso::ReplicationObject> replication;
-    // Pointer into the replication object's semantics (owned there) for state access.
-    dso::SemanticsObject* semantics = nullptr;
-    gls::ContactAddress registered_address;
+    std::vector<sec::PrincipalId> maintainers;
+  };
+  // What a rebuilt replica resumes from: a protocol switch or a checkpoint.
+  struct Snapshot {
+    Bytes state;
+    uint64_t version = 0;
+    uint64_t epoch = 0;
   };
 
   Status CheckModerator(const sim::RpcContext& context) const;
   // The replica write guard for a package with the given maintainers: the world
   // guard passes, or the authenticated peer is one of the maintainers.
   dso::WriteGuard GuardFor(std::vector<sec::PrincipalId> maintainers) const;
-  // The fail-over wiring for a hosted replica of `oid` (disabled config when
-  // the server does not opt in).
-  dso::FailoverConfig FailoverFor(const gls::ObjectId& oid) const;
-  // The address a replica currently advertises — its registration may have been
-  // rewritten by a fail-over role change since InstallReplica recorded it.
-  static gls::ContactAddress CurrentAddress(const HostedReplica& replica);
+  // Builds (but does not start) every replica this server hosts: fresh for the
+  // create paths, from `snapshot` for a protocol switch and a restore.
+  // Secondaries find their master among `peers`.
+  Result<HostedReplica> Build(const gls::ObjectId& oid, gls::ProtocolId protocol,
+                              gls::ReplicaRole role, uint16_t semantics_type,
+                              std::vector<gls::ContactAddress> peers,
+                              std::vector<sec::PrincipalId> maintainers,
+                              const Snapshot* snapshot);
   // Builds, starts and GLS-registers a replica; shared by both create paths.
   void InstallReplica(const gls::ObjectId& oid, gls::ProtocolId protocol,
                       uint16_t semantics_type, gls::ReplicaRole role,
@@ -336,9 +345,7 @@ class ObjectServer {
   // The rebuild half of SwitchProtocol, run one event after the old replica's
   // shutdown so destroying that replica happens off its own call stack.
   void RebuildAs(const gls::ObjectId& oid, gls::ProtocolId new_protocol,
-                 const Bytes& state, uint64_t version, uint64_t epoch,
-                 const gls::ContactAddress& old_address, uint16_t semantics_type,
-                 std::vector<sec::PrincipalId> maintainers,
+                 const Snapshot& snapshot, const gls::ContactAddress& old_address,
                  std::function<void(Status)> done);
   // Registers a responder on a retired replica port that fails every dso.*
   // call immediately with "object migrated". The simulated network drops

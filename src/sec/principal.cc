@@ -1,5 +1,9 @@
 #include "src/sec/principal.h"
 
+#include <algorithm>
+
+#include "src/sim/rpc.h"
+
 namespace globe::sec {
 
 std::string_view RoleName(Role role) {
@@ -55,6 +59,25 @@ Result<Bytes> KeyRegistry::KeyOf(PrincipalId id) const {
     return NotFound("no key for principal " + std::to_string(id));
   }
   return it->second;
+}
+
+Status CheckRole(const KeyRegistry* registry, const sim::RpcContext& context,
+                 std::span<const Role> allowed) {
+  if (registry == nullptr) {
+    return Internal("authorization enforced but no key registry configured");
+  }
+  if (context.peer_principal == kAnonymous || !context.integrity_protected) {
+    return PermissionDenied("request requires an authenticated channel");
+  }
+  auto role = registry->RoleOf(context.peer_principal);
+  if (!role.ok()) {
+    return PermissionDenied("unknown principal");
+  }
+  if (std::find(allowed.begin(), allowed.end(), *role) == allowed.end()) {
+    return PermissionDenied("role " + std::string(RoleName(*role)) +
+                            " is not authorized for this request");
+  }
+  return OkStatus();
 }
 
 }  // namespace globe::sec

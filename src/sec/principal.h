@@ -15,11 +15,16 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
+
+namespace globe::sim {
+struct RpcContext;
+}  // namespace globe::sim
 
 namespace globe::sec {
 
@@ -71,6 +76,14 @@ class KeyRegistry {
   std::map<PrincipalId, Principal> principals_;
   std::map<PrincipalId, Bytes> keys_;
 };
+
+// The §6.1 admission check every guarded service runs (GLS registrations, GOS
+// and naming-authority commands, replica write paths): the peer must be
+// authenticated over an integrity-protected channel, known to `registry`, and
+// hold one of the `allowed` roles. Refuses every request when no registry is
+// configured.
+Status CheckRole(const KeyRegistry* registry, const sim::RpcContext& context,
+                 std::span<const Role> allowed);
 
 }  // namespace globe::sec
 

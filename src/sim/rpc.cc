@@ -104,18 +104,15 @@ void RpcServer::OnDelivery(const TransportDelivery& delivery) {
     Dispatch(*method, *payload, context, id, dedup_key);
     return;
   }
-  // Requests queue FIFO behind whatever is already being served; with a pool
-  // width above one, the earliest-free virtual CPU takes the next request.
-  // The queued request pins the delivery buffer instead of copying: `pin` holds
-  // the backing alive, and the method/payload views stay valid until the worker
-  // gets to them.
+  // Requests queue FIFO behind whatever is already being served. The queued
+  // request pins the delivery buffer instead of copying: `pin` holds the
+  // backing alive, and the method/payload views stay valid until the virtual
+  // CPU gets to them.
   Clock* clock = transport_->clock();
-  auto worker = std::min_element(worker_busy_until_.begin(), worker_busy_until_.end());
   SimTime now = clock->Now();
-  SimTime start = std::max(now, *worker);
-  *worker = start + service_time_;
+  busy_until_ = std::max(now, busy_until_) + service_time_;
   clock->ScheduleAfter(
-      *worker - now, [this, alive = std::weak_ptr<bool>(alive_),
+      busy_until_ - now, [this, alive = std::weak_ptr<bool>(alive_),
                       pin = delivery.payload, method = *method, payload = *payload,
                       context, id, dedup_key]() {
         auto a = alive.lock();
@@ -187,7 +184,7 @@ void RpcServer::EvictExpiredDedup() {
   }
   // Bounded memory: beyond the cap the oldest completed entries go first (their
   // clients have long since seen the response or exhausted their retries).
-  while (dedup_.size() > dedup_max_entries_ && !dedup_expiry_.empty()) {
+  while (dedup_.size() > kDedupMaxEntries && !dedup_expiry_.empty()) {
     dedup_.erase(dedup_expiry_.front().second);
     dedup_expiry_.pop_front();
   }

@@ -76,6 +76,9 @@ inline constexpr MethodTraits kNonIdempotent{/*idempotent=*/false};
 // per-attempt deadline and 3-attempt write budgets (geometric backoff from
 // 200 ms), the last duplicate can trail the first execution by ~95 s.
 inline constexpr SimTime kDefaultDedupTtl = 120 * kSecond;
+// At most this many completed dedup entries per server; beyond it the oldest go
+// first.
+inline constexpr size_t kDedupMaxEntries = 65536;
 
 class RpcServer {
  public:
@@ -100,30 +103,21 @@ class RpcServer {
 
   // At-most-once bookkeeping for non-idempotent methods. The TTL must cover the
   // longest retry horizon of any client calling this server; entries also evict
-  // oldest-first beyond `max_entries`. Both only bound completed calls — a call
-  // whose handler is still running is never forgotten.
+  // oldest-first beyond kDedupMaxEntries. Both only bound completed calls — a
+  // call whose handler is still running is never forgotten.
   void set_dedup_ttl(SimTime ttl) { dedup_ttl_ = ttl; }
   SimTime dedup_ttl() const { return dedup_ttl_; }
-  void set_dedup_max_entries(size_t n) { dedup_max_entries_ = n; }
   // Duplicate deliveries answered from the dedup table (replayed or joined to
   // the in-flight execution) instead of re-running the handler.
   uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
   size_t dedup_entries() const { return dedup_.size(); }
 
   // Models request-processing cost: with a non-zero per-request service time,
-  // requests are dispatched FIFO from a pool of virtual CPUs (one by default), so
-  // a hot server builds a queue and its observed latency grows with load. 0 (the
-  // default) dispatches inline with no delay, exactly as before.
+  // requests are dispatched FIFO from one virtual CPU, so a hot server builds a
+  // queue and its observed latency grows with load. 0 (the default) dispatches
+  // inline with no delay, exactly as before.
   void set_service_time(SimTime per_request) { service_time_ = per_request; }
   SimTime service_time() const { return service_time_; }
-
-  // Width of the virtual CPU pool behind set_service_time: with N workers up to N
-  // requests are served concurrently and the FIFO queue drains N-wide — the
-  // multi-core subnode model. Width 1 (the default) is the single-CPU behaviour.
-  void set_worker_pool_width(size_t width) {
-    worker_busy_until_.assign(width == 0 ? 1 : width, 0);
-  }
-  size_t worker_pool_width() const { return worker_busy_until_.size(); }
 
   // Persistence of the at-most-once table: completed entries ride along in a
   // host's checkpoint (mirroring how the GLS lookup cache rides in
@@ -179,11 +173,10 @@ class RpcServer {
   // consumes the span before returning).
   ByteWriter send_scratch_;
   SimTime service_time_ = 0;
-  std::vector<SimTime> worker_busy_until_{0};  // one slot per virtual CPU
+  SimTime busy_until_ = 0;  // when the virtual CPU frees up
   std::map<DedupKey, DedupEntry> dedup_;
   std::deque<std::pair<SimTime, DedupKey>> dedup_expiry_;  // completion order
   SimTime dedup_ttl_ = kDefaultDedupTtl;
-  size_t dedup_max_entries_ = 65536;
   uint64_t duplicates_suppressed_ = 0;
   // Guards scheduled dispatches against a server destroyed while they queue.
   std::shared_ptr<bool> alive_;

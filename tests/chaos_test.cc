@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -1715,6 +1716,163 @@ TEST_P(ChaosDecommissionTest, NoOidResolvesToADecommissionedAddress) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosDecommissionTest,
                          ::testing::ValuesIn(ChaosSeeds()));
+
+// ------------------------------------------------------- hosting records
+//
+// The GOS reads a hosted replica's role, protocol and address from the replica
+// itself, so a protocol switch, a checkpoint and a restore act on what
+// fail-over made of the replica, not on what it was installed as.
+
+class ChaosHostingTest : public ::testing::TestWithParam<uint64_t> {};
+
+gos::GosOptions FailoverGosOptions() {
+  gos::GosOptions options;
+  options.enable_failover = true;
+  return options;
+}
+
+// Power-cuts the host of `*gos`, rebuilds the server while the node is dark,
+// reboots it and starts restoring `checkpoint` (ChaosCrashRestartTest's order).
+template <typename World>
+void RestartFromCheckpoint(World* w, std::unique_ptr<gos::ObjectServer>* gos,
+                           const Bytes& checkpoint, gos::GosOptions options,
+                           Status* restored) {
+  NodeId host = (*gos)->host();
+  w->network->CrashNode(host);
+  gos->reset();
+  *gos = std::make_unique<gos::ObjectServer>(w->transport.get(), host, &w->repository,
+                                             w->deployment->LeafDirectoryFor(host),
+                                             nullptr, std::move(options));
+  w->network->RestartNode(host);
+  (*gos)->Restore(checkpoint, [restored](Status s) { *restored = s; });
+}
+
+// A slave elected after its master's host died is the master: the controller
+// can change the object's protocol through it.
+TEST_P(ChaosHostingTest, PromotedMasterSwitchesProtocol) {
+  FailoverWorld w(GetParam());
+  auto [oid, master_address] = w.CreateMaster();
+  w.CreateSlave(w.gos_b.get(), oid);
+  w.network->CrashNode(master_address.endpoint.node);
+  w.RunFor(20 * kSecond);
+  ASSERT_EQ(w.gos_b->FindReplica(oid)->contact_address()->role,
+            gls::ReplicaRole::kMaster);
+
+  Status switched = Unavailable("pending");
+  w.gos_b->SwitchProtocol(oid, dso::kProtoActiveRepl, [&](Status s) { switched = s; });
+  w.RunFor(10 * kSecond);
+  ASSERT_TRUE(switched.ok()) << switched;
+  dso::ReplicationObject* rebuilt = w.gos_b->FindReplica(oid);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(w.gos_b->ProtocolOf(oid), dso::kProtoActiveRepl);
+  EXPECT_EQ(rebuilt->contact_address()->protocol, dso::kProtoActiveRepl);
+  EXPECT_EQ(rebuilt->contact_address()->role, gls::ReplicaRole::kMaster);
+}
+
+// A master deposed behind a partition is a slave once the partition heals: it
+// must not switch protocol and take a fresh epoch from the elected master.
+TEST_P(ChaosHostingTest, DeposedMasterRefusesToSwitch) {
+  FailoverWorld w(GetParam());
+  auto [oid, master_address] = w.CreateMaster();
+  w.CreateSlave(w.gos_b.get(), oid);
+  NodeId master_host = master_address.endpoint.node;
+  for (NodeId node = 0; node < w.world.topology.num_nodes(); ++node) {
+    if (node != master_host) {
+      w.network->PartitionPair(master_host, node, 30 * kSecond);
+    }
+  }
+  w.RunFor(60 * kSecond);
+
+  Status switched = OkStatus();
+  w.gos_a->SwitchProtocol(oid, dso::kProtoActiveRepl, [&](Status s) { switched = s; });
+  w.RunFor(10 * kSecond);
+  EXPECT_EQ(switched.code(), StatusCode::kFailedPrecondition) << switched;
+  dso::ReplicationObject* deposed = w.gos_a->FindReplica(oid);
+  dso::ReplicationObject* elected = w.gos_b->FindReplica(oid);
+  ASSERT_NE(deposed, nullptr);
+  ASSERT_NE(elected, nullptr);
+  EXPECT_EQ(deposed->epoch(), 2u);
+  EXPECT_EQ(elected->epoch(), 2u);
+  EXPECT_EQ(elected->contact_address()->role, gls::ReplicaRole::kMaster);
+}
+
+// A promoted master checkpoints as the master it is: restored, it resumes its
+// mastership at once, and the GLS serves only its fresh address.
+TEST_P(ChaosHostingTest, PromotedMasterRestoresAsMaster) {
+  FailoverWorld w(GetParam());
+  auto [oid, master_address] = w.CreateMaster();
+  w.CreateSlave(w.gos_b.get(), oid);
+  w.network->CrashNode(master_address.endpoint.node);
+  w.RunFor(20 * kSecond);
+  ASSERT_EQ(w.gos_b->FindReplica(oid)->contact_address()->role,
+            gls::ReplicaRole::kMaster);
+
+  Bytes checkpoint = w.gos_b->Checkpoint();
+  Status restored = Unavailable("pending");
+  RestartFromCheckpoint(&w, &w.gos_b, checkpoint, FailoverGosOptions(), &restored);
+  w.RunFor(5 * kSecond);
+  ASSERT_TRUE(restored.ok()) << restored;
+  dso::ReplicationObject* replica = w.gos_b->FindReplica(oid);
+  ASSERT_NE(replica, nullptr);
+  EXPECT_EQ(replica->contact_address()->role, gls::ReplicaRole::kMaster);
+
+  std::unique_ptr<gls::GlsClient> gls = w.deployment->MakeClient(w.world.hosts[3]);
+  Result<gls::LookupResult> lookup = Unavailable("pending");
+  gls->LookupAll(oid, [&](Result<gls::LookupResult> r) { lookup = std::move(r); });
+  w.RunFor(5 * kSecond);
+  ASSERT_TRUE(lookup.ok()) << lookup.status();
+  EXPECT_EQ(lookup->addresses,
+            std::vector<gls::ContactAddress>{*replica->contact_address()});
+}
+
+// A restored slave rejoins the master it followed, not its own dead pre-crash
+// endpoint.
+TEST_P(ChaosHostingTest, RestoredSlaveRejoinsItsMaster) {
+  FailoverWorld w(GetParam());
+  auto [oid, master_address] = w.CreateMaster();
+  w.CreateSlave(w.gos_b.get(), oid);
+
+  Bytes checkpoint = w.gos_b->Checkpoint();
+  Status restored = Unavailable("pending");
+  RestartFromCheckpoint(&w, &w.gos_b, checkpoint, FailoverGosOptions(), &restored);
+  w.RunFor(5 * kSecond);
+  ASSERT_TRUE(restored.ok()) << restored;
+  dso::ReplicationObject* slave = w.gos_b->FindReplica(oid);
+  dso::ReplicationObject* master = w.gos_a->FindReplica(oid);
+  ASSERT_NE(slave, nullptr);
+  ASSERT_NE(master, nullptr);
+  const std::vector<sim::Endpoint>& members = master->group()->members();
+  EXPECT_NE(std::find(members.begin(), members.end(), slave->contact_address()->endpoint),
+            members.end());
+}
+
+// Without fail-over there is no lease watch to heal a lost join: the restored
+// slave must join its master as part of the restore, or it never sees a write.
+TEST_P(ChaosHostingTest, RestoredSlaveWithoutFailoverReceivesWrites) {
+  ChaosWorld w(GetParam());
+  auto [oid, master_address] = w.CreateMaster();
+  w.CreateSlave(oid);
+
+  Bytes checkpoint = w.gos_b->Checkpoint();
+  Status restored = Unavailable("pending");
+  RestartFromCheckpoint(&w, &w.gos_b, checkpoint, {}, &restored);
+  w.simulator.Run();
+  ASSERT_TRUE(restored.ok()) << restored;
+
+  sim::Channel client(w.transport.get(), w.world.hosts[3]);
+  Result<Bytes> written = Unavailable("pending");
+  dso::kDsoInvoke.Call(&client, master_address.endpoint, CounterAdd("k", 5),
+                       [&](Result<Bytes> r) { written = std::move(r); },
+                       sim::WriteCallOptions());
+  w.simulator.Run();
+  ASSERT_TRUE(written.ok()) << written.status();
+  dso::ReplicationObject* slave = w.gos_b->FindReplica(oid);
+  ASSERT_NE(slave, nullptr);
+  EXPECT_EQ(slave->version(), 1u);
+  EXPECT_EQ(ParseCounterState(slave->semantics()->GetState())["k"], 5u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaosHostingTest, ::testing::ValuesIn(ChaosSeeds()));
 
 }  // namespace
 }  // namespace globe

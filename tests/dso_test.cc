@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <map>
 
 #include "src/dso/active_repl.h"
@@ -644,11 +646,21 @@ TEST_F(RuntimeTest, BindAsCacheReplicaRegistersInGls) {
   BindOptions options;
   options.as_replica = gls::ReplicaRole::kCache;
   options.semantics_type = MapObject::kTypeId;
-  options.register_in_gls = true;
   auto bound = BindSync(&httpd, oid, options);
   ASSERT_NE(bound, nullptr);
-  EXPECT_TRUE(bound->registered_in_gls);
   EXPECT_EQ(httpd.stats().replicas_installed, 1u);
+
+  // The bind published the replica: the GLS serves its contact address.
+  auto gls = deployment_.MakeClient(world_.hosts[6]);
+  std::vector<gls::ContactAddress> registered;
+  gls->LookupAll(oid, [&](Result<gls::LookupResult> r) {
+    ASSERT_TRUE(r.ok()) << r.status();
+    registered = r->addresses;
+  });
+  simulator_.Run();
+  EXPECT_NE(std::find(registered.begin(), registered.end(),
+                      *bound->replication->contact_address()),
+            registered.end());
 
   // A second client near the HTTPD now finds the cache replica, not the master.
   RuntimeSystem nearby(&transport_, world_.hosts[7],

@@ -438,9 +438,8 @@ TEST_F(SecureGdnWorldTest, MaintainerMayManageOnlyTheirPackage) {
   sec::PrincipalId maintainer =
       world_.AddMaintainerMachine("gimp-maintainer", maintainer_node);
 
-  auto theirs = world_.PublishPackageWithMaintainers(
-      "/apps/theirs", {{"f", ToBytes("v1")}}, dso::kProtoMasterSlave, 0, {},
-      {maintainer});
+  auto theirs = world_.PublishPackage("/apps/theirs", {{"f", ToBytes("v1")}},
+                                      dso::kProtoMasterSlave, 0, {}, "", {maintainer});
   ASSERT_TRUE(theirs.ok()) << theirs.status();
   auto others = world_.PublishPackage("/apps/others", {{"f", ToBytes("v1")}},
                                       dso::kProtoMasterSlave, 0);

@@ -1,7 +1,8 @@
 // Cross-cutting property tests: invariants that must hold for arbitrary inputs —
-// deserializers never crash on random bytes, the GLS agrees with a reference model
-// under random operation sequences, replicated objects converge to the reference
-// state, the DNS cache never serves expired records.
+// deserializers never crash on random bytes, a truncated GOS checkpoint restores
+// nothing, the GLS agrees with a reference model under random operation sequences,
+// replicated objects converge to the reference state, the DNS cache never serves
+// expired records.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "src/dso/master_slave.h"
 #include "src/dso/wire.h"
 #include "src/gls/deploy.h"
+#include "src/gos/object_server.h"
 #include "src/http/http.h"
 #include "tests/test_util.h"
 #include "src/sim/backend.h"
@@ -45,6 +47,12 @@ TEST_P(DecoderFuzzTest, AllDecodersSurviveRandomBytes) {
     { auto r = dns::ZoneTransfer::Deserialize(junk); (void)r; }
     { auto r = dns::Zone::Deserialize(junk); (void)r; }
     { auto r = gls::LookupResult::Deserialize(junk); (void)r; }
+    { auto r = gos::CreateFirstReplicaRequest::Deserialize(junk); (void)r; }
+    { auto r = gos::CreateFirstReplicaResponse::Deserialize(junk); (void)r; }
+    { auto r = gos::CreateReplicaRequest::Deserialize(junk); (void)r; }
+    { auto r = gos::CreateReplicaResponse::Deserialize(junk); (void)r; }
+    { auto r = gos::RemoveReplicaRequest::Deserialize(junk); (void)r; }
+    { auto r = gos::ListReplicasResponse::Deserialize(junk); (void)r; }
     { auto r = http::HttpRequest::Parse(junk); (void)r; }
     { auto r = http::HttpResponse::Parse(junk); (void)r; }
     {
@@ -87,6 +95,80 @@ TEST_P(DecoderFuzzTest, MutatedValidFramesSurvive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzzTest, ::testing::Values(1, 2, 3, 4));
+
+// ---------------------------------------------------------------- GOS checkpoints
+
+// A truncated checkpoint restores nothing: every strict prefix of a checkpoint
+// holding a master, a slave and a cache fails before any replica is built or any
+// address is registered — except the prefix that ends where the optional
+// telemetry trailer starts, which is a whole checkpoint without telemetry.
+TEST(GosCheckpointTest, EveryStrictPrefixRestoresNothing) {
+  sim::Simulator simulator;
+  UniformWorld world = BuildUniformWorld({2, 2}, 2);
+  sim::Network network(&simulator, &world.topology);
+  sim::PlainTransport transport(&network);
+  gls::GlsDeployment deployment(&transport, &world.topology, nullptr);
+  dso::ImplementationRepository repository;
+  repository.RegisterSemantics(std::make_unique<testutil::KvObject>());
+  auto make_gos = [&](NodeId host) {
+    return std::make_unique<gos::ObjectServer>(
+        &transport, host, &repository, deployment.LeafDirectoryFor(host), nullptr);
+  };
+  std::unique_ptr<gos::ObjectServer> hosting = make_gos(world.hosts[0]);
+  std::unique_ptr<gos::ObjectServer> elsewhere = make_gos(world.hosts[6]);
+  using Created = Result<std::pair<gls::ObjectId, gls::ContactAddress>>;
+  auto create_first = [&](gos::ObjectServer* gos, gls::ProtocolId protocol) {
+    Created created = Unavailable("pending");
+    gos->CreateFirstReplica(protocol, testutil::KvObject::kTypeId,
+                            [&](Created r) { created = std::move(r); });
+    simulator.Run();
+    EXPECT_TRUE(created.ok()) << created.status();
+    return created.ok() ? created->first : gls::ObjectId{};
+  };
+  auto join = [&](const gls::ObjectId& oid, gls::ReplicaRole role) {
+    Created created = Unavailable("pending");
+    hosting->CreateReplica(oid, testutil::KvObject::kTypeId, role,
+                           [&](Created r) { created = std::move(r); });
+    simulator.Run();
+    EXPECT_TRUE(created.ok()) << created.status();
+  };
+  gls::ObjectId master = create_first(hosting.get(), dso::kProtoMasterSlave);
+  join(create_first(elsewhere.get(), dso::kProtoMasterSlave), gls::ReplicaRole::kSlave);
+  join(create_first(elsewhere.get(), dso::kProtoCacheInval), gls::ReplicaRole::kCache);
+  // A write, so the telemetry trailer carries an entry.
+  hosting->FindReplica(master)->Invoke(testutil::KvPut("k", "v"), [](Result<Bytes>) {});
+  simulator.Run();
+  ASSERT_EQ(hosting->num_replicas(), 3u);
+
+  Bytes checkpoint = hosting->Checkpoint();
+  ByteWriter trailer;
+  hosting->metrics()->Serialize(&trailer);
+  size_t trailer_start = checkpoint.size() - trailer.size();
+  hosting.reset();
+  auto inserts_sent = [&] {
+    uint64_t inserts = 0;
+    for (const auto& subnode : deployment.subnodes()) {
+      inserts += subnode->stats().insert_requests;
+    }
+    return inserts;
+  };
+
+  for (size_t length = 0; length < checkpoint.size(); ++length) {
+    std::unique_ptr<gos::ObjectServer> restored = make_gos(world.hosts[0]);
+    uint64_t inserts_before = inserts_sent();
+    Status status = Unavailable("pending");
+    restored->Restore(ByteSpan(checkpoint.data(), length), [&](Status s) { status = s; });
+    simulator.Run();
+    if (length == trailer_start) {
+      EXPECT_TRUE(status.ok()) << status;
+      EXPECT_EQ(restored->num_replicas(), 3u);
+      continue;
+    }
+    EXPECT_FALSE(status.ok()) << "prefix of " << length << " bytes restored";
+    EXPECT_EQ(restored->num_replicas(), 0u) << "prefix of " << length << " bytes";
+    EXPECT_EQ(inserts_sent(), inserts_before) << "prefix of " << length << " bytes";
+  }
+}
 
 // ---------------------------------------------------------------- GLS vs reference
 

@@ -822,37 +822,6 @@ TEST_F(RpcTest, ServiceTimeQueuesRequestsFifo) {
   }
 }
 
-TEST_F(RpcTest, WorkerPoolWidthDrainsTheQueueConcurrently) {
-  // Same FIFO queue, two virtual CPUs: four near-simultaneous requests drain
-  // pairwise — two complete after one service time, two after two — instead of
-  // the single-CPU four-deep serial queue.
-  RpcServer server(&transport_, world_.hosts[0], 700);
-  server.set_service_time(10 * kMillisecond);
-  server.set_worker_pool_width(2);
-  EXPECT_EQ(server.worker_pool_width(), 2u);
-  server.RegisterMethod("work", [](const RpcContext&, ByteSpan) -> Result<Bytes> {
-    return Bytes{};
-  });
-
-  Channel client(&transport_, world_.hosts[1]);
-  std::vector<SimTime> completions;
-  for (int i = 0; i < 4; ++i) {
-    client.Call(server.endpoint(), "work", {},
-                [&](Result<PayloadView> result) {
-                  ASSERT_TRUE(result.ok());
-                  completions.push_back(simulator_.Now());
-                });
-  }
-  simulator_.Run();
-  ASSERT_EQ(completions.size(), 4u);
-  // Pairwise batches: requests 0/1 finish together, 2/3 one service time later.
-  EXPECT_EQ(completions[0], completions[1]);
-  EXPECT_EQ(completions[2], completions[3]);
-  EXPECT_EQ(completions[2] - completions[0], 10 * kMillisecond);
-  // The whole burst cost two service times of queueing, not four.
-  EXPECT_LT(completions.back() - completions.front(), 4 * 10 * kMillisecond);
-}
-
 TEST_F(RpcTest, AsyncHandlerCanRespondLater) {
   RpcServer server(&transport_, world_.hosts[0], 700);
   server.RegisterAsyncMethod(
