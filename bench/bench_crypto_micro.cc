@@ -57,8 +57,8 @@ void BM_SerializeInvocation(benchmark::State& state) {
   Bytes content = rng.RandomBytes(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     dso::Invocation invocation = gdn::pkg::AddFile("bin/tool", content);
-    Bytes wire = invocation.Serialize();
-    benchmark::DoNotOptimize(wire);
+    Bytes encoded = wire::Encode(invocation);
+    benchmark::DoNotOptimize(encoded);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
@@ -67,9 +67,9 @@ BENCHMARK(BM_SerializeInvocation)->Arg(1024)->Arg(65536);
 void BM_DeserializeInvocation(benchmark::State& state) {
   Rng rng(5);
   Bytes content = rng.RandomBytes(static_cast<size_t>(state.range(0)));
-  Bytes wire = gdn::pkg::AddFile("bin/tool", content).Serialize();
+  Bytes encoded = wire::Encode(gdn::pkg::AddFile("bin/tool", content));
   for (auto _ : state) {
-    auto invocation = dso::Invocation::Deserialize(wire);
+    auto invocation = wire::Decode<dso::Invocation>(encoded);
     benchmark::DoNotOptimize(invocation);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));

@@ -47,11 +47,10 @@ std::vector<AttackOutcome> RunAttacks(gdn::GdnWorld& world) {
   // R1: unauthorized GOS command.
   {
     sim::Channel rpc(world.transport(), attacker);
-    ByteWriter w;
-    w.WriteU16(dso::kProtoClientServer);
-    w.WriteU16(gdn::kPackageTypeId);
     Status status = Unavailable("no answer");
-    rpc.Call(world.GosOf(0)->endpoint(), "gos.create_first_replica", w.Take(),
+    rpc.Call(world.GosOf(0)->endpoint(), "gos.create_first_replica",
+             wire::Encode(gos::CreateFirstReplicaRequest{dso::kProtoClientServer,
+                                                         gdn::kPackageTypeId, {}}),
              [&](Result<sim::PayloadView> r) { status = r.ok() ? OkStatus() : r.status(); });
     world.Run();
     outcomes[0] = {!status.ok(), status.ToString()};
@@ -115,7 +114,7 @@ std::vector<AttackOutcome> RunAttacks(gdn::GdnWorld& world) {
     dns::TsigSign(&update, ToBytes("guessed-key"));
     sim::Channel rpc(world.transport(), attacker);
     Status status = Unavailable("no answer");
-    rpc.Call(world.dns_primary()->endpoint(), "dns.update", update.Serialize(),
+    rpc.Call(world.dns_primary()->endpoint(), "dns.update", wire::Encode(update),
              [&](Result<sim::PayloadView> r) { status = r.ok() ? OkStatus() : r.status(); });
     world.Run();
     outcomes[4] = {!status.ok(), status.ToString()};

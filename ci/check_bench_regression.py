@@ -82,6 +82,11 @@ GUARDED_COLUMNS = {
     # deployment (the zero origin messages of the replicated deployment must
     # stay zero).
     "BENCH_gdn_download.json": ["mean latency", "wan bytes", "origin msgs"],
+    # Security overhead (paper 6.3): the 1 MB download's first and repeat
+    # latency per channel mode, and the bytes each mode puts on the wire. All
+    # three are virtual-time or byte counts, so a secure-path change that adds
+    # a frame, a handshake round trip or a byte shows up here.
+    "BENCH_security_overhead.json": ["first dl", "repeat dl", "wire bytes"],
 }
 EXCLUDED_COLUMN_MARKERS = ["saved"]
 # Columns where larger values are improvements: the threshold bounds shrinkage

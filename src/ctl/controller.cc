@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/util/log.h"
+#include "src/util/wire.h"
 
 namespace globe::ctl {
 
@@ -279,7 +280,7 @@ void ReplicationController::EvaluateNow() {
 void ReplicationController::Serialize(ByteWriter* w) const {
   w->WriteVarint(objects_.size());
   for (const auto& [oid, tracked] : objects_) {
-    oid.Serialize(w);
+    wire::Put(w, oid);
     w->WriteU16(tracked.protocol);
     w->WriteU64(tracked.last_migration);
     w->WriteU64(tracked.migrations);
@@ -292,7 +293,7 @@ Status ReplicationController::Restore(ByteReader* r) {
   std::map<gls::ObjectId, TrackedObject> objects;
   ASSIGN_OR_RETURN(uint64_t count, r->ReadVarint());
   for (uint64_t i = 0; i < count; ++i) {
-    ASSIGN_OR_RETURN(gls::ObjectId oid, gls::ObjectId::Deserialize(r));
+    ASSIGN_OR_RETURN(gls::ObjectId oid, wire::Read<gls::ObjectId>(r));
     TrackedObject tracked;
     ASSIGN_OR_RETURN(tracked.protocol, r->ReadU16());
     ASSIGN_OR_RETURN(tracked.last_migration, r->ReadU64());

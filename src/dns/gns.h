@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/dns/resolver.h"
@@ -47,36 +48,15 @@ struct GnsAddRequest {
   std::string globe_name;
   std::string oid_hex;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteString(globe_name);
-    w.WriteString(oid_hex);
-    return w.Take();
-  }
-  static Result<GnsAddRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    GnsAddRequest request;
-    ASSIGN_OR_RETURN(request.globe_name, r.ReadString());
-    ASSIGN_OR_RETURN(request.oid_hex, r.ReadString());
-    return request;
-  }
+  static constexpr auto kWireFields =
+      std::tuple(&GnsAddRequest::globe_name, &GnsAddRequest::oid_hex);
 };
 
 // gns.remove wire format.
 struct GnsRemoveRequest {
   std::string globe_name;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteString(globe_name);
-    return w.Take();
-  }
-  static Result<GnsRemoveRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    GnsRemoveRequest request;
-    ASSIGN_OR_RETURN(request.globe_name, r.ReadString());
-    return request;
-  }
+  static constexpr auto kWireFields = std::tuple(&GnsRemoveRequest::globe_name);
 };
 
 // Name mutations queue zone updates at the authority; a duplicate delivery must

@@ -1,6 +1,7 @@
 #include "src/dns/message.h"
 
 #include "src/util/hmac.h"
+#include "src/util/wire.h"
 
 namespace globe::dns {
 
@@ -22,97 +23,10 @@ std::string_view RcodeName(Rcode rcode) {
   return "?";
 }
 
-Bytes QueryRequest::Serialize() const {
-  ByteWriter w;
-  w.WriteString(question.name);
-  w.WriteU16(static_cast<uint16_t>(question.type));
-  return w.Take();
-}
-
-Result<QueryRequest> QueryRequest::Deserialize(ByteSpan data) {
-  ByteReader r(data);
-  QueryRequest request;
-  ASSIGN_OR_RETURN(request.question.name, r.ReadString());
-  ASSIGN_OR_RETURN(uint16_t type, r.ReadU16());
-  request.question.type = static_cast<RrType>(type);
-  return request;
-}
-
-Bytes QueryResponse::Serialize() const {
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(rcode));
-  w.WriteBool(authoritative);
-  w.WriteBool(from_cache);
-  SerializeRecords(answers, &w);
-  w.WriteU32(negative_ttl);
-  return w.Take();
-}
-
-Result<QueryResponse> QueryResponse::Deserialize(ByteSpan data) {
-  ByteReader r(data);
-  QueryResponse response;
-  ASSIGN_OR_RETURN(uint8_t rcode, r.ReadU8());
-  response.rcode = static_cast<Rcode>(rcode);
-  ASSIGN_OR_RETURN(response.authoritative, r.ReadBool());
-  ASSIGN_OR_RETURN(response.from_cache, r.ReadBool());
-  ASSIGN_OR_RETURN(response.answers, DeserializeRecords(&r));
-  ASSIGN_OR_RETURN(response.negative_ttl, r.ReadU32());
-  return response;
-}
-
-namespace {
-void WriteUpdateBody(const UpdateRequest& update, ByteWriter* w) {
-  w->WriteString(update.zone);
-  SerializeRecords(update.additions, w);
-  w->WriteVarint(update.deletions.size());
-  for (const auto& deletion : update.deletions) {
-    w->WriteString(deletion.name);
-    w->WriteU16(static_cast<uint16_t>(deletion.type));
-    w->WriteBool(deletion.whole_name);
-  }
-  w->WriteString(update.key_name);
-  w->WriteU64(update.sequence);
-}
-}  // namespace
-
 Bytes UpdateRequest::SignedPortion() const {
   ByteWriter w;
-  WriteUpdateBody(*this, &w);
+  wire::PutFields(&w, *this, kSignedFields);
   return w.Take();
-}
-
-Bytes UpdateRequest::Serialize() const {
-  ByteWriter w;
-  WriteUpdateBody(*this, &w);
-  w.WriteLengthPrefixed(mac);
-  return w.Take();
-}
-
-Result<UpdateRequest> UpdateRequest::Deserialize(ByteSpan data) {
-  ByteReader r(data);
-  UpdateRequest update;
-  ASSIGN_OR_RETURN(update.zone, r.ReadString());
-  ASSIGN_OR_RETURN(update.additions, DeserializeRecords(&r));
-  ASSIGN_OR_RETURN(uint64_t num_deletions, r.ReadVarint());
-  if (num_deletions > 100000) {
-    return InvalidArgument("implausible deletion count");
-  }
-  update.deletions.reserve(num_deletions);
-  for (uint64_t i = 0; i < num_deletions; ++i) {
-    UpdateRequest::Deletion deletion;
-    ASSIGN_OR_RETURN(deletion.name, r.ReadString());
-    ASSIGN_OR_RETURN(uint16_t type, r.ReadU16());
-    deletion.type = static_cast<RrType>(type);
-    ASSIGN_OR_RETURN(deletion.whole_name, r.ReadBool());
-    update.deletions.push_back(std::move(deletion));
-  }
-  ASSIGN_OR_RETURN(update.key_name, r.ReadString());
-  ASSIGN_OR_RETURN(update.sequence, r.ReadU64());
-  // The MAC is held for TSIG verification after the wire buffer is gone:
-  // ownership boundary, copied explicitly.
-  ASSIGN_OR_RETURN(ByteSpan mac, r.ReadLengthPrefixedView());
-  update.mac = ToBytes(mac);
-  return update;
 }
 
 void TsigSign(UpdateRequest* update, ByteSpan key) {
@@ -125,33 +39,8 @@ bool TsigVerify(const UpdateRequest& update, ByteSpan key) {
 
 Bytes ZoneTransfer::SignedPortion() const {
   ByteWriter w;
-  w.WriteLengthPrefixed(zone_bytes);
-  w.WriteString(key_name);
-  w.WriteU64(sequence);
+  wire::PutFields(&w, *this, kSignedFields);
   return w.Take();
-}
-
-Bytes ZoneTransfer::Serialize() const {
-  ByteWriter w;
-  w.WriteLengthPrefixed(zone_bytes);
-  w.WriteString(key_name);
-  w.WriteU64(sequence);
-  w.WriteLengthPrefixed(mac);
-  return w.Take();
-}
-
-Result<ZoneTransfer> ZoneTransfer::Deserialize(ByteSpan data) {
-  ByteReader r(data);
-  ZoneTransfer transfer;
-  // Both fields outlive the wire buffer (the zone is installed, the MAC
-  // verified later): ownership boundaries, copied explicitly.
-  ASSIGN_OR_RETURN(ByteSpan zone_bytes, r.ReadLengthPrefixedView());
-  transfer.zone_bytes = ToBytes(zone_bytes);
-  ASSIGN_OR_RETURN(transfer.key_name, r.ReadString());
-  ASSIGN_OR_RETURN(transfer.sequence, r.ReadU64());
-  ASSIGN_OR_RETURN(ByteSpan mac, r.ReadLengthPrefixedView());
-  transfer.mac = ToBytes(mac);
-  return transfer;
 }
 
 void TsigSign(ZoneTransfer* transfer, ByteSpan key) {

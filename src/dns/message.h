@@ -9,6 +9,7 @@
 #define SRC_DNS_MESSAGE_H_
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/dns/record.h"
@@ -32,13 +33,14 @@ std::string_view RcodeName(Rcode rcode);
 struct Question {
   std::string name;
   RrType type = RrType::kTxt;
+
+  static constexpr auto kWireFields = std::tuple(&Question::name, &Question::type);
 };
 
 struct QueryRequest {
   Question question;
 
-  Bytes Serialize() const;
-  static Result<QueryRequest> Deserialize(ByteSpan data);
+  static constexpr auto kWireFields = std::tuple(&QueryRequest::question);
 };
 
 struct QueryResponse {
@@ -50,8 +52,10 @@ struct QueryResponse {
   // (the zone's SOA minimum, RFC 2308).
   uint32_t negative_ttl = 0;
 
-  Bytes Serialize() const;
-  static Result<QueryResponse> Deserialize(ByteSpan data);
+  static constexpr auto kWireFields =
+      std::tuple(&QueryResponse::rcode, &QueryResponse::authoritative,
+                 &QueryResponse::from_cache, &QueryResponse::answers,
+                 &QueryResponse::negative_ttl);
 };
 
 struct UpdateRequest {
@@ -61,6 +65,9 @@ struct UpdateRequest {
     bool whole_name = false;  // delete all RRs at the name, regardless of type
 
     bool operator==(const Deletion&) const = default;
+
+    static constexpr auto kWireFields =
+        std::tuple(&Deletion::name, &Deletion::type, &Deletion::whole_name);
   };
 
   std::string zone;
@@ -73,11 +80,15 @@ struct UpdateRequest {
   uint64_t sequence = 0;
   Bytes mac;
 
-  // Bytes covered by the TSIG MAC (everything but the MAC itself).
-  Bytes SignedPortion() const;
+  // The TSIG MAC covers the encoding of every field but the MAC itself.
+  static constexpr auto kSignedFields =
+      std::tuple(&UpdateRequest::zone, &UpdateRequest::additions,
+                 &UpdateRequest::deletions, &UpdateRequest::key_name,
+                 &UpdateRequest::sequence);
+  static constexpr auto kWireFields =
+      std::tuple_cat(kSignedFields, std::tuple(&UpdateRequest::mac));
 
-  Bytes Serialize() const;
-  static Result<UpdateRequest> Deserialize(ByteSpan data);
+  Bytes SignedPortion() const;
 };
 
 // Computes and attaches the TSIG MAC.
@@ -95,9 +106,12 @@ struct ZoneTransfer {
   uint64_t sequence = 0;
   Bytes mac;
 
+  static constexpr auto kSignedFields = std::tuple(
+      &ZoneTransfer::zone_bytes, &ZoneTransfer::key_name, &ZoneTransfer::sequence);
+  static constexpr auto kWireFields =
+      std::tuple_cat(kSignedFields, std::tuple(&ZoneTransfer::mac));
+
   Bytes SignedPortion() const;
-  Bytes Serialize() const;
-  static Result<ZoneTransfer> Deserialize(ByteSpan data);
 };
 
 void TsigSign(ZoneTransfer* transfer, ByteSpan key);

@@ -18,42 +18,4 @@ std::string_view RrTypeName(RrType type) {
   return "?";
 }
 
-void ResourceRecord::Serialize(ByteWriter* writer) const {
-  writer->WriteString(name);
-  writer->WriteU16(static_cast<uint16_t>(type));
-  writer->WriteU32(ttl);
-  writer->WriteString(data);
-}
-
-Result<ResourceRecord> ResourceRecord::Deserialize(ByteReader* reader) {
-  ResourceRecord record;
-  ASSIGN_OR_RETURN(record.name, reader->ReadString());
-  ASSIGN_OR_RETURN(uint16_t type, reader->ReadU16());
-  record.type = static_cast<RrType>(type);
-  ASSIGN_OR_RETURN(record.ttl, reader->ReadU32());
-  ASSIGN_OR_RETURN(record.data, reader->ReadString());
-  return record;
-}
-
-void SerializeRecords(const std::vector<ResourceRecord>& records, ByteWriter* writer) {
-  writer->WriteVarint(records.size());
-  for (const auto& record : records) {
-    record.Serialize(writer);
-  }
-}
-
-Result<std::vector<ResourceRecord>> DeserializeRecords(ByteReader* reader) {
-  ASSIGN_OR_RETURN(uint64_t count, reader->ReadVarint());
-  if (count > 100000) {
-    return InvalidArgument("implausible record count");
-  }
-  std::vector<ResourceRecord> records;
-  records.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ASSIGN_OR_RETURN(ResourceRecord record, ResourceRecord::Deserialize(reader));
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
 }  // namespace globe::dns

@@ -9,10 +9,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "src/util/serial.h"
-#include "src/util/status.h"
+#include <string_view>
+#include <tuple>
 
 namespace globe::dns {
 
@@ -34,12 +32,10 @@ struct ResourceRecord {
 
   bool operator==(const ResourceRecord&) const = default;
 
-  void Serialize(ByteWriter* writer) const;
-  static Result<ResourceRecord> Deserialize(ByteReader* reader);
+  static constexpr auto kWireFields =
+      std::tuple(&ResourceRecord::name, &ResourceRecord::type, &ResourceRecord::ttl,
+                 &ResourceRecord::data);
 };
-
-void SerializeRecords(const std::vector<ResourceRecord>& records, ByteWriter* writer);
-Result<std::vector<ResourceRecord>> DeserializeRecords(ByteReader* reader);
 
 }  // namespace globe::dns
 

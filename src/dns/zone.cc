@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/dns/name.h"
+#include "src/util/wire.h"
 
 namespace globe::dns {
 
@@ -96,7 +97,7 @@ void Zone::Serialize(ByteWriter* writer) const {
   writer->WriteString(origin_);
   writer->WriteU32(soa_minimum_ttl_);
   writer->WriteU32(serial_);
-  SerializeRecords(AllRecords(), writer);
+  wire::Put(writer, AllRecords());
 }
 
 Result<Zone> Zone::Deserialize(ByteSpan data) {
@@ -104,7 +105,8 @@ Result<Zone> Zone::Deserialize(ByteSpan data) {
   ASSIGN_OR_RETURN(std::string origin, reader.ReadString());
   ASSIGN_OR_RETURN(uint32_t soa_minimum, reader.ReadU32());
   ASSIGN_OR_RETURN(uint32_t serial, reader.ReadU32());
-  ASSIGN_OR_RETURN(std::vector<ResourceRecord> records, DeserializeRecords(&reader));
+  ASSIGN_OR_RETURN(std::vector<ResourceRecord> records,
+                   wire::Read<std::vector<ResourceRecord>>(&reader));
   Zone zone(std::move(origin), soa_minimum);
   for (auto& record : records) {
     RETURN_IF_ERROR(zone.Add(std::move(record)));

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/dns/record.h"
+#include "src/util/serial.h"
 #include "src/util/status.h"
 
 namespace globe::dns {

@@ -8,37 +8,6 @@ namespace globe::dso {
 
 namespace {
 
-struct ApplyMessage {
-  uint64_t version = 0;
-  uint64_t epoch = 0;
-  // Commit floor at send time (see VersionedState::committed): members execute
-  // buffered writes only up to the floor; this write itself executes when a
-  // later message's floor reaches it.
-  uint64_t committed = 0;
-  Invocation invocation;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU64(version);
-    w.WriteU64(epoch);
-    w.WriteU64(committed);
-    w.WriteLengthPrefixed(invocation.Serialize());
-    return w.Take();
-  }
-  static Result<ApplyMessage> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    ApplyMessage msg;
-    ASSIGN_OR_RETURN(msg.version, r.ReadU64());
-    ASSIGN_OR_RETURN(msg.epoch, r.ReadU64());
-    ASSIGN_OR_RETURN(msg.committed, r.ReadU64());
-    // Decode the nested invocation straight out of the outer frame; only the
-    // Invocation's own fields copy (it owns them past the parse).
-    ASSIGN_OR_RETURN(ByteSpan inv, r.ReadLengthPrefixedView());
-    ASSIGN_OR_RETURN(msg.invocation, Invocation::Deserialize(inv));
-    return msg;
-  }
-};
-
 const sim::TypedMethod<EndpointMessage, VersionedState> kArRegister{"ar.register"};
 const sim::TypedMethod<EndpointMessage, sim::EmptyMessage> kArUnregister{
     "ar.unregister"};
@@ -75,11 +44,11 @@ ActiveReplMember::ActiveReplMember(sim::Transport* transport, sim::NodeId host,
                  [this](const sim::RpcContext& ctx,
                         const ApplyMessage& msg) -> Result<PushAck> {
                    ASSIGN_OR_RETURN(PushAck ack, AdmitPush(ctx, msg.epoch));
-                   if (ack.accepted == 0) {
+                   if (!ack.accepted) {
                      return ack;  // deposed sequencer: refuse the apply
                    }
                    group_.RecordCommit(msg.committed);
-                   RETURN_IF_ERROR(ApplyOrdered(msg.version, msg.invocation));
+                   RETURN_IF_ERROR(ApplyOrdered(msg.version, msg.invocation.value));
                    ack.durable_version = DurableVersion();
                    return ack;
                  });
@@ -90,7 +59,7 @@ void ActiveReplMember::FanOutWrite(const Invocation& write, uint64_t committed,
                                    std::function<void(const FanOutResult&)> done) {
   // Retries on loss (ApplyOrdered is version-guarded, so duplicates are
   // no-ops); unreachable members are dropped and re-register for a snapshot.
-  group_.FanOut(kArApply, ApplyMessage{version_, group_.epoch(), committed, write},
+  group_.FanOut(kArApply, ApplyMessage{version_, group_.epoch(), committed, {write}},
                 kFanOutDeadline, /*drop_unreachable=*/true, commit_point,
                 std::move(done));
 }

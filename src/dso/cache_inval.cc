@@ -61,7 +61,7 @@ CacheInvalCache::CacheInvalCache(sim::Transport* transport, sim::NodeId host,
                  [this](const sim::RpcContext& ctx,
                         const VersionMessage& msg) -> Result<PushAck> {
                    ASSIGN_OR_RETURN(PushAck ack, AdmitPush(ctx, msg.epoch));
-                   if (ack.accepted == 0) {
+                   if (!ack.accepted) {
                      return ack;  // stale-epoch master: keep our copy
                    }
                    invalidated_ = std::max(invalidated_, msg.version);

@@ -10,9 +10,9 @@
 #define SRC_DSO_INVOCATION_H_
 
 #include <string>
+#include <tuple>
 
-#include "src/util/serial.h"
-#include "src/util/status.h"
+#include "src/util/bytes.h"
 
 namespace globe::dso {
 
@@ -21,8 +21,8 @@ struct Invocation {
   Bytes args;
   bool read_only = false;
 
-  Bytes Serialize() const;
-  static Result<Invocation> Deserialize(ByteSpan data);
+  static constexpr auto kWireFields =
+      std::tuple(&Invocation::method, &Invocation::args, &Invocation::read_only);
 };
 
 }  // namespace globe::dso

@@ -30,7 +30,7 @@ MasterSlaveReplica::MasterSlaveReplica(sim::Transport* transport, sim::NodeId ho
       [this](const sim::RpcContext& ctx,
              const VersionedState& push) -> Result<PushAck> {
         ASSIGN_OR_RETURN(PushAck ack, AdmitPush(ctx, push.epoch));
-        if (ack.accepted == 0) {
+        if (!ack.accepted) {
           return ack;  // stale master: refuse, report our epoch
         }
         // The push carries the commit floor: settle anything it has reached.

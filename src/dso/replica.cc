@@ -85,7 +85,7 @@ Replica::Replica(sim::Transport* transport, sim::NodeId host,
                      RETURN_IF_ERROR(write_guard_(ctx));
                    }
                    PushAck ack = group_.FenceIncoming(lease.epoch);
-                   if (ack.accepted != 0 && !group_.is_master()) {
+                   if (ack.accepted && !group_.is_master()) {
                      // A newer primary may have introduced itself before our
                      // watch fired (we are in its member list, or we would
                      // not get leases).
@@ -174,10 +174,10 @@ Result<PushAck> Replica::AdmitPush(const sim::RpcContext& ctx, uint64_t epoch) {
     RETURN_IF_ERROR(write_guard_(ctx));
   }
   PushAck ack = group_.FenceIncoming(epoch);
-  if (ack.accepted != 0 && group_.is_master()) {
+  if (ack.accepted && group_.is_master()) {
     // Two primaries under one epoch should not exist; refuse rather than let a
     // peer overwrite the authoritative copy.
-    return PushAck{0, group_.epoch()};
+    return PushAck{false, group_.epoch()};
   }
   return ack;
 }

@@ -64,11 +64,11 @@ ReplicaGroup::ReplicaGroup(CommunicationObject* comm, GroupRole role)
                   [this](const sim::RpcContext&,
                          const VersionMessage& msg) -> Result<PushAck> {
                     if (retired_) {
-                      return PushAck{1, epoch_};
+                      return PushAck{true, epoch_};
                     }
                     if (msg.epoch <= epoch_) {
                       ++stats_.stale_rejected;
-                      return PushAck{0, epoch_};
+                      return PushAck{false, epoch_};
                     }
                     GLOG_INFO << "replica " << sim::ToString(comm_->endpoint())
                               << " retired (object migrated, epoch "
@@ -76,7 +76,7 @@ ReplicaGroup::ReplicaGroup(CommunicationObject* comm, GroupRole role)
                     retired_ = true;
                     epoch_ = msg.epoch;
                     CancelTimer();
-                    return PushAck{1, epoch_};
+                    return PushAck{true, epoch_};
                   });
 }
 
@@ -137,7 +137,7 @@ void ReplicaGroup::Evict(const sim::Endpoint& peer) {
 PushAck ReplicaGroup::FenceIncoming(uint64_t remote_epoch) {
   if (remote_epoch < epoch_) {
     ++stats_.stale_rejected;
-    return PushAck{0, epoch_};
+    return PushAck{false, epoch_};
   }
   if (remote_epoch > epoch_) {
     if (is_master()) {
@@ -147,12 +147,12 @@ PushAck ReplicaGroup::FenceIncoming(uint64_t remote_epoch) {
       // resolve the true ownership through the arbiter.
       ++stats_.stale_rejected;
       OnFencedSelf(remote_epoch);
-      return PushAck{0, epoch_};
+      return PushAck{false, epoch_};
     }
     epoch_ = remote_epoch;
   }
   RecordLease();
-  return PushAck{1, epoch_};
+  return PushAck{true, epoch_};
 }
 
 void ReplicaGroup::RecordLease() { last_renewal_ = comm_->clock()->Now(); }

@@ -277,7 +277,7 @@ class ReplicaGroup {
                         ++stats_.members_dropped;
                         if (quorum_enabled()) Evict(peer);
                       }
-                    } else if (ack->accepted == 0) {
+                    } else if (!ack->accepted) {
                       round->result.fenced = true;
                       round->result.fence_epoch =
                           std::max(round->result.fence_epoch, ack->epoch);

@@ -1,14 +1,15 @@
-// Small wire-format helpers shared by the replication protocols, plus the typed
+// The wire messages the replication protocols exchange, plus the typed
 // descriptors of the peer methods every replica speaks.
 
 #ifndef SRC_DSO_WIRE_H_
 #define SRC_DSO_WIRE_H_
 
+#include <tuple>
+
 #include "src/dso/invocation.h"
 #include "src/sim/endpoint.h"
 #include "src/sim/rpc.h"
-#include "src/util/serial.h"
-#include "src/util/status.h"
+#include "src/util/wire.h"
 
 namespace globe::dso {
 
@@ -29,55 +30,16 @@ struct VersionedState {
   uint64_t committed = 0;
   Bytes state;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU64(version);
-    w.WriteU64(epoch);
-    w.WriteU64(committed);
-    w.WriteLengthPrefixed(state);
-    return w.Take();
-  }
-  static Result<VersionedState> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    VersionedState vs;
-    ASSIGN_OR_RETURN(vs.version, r.ReadU64());
-    ASSIGN_OR_RETURN(vs.epoch, r.ReadU64());
-    ASSIGN_OR_RETURN(vs.committed, r.ReadU64());
-    // The snapshot outlives the wire buffer (it becomes the replica's state):
-    // a true ownership boundary, copied explicitly.
-    ASSIGN_OR_RETURN(ByteSpan state, r.ReadLengthPrefixedView());
-    vs.state = ToBytes(state);
-    return vs;
-  }
+  static constexpr auto kWireFields =
+      std::tuple(&VersionedState::version, &VersionedState::epoch,
+                 &VersionedState::committed, &VersionedState::state);
 };
-
-inline void SerializeEndpoint(const sim::Endpoint& ep, ByteWriter* w) {
-  w->WriteU32(ep.node);
-  w->WriteU16(ep.port);
-}
-
-inline Result<sim::Endpoint> DeserializeEndpoint(ByteReader* r) {
-  sim::Endpoint ep;
-  ASSIGN_OR_RETURN(ep.node, r->ReadU32());
-  ASSIGN_OR_RETURN(ep.port, r->ReadU16());
-  return ep;
-}
 
 // A bare peer endpoint (registration and master-discovery messages).
 struct EndpointMessage {
   sim::Endpoint endpoint;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    SerializeEndpoint(endpoint, &w);
-    return w.Take();
-  }
-  static Result<EndpointMessage> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    EndpointMessage message;
-    ASSIGN_OR_RETURN(message.endpoint, DeserializeEndpoint(&r));
-    return message;
-  }
+  static constexpr auto kWireFields = std::tuple(&EndpointMessage::endpoint);
 };
 
 // A bare write version plus the sender's epoch (invalidations, registration
@@ -86,19 +48,8 @@ struct VersionMessage {
   uint64_t version = 0;
   uint64_t epoch = 0;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU64(version);
-    w.WriteU64(epoch);
-    return w.Take();
-  }
-  static Result<VersionMessage> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    VersionMessage message;
-    ASSIGN_OR_RETURN(message.version, r.ReadU64());
-    ASSIGN_OR_RETURN(message.epoch, r.ReadU64());
-    return message;
-  }
+  static constexpr auto kWireFields =
+      std::tuple(&VersionMessage::version, &VersionMessage::epoch);
 };
 
 // Outcome of one replica-to-replica push (state push, ordered apply,
@@ -114,25 +65,12 @@ struct VersionMessage {
 // accepted the message but could not retain the write (e.g. an active replica
 // with a gap below it) is an answer, not a vote.
 struct PushAck {
-  uint8_t accepted = 1;
+  bool accepted = true;
   uint64_t epoch = 0;
   uint64_t durable_version = 0;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU8(accepted);
-    w.WriteU64(epoch);
-    w.WriteU64(durable_version);
-    return w.Take();
-  }
-  static Result<PushAck> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    PushAck ack;
-    ASSIGN_OR_RETURN(ack.accepted, r.ReadU8());
-    ASSIGN_OR_RETURN(ack.epoch, r.ReadU64());
-    ASSIGN_OR_RETURN(ack.durable_version, r.ReadU64());
-    return ack;
-  }
+  static constexpr auto kWireFields =
+      std::tuple(&PushAck::accepted, &PushAck::epoch, &PushAck::durable_version);
 };
 
 // Master -> members lease renewal (fail-over: a member that misses renewals
@@ -145,23 +83,26 @@ struct LeaseMessage {
   uint64_t committed = 0;
   sim::Endpoint master;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU64(epoch);
-    w.WriteU64(version);
-    w.WriteU64(committed);
-    SerializeEndpoint(master, &w);
-    return w.Take();
-  }
-  static Result<LeaseMessage> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    LeaseMessage message;
-    ASSIGN_OR_RETURN(message.epoch, r.ReadU64());
-    ASSIGN_OR_RETURN(message.version, r.ReadU64());
-    ASSIGN_OR_RETURN(message.committed, r.ReadU64());
-    ASSIGN_OR_RETURN(message.master, DeserializeEndpoint(&r));
-    return message;
-  }
+  static constexpr auto kWireFields =
+      std::tuple(&LeaseMessage::epoch, &LeaseMessage::version,
+                 &LeaseMessage::committed, &LeaseMessage::master);
+};
+
+// Sequencer -> members (active replication): one ordered write. The
+// invocation rides length-prefixed, and a malformed one fails the decode, so
+// it is refused before the push is admitted.
+struct ApplyMessage {
+  uint64_t version = 0;
+  uint64_t epoch = 0;
+  // Commit floor at send time (see VersionedState::committed): members execute
+  // buffered writes only up to the floor; this write itself executes when a
+  // later message's floor reaches it.
+  uint64_t committed = 0;
+  wire::Nested<Invocation> invocation;
+
+  static constexpr auto kWireFields =
+      std::tuple(&ApplyMessage::version, &ApplyMessage::epoch,
+                 &ApplyMessage::committed, &ApplyMessage::invocation);
 };
 
 // The protocol-agnostic peer methods: every replica of every protocol answers

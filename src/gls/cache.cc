@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/wire.h"
+
 namespace globe::gls {
 
 const LookupCache::Entry* LookupCache::Get(const ObjectId& oid, sim::SimTime now) {
@@ -121,40 +123,20 @@ void LookupCache::PruneQuarantine(sim::SimTime now) {
 void LookupCache::Serialize(ByteWriter* writer) const {
   writer->WriteVarint(entries_.size());
   for (const auto& [oid, entry] : entries_) {
-    oid.Serialize(writer);
-    writer->WriteVarint(entry.addresses.size());
-    for (const auto& address : entry.addresses) {
-      address.Serialize(writer);
-    }
-    writer->WriteU32(static_cast<uint32_t>(entry.found_depth));
-    writer->WriteU64(entry.expires_at);
-    writer->WriteU8(entry.negative);
+    wire::Put(writer, oid);
+    wire::Put(writer, entry);
   }
 }
 
 Status LookupCache::Restore(ByteReader* reader) {
-  // Bounded against corrupt input; a count merely exceeding the current capacity
-  // (e.g. the cache was reconfigured smaller across the reboot) is handled by
-  // truncation below — a droppable cache must never fail a subnode's recovery of
-  // its authoritative state.
-  constexpr uint64_t kMaxRestoredEntries = 100000;
+  // The codec bounds the count against corrupt input; a count merely exceeding
+  // the current capacity (e.g. the cache was reconfigured smaller across the
+  // reboot) is handled by truncation below — a droppable cache must never fail
+  // a subnode's recovery of its authoritative state.
+  using Item = std::pair<ObjectId, Entry>;
+  ASSIGN_OR_RETURN(std::vector<Item> items, wire::Read<std::vector<Item>>(reader));
   std::map<ObjectId, Entry> entries;
-  ASSIGN_OR_RETURN(uint64_t count, reader->ReadVarint());
-  if (count > kMaxRestoredEntries) {
-    return InvalidArgument("implausible cached entry count");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(reader));
-    ASSIGN_OR_RETURN(uint64_t num_addresses, reader->ReadVarint());
-    Entry entry;
-    for (uint64_t j = 0; j < num_addresses; ++j) {
-      ASSIGN_OR_RETURN(ContactAddress address, ContactAddress::Deserialize(reader));
-      entry.addresses.push_back(address);
-    }
-    ASSIGN_OR_RETURN(uint32_t found_depth, reader->ReadU32());
-    entry.found_depth = static_cast<int32_t>(found_depth);
-    ASSIGN_OR_RETURN(entry.expires_at, reader->ReadU64());
-    ASSIGN_OR_RETURN(entry.negative, reader->ReadU8());
+  for (auto& [oid, entry] : items) {
     entries[oid] = std::move(entry);
   }
   // Rebuild the eviction queue in expiry order; when the checkpoint holds more

@@ -26,11 +26,13 @@
 
 #include <deque>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/gls/oid.h"
 #include "src/sim/clock.h"
+#include "src/util/serial.h"
 
 namespace globe::gls {
 
@@ -47,6 +49,9 @@ class LookupCache {
     // the latest when the negative entry expires (insert/install_ptr chains
     // invalidate the nodes they touch immediately).
     uint8_t negative = 0;
+
+    static constexpr auto kWireFields = std::tuple(
+        &Entry::addresses, &Entry::found_depth, &Entry::expires_at, &Entry::negative);
   };
 
   // Default TTL for negative entries: long enough to absorb a miss storm,

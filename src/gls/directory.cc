@@ -3,235 +3,9 @@
 #include <algorithm>
 
 #include "src/util/log.h"
+#include "src/util/wire.h"
 
 namespace globe::gls {
-
-namespace {
-
-// Caps for wire-decoded counts: malformed network input must never drive
-// unbounded allocation (paper §6.1 availability requirement).
-constexpr uint64_t kMaxWireAddresses = 100000;
-constexpr uint64_t kMaxWireBatchItems = 100000;
-
-struct AddressRequest {  // gls.scrub_address
-  ObjectId oid;
-  ContactAddress address;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    oid.Serialize(&w);
-    address.Serialize(&w);
-    return w.Take();
-  }
-  static Result<AddressRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    AddressRequest request;
-    ASSIGN_OR_RETURN(request.oid, ObjectId::Deserialize(&r));
-    ASSIGN_OR_RETURN(request.address, ContactAddress::Deserialize(&r));
-    return request;
-  }
-};
-
-// Encoded item sizes of the batch requests: an OID, and an OID plus a contact
-// address (u32 node, u16 port, u16 protocol, u8 role). A count that promises more
-// items than the payload holds is rejected before any item is decoded.
-constexpr size_t kOidItemBytes = ObjectId::kSize;
-constexpr size_t kAddressItemBytes = ObjectId::kSize + 9;
-
-struct BatchAddressRequest {  // gls.insert / gls.delete
-  std::vector<std::pair<ObjectId, ContactAddress>> items;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteVarint(items.size());
-    for (const auto& [oid, address] : items) {
-      oid.Serialize(&w);
-      address.Serialize(&w);
-    }
-    return w.Take();
-  }
-  static Result<BatchAddressRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    BatchAddressRequest request;
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    if (count > kMaxWireBatchItems || count > r.remaining() / kAddressItemBytes) {
-      return InvalidArgument("implausible address batch size");
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(&r));
-      ASSIGN_OR_RETURN(ContactAddress address, ContactAddress::Deserialize(&r));
-      request.items.emplace_back(oid, address);
-    }
-    return request;
-  }
-};
-
-struct PointerRequest {  // gls.remove_ptr / gls.inval_cache
-  ObjectId oid;
-  sim::DomainId child_domain = sim::kNoDomain;
-  // gls.inval_cache only: whether the receiving cache should quarantine the
-  // OID against immediate re-caching. Deregistration chains need it (a racing
-  // lookup could re-cache the address being removed); insert-driven chains
-  // must NOT set it, or the freshly registered nearer replica could not be
-  // cached until the quarantine lapsed. Rides as an optional trailer so
-  // pre-upgrade peers interoperate (absent = quarantine, the old behaviour).
-  uint8_t quarantine = 1;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    oid.Serialize(&w);
-    w.WriteU32(child_domain);
-    w.WriteU8(quarantine);
-    return w.Take();
-  }
-  static Result<PointerRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    PointerRequest request;
-    ASSIGN_OR_RETURN(request.oid, ObjectId::Deserialize(&r));
-    ASSIGN_OR_RETURN(request.child_domain, r.ReadU32());
-    if (!r.AtEnd()) {
-      ASSIGN_OR_RETURN(request.quarantine, r.ReadU8());
-    }
-    return request;
-  }
-};
-
-struct BatchPointerRequest {  // gls.install_ptr (one child domain, many OIDs)
-  sim::DomainId child_domain = sim::kNoDomain;
-  std::vector<ObjectId> oids;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU32(child_domain);
-    w.WriteVarint(oids.size());
-    for (const auto& oid : oids) {
-      oid.Serialize(&w);
-    }
-    return w.Take();
-  }
-  static Result<BatchPointerRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    BatchPointerRequest request;
-    ASSIGN_OR_RETURN(request.child_domain, r.ReadU32());
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    if (count > kMaxWireBatchItems || count > r.remaining() / kOidItemBytes) {
-      return InvalidArgument("implausible pointer batch size");
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(&r));
-      request.oids.push_back(oid);
-    }
-    return request;
-  }
-};
-
-struct OidMessage {  // gls.alloc_oid response
-  ObjectId oid;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    oid.Serialize(&w);
-    return w.Take();
-  }
-  static Result<OidMessage> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    OidMessage message;
-    ASSIGN_OR_RETURN(message.oid, ObjectId::Deserialize(&r));
-    return message;
-  }
-};
-
-}  // namespace
-
-// gls.lookup wire format; the apex default is effectively +infinity, min()'d with
-// the depths en route.
-struct LookupWireRequest {
-  ObjectId oid;
-  uint32_t hops = 0;
-  uint8_t phase = 0;  // DirectorySubnode::kPhaseUp / kPhaseDown
-  int32_t apex_depth = 1 << 20;
-  uint8_t allow_cached = 0;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    oid.Serialize(&w);
-    w.WriteU32(hops);
-    w.WriteU8(phase);
-    w.WriteU32(static_cast<uint32_t>(apex_depth));
-    w.WriteU8(allow_cached);
-    return w.Take();
-  }
-  static Result<LookupWireRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    LookupWireRequest request;
-    ASSIGN_OR_RETURN(request.oid, ObjectId::Deserialize(&r));
-    ASSIGN_OR_RETURN(request.hops, r.ReadU32());
-    ASSIGN_OR_RETURN(request.phase, r.ReadU8());
-    ASSIGN_OR_RETURN(uint32_t apex, r.ReadU32());
-    request.apex_depth = static_cast<int32_t>(apex);
-    ASSIGN_OR_RETURN(request.allow_cached, r.ReadU8());
-    return request;
-  }
-};
-
-// gls.claim_master / gls.renew_lease wire formats: one conditional ownership
-// update (or lease extension) racing towards the OID's root home subnode.
-struct ClaimWireRequest {
-  ObjectId oid;
-  ContactAddress claimant;
-  uint64_t known_epoch = 0;
-  uint64_t version = 0;         // claimant's applied write version (the floor)
-  uint64_t lease_duration = 0;  // microseconds of ownership per grant/renewal
-  uint8_t strict_floor = 0;     // quorum mode: monotone floor, no incumbent
-                                // exemption (see MasterClaim::strict_floor)
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    oid.Serialize(&w);
-    claimant.Serialize(&w);
-    w.WriteU64(known_epoch);
-    w.WriteU64(version);
-    w.WriteU64(lease_duration);
-    w.WriteU8(strict_floor);
-    return w.Take();
-  }
-  static Result<ClaimWireRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    ClaimWireRequest request;
-    ASSIGN_OR_RETURN(request.oid, ObjectId::Deserialize(&r));
-    ASSIGN_OR_RETURN(request.claimant, ContactAddress::Deserialize(&r));
-    ASSIGN_OR_RETURN(request.known_epoch, r.ReadU64());
-    ASSIGN_OR_RETURN(request.version, r.ReadU64());
-    ASSIGN_OR_RETURN(request.lease_duration, r.ReadU64());
-    ASSIGN_OR_RETURN(request.strict_floor, r.ReadU8());
-    return request;
-  }
-};
-
-struct ClaimWireResponse {
-  uint8_t granted = 0;
-  uint64_t epoch = 0;
-  ContactAddress master;
-  uint64_t version_floor = 0;  // the record's acked-write floor at answer time
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU8(granted);
-    w.WriteU64(epoch);
-    master.Serialize(&w);
-    w.WriteU64(version_floor);
-    return w.Take();
-  }
-  static Result<ClaimWireResponse> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    ClaimWireResponse response;
-    ASSIGN_OR_RETURN(response.granted, r.ReadU8());
-    ASSIGN_OR_RETURN(response.epoch, r.ReadU64());
-    ASSIGN_OR_RETURN(response.master, ContactAddress::Deserialize(&r));
-    ASSIGN_OR_RETURN(response.version_floor, r.ReadU64());
-    return response;
-  }
-};
 
 namespace {
 
@@ -296,40 +70,6 @@ EmptyCallback JoinEmpty(size_t n, EmptyCallback respond) {
 }
 
 }  // namespace
-
-Bytes LookupResult::Serialize() const {
-  ByteWriter w;
-  w.WriteVarint(addresses.size());
-  for (const auto& address : addresses) {
-    address.Serialize(&w);
-  }
-  w.WriteU32(hops);
-  w.WriteU32(static_cast<uint32_t>(found_depth));
-  w.WriteU32(static_cast<uint32_t>(apex_depth));
-  w.WriteU8(from_cache ? 1 : 0);
-  return w.Take();
-}
-
-Result<LookupResult> LookupResult::Deserialize(ByteSpan data) {
-  ByteReader r(data);
-  LookupResult response;
-  ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-  if (count > kMaxWireAddresses) {
-    return InvalidArgument("implausible address count");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    ASSIGN_OR_RETURN(ContactAddress address, ContactAddress::Deserialize(&r));
-    response.addresses.push_back(address);
-  }
-  ASSIGN_OR_RETURN(response.hops, r.ReadU32());
-  ASSIGN_OR_RETURN(uint32_t found, r.ReadU32());
-  response.found_depth = static_cast<int32_t>(found);
-  ASSIGN_OR_RETURN(uint32_t apex, r.ReadU32());
-  response.apex_depth = static_cast<int32_t>(apex);
-  ASSIGN_OR_RETURN(uint8_t from_cache, r.ReadU8());
-  response.from_cache = from_cache != 0;
-  return response;
-}
 
 // ---------------------------------------------------------------- DirectoryRef
 
@@ -515,14 +255,14 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
       respond(s);
       return;
     }
-    InvalidateCached(request.oid, request.quarantine != 0);
+    InvalidateCached(request.oid, request.quarantine);
     if (IsAlternateFor(request.oid)) {
       // Our home sibling received the same fan-out and carries the chain upward.
       respond(sim::EmptyMessage{});
       return;
     }
     PropagateInvalUp(request.oid, /*include_siblings=*/false,
-                     request.quarantine != 0, std::move(respond));
+                     request.quarantine, std::move(respond));
   });
 
   kGlsScrubAddress.RegisterAsync(&server_, [this](const sim::RpcContext& context,
@@ -656,7 +396,7 @@ void DirectorySubnode::ResolveLookup(LookupWireRequest req, LookupResponder resp
   // Cached answer from an earlier descent or sideways handoff: done, without
   // re-walking the pointer chain. Every mutation touching the OID at this node
   // drops these entries, and delete chains fan out to all subnodes of a node.
-  if (options_.enable_cache && req.allow_cached != 0) {
+  if (options_.enable_cache && req.allow_cached) {
     if (const LookupCache::Entry* entry = cache_.Get(req.oid, clock_->Now())) {
       if (entry->negative != 0) {
         // A recent climb said NotFound: absorb the repeat miss here instead of
@@ -878,7 +618,7 @@ void DirectorySubnode::ResolveOwnership(
     auto it = owners_.find(request.oid);
     if (it == owners_.end()) {
       if (request.known_epoch == 0) {
-        respond(ClaimWireResponse{0, 0, ContactAddress{}});
+        respond(ClaimWireResponse{false, 0, ContactAddress{}});
         return;
       }
       // The arbiter lost its record (restored from an older checkpoint):
@@ -902,10 +642,10 @@ void DirectorySubnode::ResolveOwnership(
       // what makes the floor an acked-write invariant rather than a lagging
       // (up-to-one-lease_interval-stale) hint.
       rec.version_floor = std::max(rec.version_floor, request.version);
-      respond(ClaimWireResponse{1, rec.epoch, rec.master, rec.version_floor});
+      respond(ClaimWireResponse{true, rec.epoch, rec.master, rec.version_floor});
       return;
     }
-    respond(ClaimWireResponse{0, rec.epoch, rec.master, rec.version_floor});
+    respond(ClaimWireResponse{false, rec.epoch, rec.master, rec.version_floor});
     return;
   }
 
@@ -932,7 +672,7 @@ void DirectorySubnode::ResolveOwnership(
   // mode) the exemption is off — the floor is exact and binding for everyone,
   // including an incumbent restored from a pre-floor checkpoint: it must
   // resync from a quorum member instead of rolling acked writes back.
-  bool fresh_enough = (incumbent && request.strict_floor == 0) ||
+  bool fresh_enough = (incumbent && !request.strict_floor) ||
                       request.version >= rec.version_floor;
   // The conditional update: the claimant's view must not be behind the record
   // (epoch fence), mastership must actually be takeable — vacant, lapsed,
@@ -964,13 +704,13 @@ void DirectorySubnode::ResolveOwnership(
       ++stats_.stale_scrubs;
       ScrubAddress(request.oid, deposed, [](Result<sim::EmptyMessage>) {});
     }
-    ClaimWireResponse response{1, rec.epoch, rec.master, rec.version_floor};
+    ClaimWireResponse response{true, rec.epoch, rec.master, rec.version_floor};
     PropagateInvalUp(request.oid, /*include_siblings=*/true, /*quarantine=*/true,
                      [respond = std::move(respond),
                       response](Result<sim::EmptyMessage>) { respond(response); });
     return;
   }
-  respond(ClaimWireResponse{0, rec.epoch, rec.master, rec.version_floor});
+  respond(ClaimWireResponse{false, rec.epoch, rec.master, rec.version_floor});
 }
 
 void DirectorySubnode::ApplyDelete(const ObjectId& oid, const ContactAddress& address,
@@ -1116,8 +856,7 @@ void DirectorySubnode::PropagateInvalUp(const ObjectId& oid, bool include_siblin
     return;
   }
   EmptyCallback join = JoinEmpty(targets.size(), std::move(respond));
-  PointerRequest up{oid, domain_};
-  up.quarantine = quarantine ? 1 : 0;
+  PointerRequest up{oid, domain_, quarantine};
   for (const sim::Endpoint& target : targets) {
     kGlsInvalCache.Call(client_.get(), target, up, join, sim::WriteCallOptions());
   }
@@ -1144,18 +883,15 @@ Bytes DirectorySubnode::SaveState() const {
     if (entry.addresses.empty()) {
       return;
     }
-    oid.Serialize(&w);
-    w.WriteVarint(entry.addresses.size());
-    for (const auto& address : entry.addresses) {
-      address.Serialize(&w);
-    }
+    wire::Put(&w, oid);
+    wire::Put(&w, entry.addresses);
   });
   w.WriteVarint(ptr_oids);
   store_.ForEachSorted([&](const ObjectId& oid, const DirectoryEntry& entry) {
     if (entry.pointers.empty()) {
       return;
     }
-    oid.Serialize(&w);
+    wire::Put(&w, oid);
     w.WriteVarint(entry.pointers.size());
     for (sim::DomainId child : entry.pointers) {
       w.WriteU32(child);
@@ -1175,9 +911,9 @@ Bytes DirectorySubnode::SaveState() const {
   w.WriteVarint(owners_.size());
   for (const ObjectId* oid : owner_keys) {
     const OwnerRecord& rec = owners_.at(*oid);
-    oid->Serialize(&w);
+    wire::Put(&w, *oid);
     w.WriteU64(rec.epoch);
-    rec.master.Serialize(&w);
+    wire::Put(&w, rec.master);
     w.WriteU64(rec.lease_expires_at);
     w.WriteU64(rec.version_floor);
   }
@@ -1198,17 +934,12 @@ Status DirectorySubnode::RestoreState(ByteSpan data) {
     return num_oids.status();
   }
   for (uint64_t i = 0; i < *num_oids; ++i) {
-    ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(&r));
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    auto& at_oid = addresses[oid];
-    for (uint64_t j = 0; j < count; ++j) {
-      ASSIGN_OR_RETURN(ContactAddress address, ContactAddress::Deserialize(&r));
-      at_oid.push_back(address);
-    }
+    ASSIGN_OR_RETURN(ObjectId oid, wire::Read<ObjectId>(&r));
+    ASSIGN_OR_RETURN(addresses[oid], wire::Read<std::vector<ContactAddress>>(&r));
   }
   ASSIGN_OR_RETURN(uint64_t num_ptr_oids, r.ReadVarint());
   for (uint64_t i = 0; i < num_ptr_oids; ++i) {
-    ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(&r));
+    ASSIGN_OR_RETURN(ObjectId oid, wire::Read<ObjectId>(&r));
     ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
     auto& children = pointers[oid];
     for (uint64_t j = 0; j < count; ++j) {
@@ -1227,10 +958,10 @@ Status DirectorySubnode::RestoreState(ByteSpan data) {
   if (!r.AtEnd()) {
     ASSIGN_OR_RETURN(uint64_t num_owner_oids, r.ReadVarint());
     for (uint64_t i = 0; i < num_owner_oids; ++i) {
-      ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(&r));
+      ASSIGN_OR_RETURN(ObjectId oid, wire::Read<ObjectId>(&r));
       OwnerRecord rec;
       ASSIGN_OR_RETURN(rec.epoch, r.ReadU64());
-      ASSIGN_OR_RETURN(rec.master, ContactAddress::Deserialize(&r));
+      ASSIGN_OR_RETURN(rec.master, wire::Read<ContactAddress>(&r));
       ASSIGN_OR_RETURN(rec.lease_expires_at, r.ReadU64());
       ASSIGN_OR_RETURN(rec.version_floor, r.ReadU64());
       owners[oid] = rec;
@@ -1342,7 +1073,7 @@ void GlsClient::Lookup(const ObjectId& oid, bool allow_cached, LookupCallback do
   }
   LookupWireRequest request;
   request.oid = oid;
-  request.allow_cached = allow_cached ? 1 : 0;
+  request.allow_cached = allow_cached;
   kGlsLookup.Call(&rpc_, *target, request, std::move(done));
 }
 
@@ -1389,19 +1120,15 @@ void CallOwnership(sim::Channel* rpc, const DirectoryRef& leaf,
     done(target.status());
     return;
   }
-  ClaimWireRequest request{claim.oid,
-                           claim.claimant,
-                           claim.known_epoch,
-                           claim.version,
-                           claim.lease_duration,
-                           static_cast<uint8_t>(claim.strict_floor ? 1 : 0)};
+  ClaimWireRequest request{claim.oid,     claim.claimant,       claim.known_epoch,
+                           claim.version, claim.lease_duration, claim.strict_floor};
   method.Call(rpc, *target, request,
               [done = std::move(done)](Result<ClaimWireResponse> result) {
                 if (!result.ok()) {
                   done(result.status());
                   return;
                 }
-                done(ClaimOutcome{result->granted != 0, result->epoch,
+                done(ClaimOutcome{result->granted, result->epoch,
                                   result->master, result->version_floor});
               },
               sim::WriteCallOptions());

@@ -58,6 +58,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -65,6 +66,7 @@
 #include "src/gls/cache.h"
 #include "src/gls/oid.h"
 #include "src/gls/subnode_store.h"
+#include "src/gls/wire.h"
 #include "src/sec/principal.h"
 #include "src/sim/rpc.h"
 #include "src/sim/topology.h"
@@ -117,14 +119,6 @@ struct DirectoryRef {
   size_t AlternateIndex(const ObjectId& oid) const;
 };
 
-// gls.lookup wire format; defined in directory.cc (subnodes forward it, GlsClient
-// issues the initial request).
-struct LookupWireRequest;
-
-// gls.claim_master / gls.renew_lease wire formats; defined in directory.cc.
-struct ClaimWireRequest;
-struct ClaimWireResponse;
-
 // The answer to a lookup: the gls.lookup / gls.lookup_all response on the wire
 // and the result GlsClient hands its callers.
 struct LookupResult {
@@ -134,8 +128,10 @@ struct LookupResult {
   int32_t apex_depth = 0;   // highest (smallest-depth) node the lookup visited
   bool from_cache = false;  // a subnode's lookup cache produced the answer
 
-  Bytes Serialize() const;
-  static Result<LookupResult> Deserialize(ByteSpan data);
+  static constexpr auto kWireFields =
+      std::tuple(&LookupResult::addresses, &LookupResult::hops,
+                 &LookupResult::found_depth, &LookupResult::apex_depth,
+                 &LookupResult::from_cache);
 };
 
 struct GlsOptions {

@@ -43,17 +43,6 @@ uint64_t ObjectId::Hash() const {
   return h;
 }
 
-void ObjectId::Serialize(ByteWriter* writer) const {
-  writer->WriteBytes(ByteSpan(bytes_.data(), bytes_.size()));
-}
-
-Result<ObjectId> ObjectId::Deserialize(ByteReader* reader) {
-  ASSIGN_OR_RETURN(Bytes bytes, reader->ReadBytes(kSize));
-  ObjectId oid;
-  std::copy(bytes.begin(), bytes.end(), oid.bytes_.begin());
-  return oid;
-}
-
 std::string_view ReplicaRoleName(ReplicaRole role) {
   switch (role) {
     case ReplicaRole::kMaster:
@@ -64,23 +53,6 @@ std::string_view ReplicaRoleName(ReplicaRole role) {
       return "cache";
   }
   return "?";
-}
-
-void ContactAddress::Serialize(ByteWriter* writer) const {
-  writer->WriteU32(endpoint.node);
-  writer->WriteU16(endpoint.port);
-  writer->WriteU16(protocol);
-  writer->WriteU8(static_cast<uint8_t>(role));
-}
-
-Result<ContactAddress> ContactAddress::Deserialize(ByteReader* reader) {
-  ContactAddress address;
-  ASSIGN_OR_RETURN(address.endpoint.node, reader->ReadU32());
-  ASSIGN_OR_RETURN(address.endpoint.port, reader->ReadU16());
-  ASSIGN_OR_RETURN(address.protocol, reader->ReadU16());
-  ASSIGN_OR_RETURN(uint8_t role, reader->ReadU8());
-  address.role = static_cast<ReplicaRole>(role);
-  return address;
 }
 
 std::string ContactAddress::ToString() const {

@@ -10,10 +10,10 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "src/sim/endpoint.h"
 #include "src/util/rng.h"
-#include "src/util/serial.h"
 #include "src/util/status.h"
 
 namespace globe::gls {
@@ -34,14 +34,14 @@ class ObjectId {
   // — FNV-1a over the identifier bytes.
   uint64_t Hash() const;
 
-  void Serialize(ByteWriter* writer) const;
-  static Result<ObjectId> Deserialize(ByteReader* reader);
-
   bool operator==(const ObjectId&) const = default;
   auto operator<=>(const ObjectId&) const = default;
 
  private:
   std::array<uint8_t, kSize> bytes_;
+
+ public:
+  static constexpr auto kWireFields = std::tuple(&ObjectId::bytes_);
 };
 
 // Identifies a replication protocol inside a contact address. The concrete protocol
@@ -65,8 +65,9 @@ struct ContactAddress {
   bool operator==(const ContactAddress&) const = default;
   auto operator<=>(const ContactAddress&) const = default;
 
-  void Serialize(ByteWriter* writer) const;
-  static Result<ContactAddress> Deserialize(ByteReader* reader);
+  static constexpr auto kWireFields = std::tuple(
+      &ContactAddress::endpoint, &ContactAddress::protocol, &ContactAddress::role);
+
   std::string ToString() const;
 };
 

@@ -2,20 +2,19 @@
 
 #include <cassert>
 
+#include "src/util/wire.h"
+
 namespace globe::gls {
 
 namespace {
-// Cap for deserialized counts: a corrupt cold blob must not drive unbounded
-// allocation (same discipline as the wire decoders in directory.cc).
+// Cap for the deserialized pointer count: a corrupt cold blob must not drive
+// unbounded allocation (the address list is bounded by src/util/wire.h).
 constexpr uint64_t kMaxEntryItems = 1000000;
 }  // namespace
 
 Bytes SubnodeStore::SerializeEntry(const DirectoryEntry& entry) {
   ByteWriter w;
-  w.WriteVarint(entry.addresses.size());
-  for (const ContactAddress& address : entry.addresses) {
-    address.Serialize(&w);
-  }
+  wire::Put(&w, entry.addresses);
   w.WriteVarint(entry.pointers.size());
   for (sim::DomainId domain : entry.pointers) {
     w.WriteU32(domain);
@@ -26,15 +25,7 @@ Bytes SubnodeStore::SerializeEntry(const DirectoryEntry& entry) {
 Result<DirectoryEntry> SubnodeStore::DeserializeEntry(ByteSpan data) {
   ByteReader r(data);
   DirectoryEntry entry;
-  ASSIGN_OR_RETURN(uint64_t address_count, r.ReadVarint());
-  if (address_count > kMaxEntryItems) {
-    return InvalidArgument("implausible spilled address count");
-  }
-  entry.addresses.reserve(address_count);
-  for (uint64_t i = 0; i < address_count; ++i) {
-    ASSIGN_OR_RETURN(ContactAddress address, ContactAddress::Deserialize(&r));
-    entry.addresses.push_back(std::move(address));
-  }
+  ASSIGN_OR_RETURN(entry.addresses, wire::Read<std::vector<ContactAddress>>(&r));
   ASSIGN_OR_RETURN(uint64_t pointer_count, r.ReadVarint());
   if (pointer_count > kMaxEntryItems) {
     return InvalidArgument("implausible spilled pointer count");

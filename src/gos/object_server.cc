@@ -1,8 +1,8 @@
 #include "src/gos/object_server.h"
 
 #include "src/dso/wire.h"
-
 #include "src/util/log.h"
+#include "src/util/wire.h"
 
 namespace globe::gos {
 
@@ -21,31 +21,11 @@ struct CheckpointEntry {
   uint64_t epoch = 0;
   Bytes state;
 
-  void Serialize(ByteWriter* w) const {
-    oid.Serialize(w);
-    w->WriteU16(semantics_type);
-    address.Serialize(w);
-    dso::SerializeEndpoint(followed, w);
-    wire::SerializeMaintainers(maintainers, w);
-    w->WriteU64(version);
-    w->WriteU64(epoch);
-    w->WriteLengthPrefixed(state);
-  }
-  static Result<CheckpointEntry> Deserialize(ByteReader* r) {
-    CheckpointEntry entry;
-    ASSIGN_OR_RETURN(entry.oid, gls::ObjectId::Deserialize(r));
-    ASSIGN_OR_RETURN(entry.semantics_type, r->ReadU16());
-    ASSIGN_OR_RETURN(entry.address, gls::ContactAddress::Deserialize(r));
-    ASSIGN_OR_RETURN(entry.followed, dso::DeserializeEndpoint(r));
-    ASSIGN_OR_RETURN(entry.maintainers, wire::DeserializeMaintainers(r));
-    ASSIGN_OR_RETURN(entry.version, r->ReadU64());
-    ASSIGN_OR_RETURN(entry.epoch, r->ReadU64());
-    // The entry owns the state past this parse: copied at the ownership
-    // boundary.
-    ASSIGN_OR_RETURN(ByteSpan state, r->ReadLengthPrefixedView());
-    entry.state = ToBytes(state);
-    return entry;
-  }
+  static constexpr auto kWireFields =
+      std::tuple(&CheckpointEntry::oid, &CheckpointEntry::semantics_type,
+                 &CheckpointEntry::address, &CheckpointEntry::followed,
+                 &CheckpointEntry::maintainers, &CheckpointEntry::version,
+                 &CheckpointEntry::epoch, &CheckpointEntry::state);
 };
 
 }  // namespace
@@ -471,7 +451,7 @@ void ObjectServer::RetireForeignReplicas(const gls::ObjectId& oid,
       dso::kDsoRetire.Call(client.get(), address.endpoint,
                            dso::VersionMessage{0, new_epoch},
                            [this, client](Result<dso::PushAck> ack) {
-                             if (ack.ok() && ack->accepted != 0) {
+                             if (ack.ok() && ack->accepted) {
                                ++stats_.foreign_retires;
                              }
                            });
@@ -484,15 +464,10 @@ Bytes ObjectServer::Checkpoint() const {
   w.WriteVarint(replicas_.size());
   for (const auto& [oid, hosted] : replicas_) {
     dso::ReplicationObject& replica = *hosted.replication;
-    CheckpointEntry{oid,
-                    replica.semantics()->type_id(),
-                    *replica.contact_address(),
-                    replica.master_endpoint(),
-                    hosted.maintainers,
-                    replica.version(),
-                    replica.epoch(),
-                    replica.semantics()->GetState()}
-        .Serialize(&w);
+    wire::Put(&w, CheckpointEntry{oid, replica.semantics()->type_id(),
+                                  *replica.contact_address(), replica.master_endpoint(),
+                                  hosted.maintainers, replica.version(), replica.epoch(),
+                                  replica.semantics()->GetState()});
   }
   // Optional trailer (absent in pre-telemetry checkpoints): the access
   // telemetry, so a restarted server resumes with warm rate estimates.
@@ -509,7 +484,7 @@ void ObjectServer::Restore(ByteSpan checkpoint, std::function<void(Status)> done
   Status parsed = [&]() -> Status {
     ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
     for (uint64_t i = 0; i < count; ++i) {
-      auto entry = CheckpointEntry::Deserialize(&r);
+      auto entry = wire::Read<CheckpointEntry>(&r);
       if (!entry.ok()) {
         return InvalidArgument("corrupt GOS checkpoint");
       }

@@ -20,8 +20,10 @@
 //
 // RPC methods (port sim::kPortGos), moderator-only when a registry is enforced
 // (§6.1 requirement 1):
-//   gos.create_first_replica : u16 protocol, u16 semantics_type -> OID, contact addr
-//   gos.create_replica       : OID, u16 semantics_type, u8 role -> contact addr
+//   gos.create_first_replica : u16 protocol, u16 semantics_type, maintainers
+//                              -> OID, contact addr
+//   gos.create_replica       : OID, u16 semantics_type, u8 role, maintainers
+//                              -> contact addr
 //   gos.remove_replica       : OID -> empty
 //   gos.list_replicas        : empty -> vector<OID>
 
@@ -30,6 +32,7 @@
 
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "src/ctl/metrics_registry.h"
@@ -39,33 +42,6 @@
 
 namespace globe::gos {
 
-namespace wire {
-
-inline void SerializeMaintainers(const std::vector<sec::PrincipalId>& maintainers,
-                                 ByteWriter* w) {
-  w->WriteVarint(maintainers.size());
-  for (sec::PrincipalId maintainer : maintainers) {
-    w->WriteU64(maintainer);
-  }
-}
-
-// Maintainer lists ride as an optional trailer so pre-maintainer requests stay
-// readable.
-inline Result<std::vector<sec::PrincipalId>> DeserializeMaintainers(ByteReader* r) {
-  std::vector<sec::PrincipalId> maintainers;
-  if (r->AtEnd()) {
-    return maintainers;
-  }
-  ASSIGN_OR_RETURN(uint64_t count, r->ReadVarint());
-  for (uint64_t i = 0; i < count; ++i) {
-    ASSIGN_OR_RETURN(sec::PrincipalId id, r->ReadU64());
-    maintainers.push_back(id);
-  }
-  return maintainers;
-}
-
-}  // namespace wire
-
 // Wire formats of the moderator-facing GOS commands; one definition shared by
 // ObjectServer (server side) and ModeratorTool (client side).
 struct CreateFirstReplicaRequest {
@@ -73,40 +49,18 @@ struct CreateFirstReplicaRequest {
   uint16_t semantics_type = 0;
   std::vector<sec::PrincipalId> maintainers;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU16(protocol);
-    w.WriteU16(semantics_type);
-    wire::SerializeMaintainers(maintainers, &w);
-    return w.Take();
-  }
-  static Result<CreateFirstReplicaRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    CreateFirstReplicaRequest request;
-    ASSIGN_OR_RETURN(request.protocol, r.ReadU16());
-    ASSIGN_OR_RETURN(request.semantics_type, r.ReadU16());
-    ASSIGN_OR_RETURN(request.maintainers, wire::DeserializeMaintainers(&r));
-    return request;
-  }
+  static constexpr auto kWireFields =
+      std::tuple(&CreateFirstReplicaRequest::protocol,
+                 &CreateFirstReplicaRequest::semantics_type,
+                 &CreateFirstReplicaRequest::maintainers);
 };
 
 struct CreateFirstReplicaResponse {
   gls::ObjectId oid;
   gls::ContactAddress address;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    oid.Serialize(&w);
-    address.Serialize(&w);
-    return w.Take();
-  }
-  static Result<CreateFirstReplicaResponse> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    CreateFirstReplicaResponse response;
-    ASSIGN_OR_RETURN(response.oid, gls::ObjectId::Deserialize(&r));
-    ASSIGN_OR_RETURN(response.address, gls::ContactAddress::Deserialize(&r));
-    return response;
-  }
+  static constexpr auto kWireFields = std::tuple(&CreateFirstReplicaResponse::oid,
+                                                 &CreateFirstReplicaResponse::address);
 };
 
 struct CreateReplicaRequest {
@@ -115,79 +69,27 @@ struct CreateReplicaRequest {
   gls::ReplicaRole role = gls::ReplicaRole::kSlave;
   std::vector<sec::PrincipalId> maintainers;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    oid.Serialize(&w);
-    w.WriteU16(semantics_type);
-    w.WriteU8(static_cast<uint8_t>(role));
-    wire::SerializeMaintainers(maintainers, &w);
-    return w.Take();
-  }
-  static Result<CreateReplicaRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    CreateReplicaRequest request;
-    ASSIGN_OR_RETURN(request.oid, gls::ObjectId::Deserialize(&r));
-    ASSIGN_OR_RETURN(request.semantics_type, r.ReadU16());
-    ASSIGN_OR_RETURN(uint8_t role, r.ReadU8());
-    request.role = static_cast<gls::ReplicaRole>(role);
-    ASSIGN_OR_RETURN(request.maintainers, wire::DeserializeMaintainers(&r));
-    return request;
-  }
+  static constexpr auto kWireFields =
+      std::tuple(&CreateReplicaRequest::oid, &CreateReplicaRequest::semantics_type,
+                 &CreateReplicaRequest::role, &CreateReplicaRequest::maintainers);
 };
 
 struct CreateReplicaResponse {
   gls::ContactAddress address;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    address.Serialize(&w);
-    return w.Take();
-  }
-  static Result<CreateReplicaResponse> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    CreateReplicaResponse response;
-    ASSIGN_OR_RETURN(response.address, gls::ContactAddress::Deserialize(&r));
-    return response;
-  }
+  static constexpr auto kWireFields = std::tuple(&CreateReplicaResponse::address);
 };
 
 struct RemoveReplicaRequest {
   gls::ObjectId oid;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    oid.Serialize(&w);
-    return w.Take();
-  }
-  static Result<RemoveReplicaRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    RemoveReplicaRequest request;
-    ASSIGN_OR_RETURN(request.oid, gls::ObjectId::Deserialize(&r));
-    return request;
-  }
+  static constexpr auto kWireFields = std::tuple(&RemoveReplicaRequest::oid);
 };
 
 struct ListReplicasResponse {
   std::vector<gls::ObjectId> oids;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteVarint(oids.size());
-    for (const gls::ObjectId& oid : oids) {
-      oid.Serialize(&w);
-    }
-    return w.Take();
-  }
-  static Result<ListReplicasResponse> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    ListReplicasResponse response;
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSIGN_OR_RETURN(gls::ObjectId oid, gls::ObjectId::Deserialize(&r));
-      response.oids.push_back(oid);
-    }
-    return response;
-  }
+  static constexpr auto kWireFields = std::tuple(&ListReplicasResponse::oids);
 };
 
 // The moderator commands mutate hosting state (and allocate OIDs through the

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 namespace globe::sim {
 
@@ -29,6 +30,8 @@ constexpr uint16_t kPortClientBase = 40000;  // ephemeral ports for clients
 struct Endpoint {
   NodeId node = kNoNode;
   uint16_t port = 0;
+
+  static constexpr auto kWireFields = std::tuple(&Endpoint::node, &Endpoint::port);
 
   bool operator==(const Endpoint&) const = default;
   auto operator<=>(const Endpoint&) const = default;

@@ -204,8 +204,7 @@ void RpcServer::SerializeDedup(ByteWriter* writer) const {
   writer->WriteVarint(live.size());
   for (const auto& [expires_at, key] : live) {
     const DedupEntry& entry = dedup_.at(key);
-    writer->WriteU32(key.first.node);
-    writer->WriteU16(key.first.port);
+    wire::Put(writer, key.first);
     writer->WriteU64(key.second);
     writer->WriteU64(expires_at);
     if (entry.response.ok()) {
@@ -228,8 +227,7 @@ Status RpcServer::RestoreDedup(ByteReader* reader) {
   }
   for (uint64_t i = 0; i < count; ++i) {
     DedupKey key;
-    ASSIGN_OR_RETURN(key.first.node, reader->ReadU32());
-    ASSIGN_OR_RETURN(key.first.port, reader->ReadU16());
+    ASSIGN_OR_RETURN(key.first, wire::Read<Endpoint>(reader));
     ASSIGN_OR_RETURN(key.second, reader->ReadU64());
     DedupEntry entry;
     entry.completed = true;

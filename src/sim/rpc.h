@@ -18,12 +18,14 @@
 //     response latency, the load-feedback signal behind power-of-two-choices
 //     routing (DirectoryRef::TryRoute).
 //   - TypedMethod<Req, Resp>: a named method with typed request/response messages
-//     (anything exposing Bytes Serialize() const / static Result<T> Deserialize),
-//     removing the serialize -> Call -> deserialize -> status-check boilerplate
-//     from every call site. Registers server handlers from the same definition, so
-//     a wire message has exactly one description both sides share.
+//     (each a struct naming its fields once, encoded by src/util/wire.h),
+//     removing the encode -> Call -> decode -> status-check boilerplate from
+//     every call site. Registers server handlers from the same definition, so a
+//     wire message has exactly one description both sides share, and every
+//     payload is bounds-checked by the one codec before a handler sees it.
 //
-// Wire format of an RPC frame (all fields via src/util/serial.h):
+// Wire format of an RPC frame (written by hand with src/util/serial.h — the
+// zero-copy hot path):
 //   u8 type (0 = request, 1 = response)
 //   u64 request id (per attempt: retries go out under fresh ids)
 //   request:  u64 call id (stable across retries; the at-most-once dedup key),
@@ -40,6 +42,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -49,6 +52,7 @@
 #include "src/sim/transport.h"
 #include "src/util/serial.h"
 #include "src/util/status.h"
+#include "src/util/wire.h"
 
 namespace globe::sim {
 
@@ -325,37 +329,37 @@ class Channel {
 
 // Marker for methods whose request or response carries no payload.
 struct EmptyMessage {
-  Bytes Serialize() const { return {}; }
-  static Result<EmptyMessage> Deserialize(ByteSpan) { return EmptyMessage{}; }
+  static constexpr std::tuple<> kWireFields{};
 };
 
 namespace wire_internal {
 
+// Bytes messages pass through verbatim; everything else goes through the codec.
 template <typename T>
-Bytes SerializeMessage(const T& value) {
+Bytes EncodeMessage(const T& value) {
   if constexpr (std::is_same_v<T, Bytes>) {
     return value;
   } else {
-    return value.Serialize();
+    return wire::Encode(value);
   }
 }
 
 template <typename T>
-Result<T> DeserializeMessage(ByteSpan data) {
+Result<T> DecodeMessage(ByteSpan data) {
   if constexpr (std::is_same_v<T, Bytes>) {
     return Bytes(data.begin(), data.end());
   } else {
-    return T::Deserialize(data);
+    return wire::Decode<T>(data);
   }
 }
 
 }  // namespace wire_internal
 
 // A named RPC method with typed request/response messages. Both must either be
-// Bytes (passed through verbatim) or expose
-//   Bytes Serialize() const;
-//   static Result<T> Deserialize(ByteSpan);
-// One constant describes the method for both sides of the wire:
+// Bytes (passed through verbatim) or name their fields in a kWireFields list
+// (see src/util/wire.h), which fixes their wire layout and bounds-checks every
+// count they carry. One constant describes the method for both sides of the
+// wire:
 //
 //   inline const TypedMethod<LookupWireRequest, LookupResult> kGlsLookup{"gls.lookup"};
 //   kGlsLookup.Call(&channel, server, request, [](Result<LookupResult> r) { ... });
@@ -382,15 +386,15 @@ class TypedMethod {
 
   CallHandle Call(Channel* channel, const Endpoint& server, const Req& request,
                   Callback done, CallOptions options = {}) const {
-    return channel->Call(server, name_, wire_internal::SerializeMessage(request),
+    return channel->Call(server, name_, wire_internal::EncodeMessage(request),
                          [done = std::move(done)](Result<PayloadView> result) {
                            if (!result.ok()) {
                              done(result.status());
                              return;
                            }
-                           // Deserialization is the ownership boundary: the typed
+                           // Decoding is the ownership boundary: the typed
                            // response copies exactly the fields it keeps.
-                           done(wire_internal::DeserializeMessage<Resp>(result->span()));
+                           done(wire_internal::DecodeMessage<Resp>(result->span()));
                          },
                          options);
   }
@@ -399,9 +403,9 @@ class TypedMethod {
     server->RegisterMethod(
         name_, [handler = std::move(handler)](const RpcContext& context,
                                               ByteSpan payload) -> Result<Bytes> {
-          ASSIGN_OR_RETURN(Req request, wire_internal::DeserializeMessage<Req>(payload));
+          ASSIGN_OR_RETURN(Req request, wire_internal::DecodeMessage<Req>(payload));
           ASSIGN_OR_RETURN(Resp response, handler(context, request));
-          return wire_internal::SerializeMessage(response);
+          return wire_internal::EncodeMessage(response);
         },
         traits_);
   }
@@ -410,7 +414,7 @@ class TypedMethod {
     server->RegisterAsyncMethod(
         name_, [handler = std::move(handler)](const RpcContext& context, ByteSpan payload,
                                               RpcServer::Responder respond) {
-          auto request = wire_internal::DeserializeMessage<Req>(payload);
+          auto request = wire_internal::DecodeMessage<Req>(payload);
           if (!request.ok()) {
             respond(request.status());
             return;
@@ -421,7 +425,7 @@ class TypedMethod {
                       respond(result.status());
                       return;
                     }
-                    respond(wire_internal::SerializeMessage(*result));
+                    respond(wire_internal::EncodeMessage(*result));
                   });
         },
         traits_);

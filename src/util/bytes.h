@@ -1,7 +1,8 @@
 // Byte-buffer aliases and hex helpers.
 //
 // All Globe wire formats ("opaque invocation messages", GLS records, DNS messages) are
-// byte vectors produced by the manual serializers in src/util/serial.h.
+// byte vectors: typed RPC messages are encoded by the field-list codec in
+// src/util/wire.h, the rest by hand with the writer/reader in src/util/serial.h.
 
 #ifndef SRC_UTIL_BYTES_H_
 #define SRC_UTIL_BYTES_H_

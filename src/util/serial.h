@@ -1,9 +1,10 @@
-// Manual byte-level serialization.
+// Byte-level serialization primitives.
 //
 // Globe's replication and communication subobjects operate on *opaque invocation
 // messages*: method identifiers and parameters encoded into byte blobs (paper §3.3).
 // This header provides the bounded writer/reader pair every wire format in this
-// repository is built from. Encodings:
+// repository is built from; typed messages reach it through the field-list
+// codec in src/util/wire.h. Encodings:
 //   - fixed-width integers are little-endian
 //   - varints are LEB128 (7 bits per byte, high bit = continuation)
 //   - strings and byte blobs are varint length followed by raw bytes

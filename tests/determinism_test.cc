@@ -279,7 +279,7 @@ TraceResult RunGlsWorkload(size_t shards, uint64_t seed) {
   for (const auto& subnode : deployment.subnodes()) {
     for (const auto& [oid, entry] : subnode->ExportEntries()) {
       ByteWriter w;
-      oid.Serialize(&w);
+      wire::Put(&w, oid);
       result.state_hash = Fnv1a(result.state_hash, w.Take());
       result.state_hash =
           Fnv1a(result.state_hash, gls::SubnodeStore::SerializeEntry(entry));

@@ -163,7 +163,7 @@ TEST(ZoneTest, SerializationRoundTrip) {
 TEST(MessageTest, QueryRoundTrip) {
   QueryRequest request;
   request.question = {"gimp.gdn.cs.vu.nl", RrType::kTxt};
-  auto restored = QueryRequest::Deserialize(request.Serialize());
+  auto restored = wire::Decode<QueryRequest>(wire::Encode(request));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->question.name, "gimp.gdn.cs.vu.nl");
   EXPECT_EQ(restored->question.type, RrType::kTxt);
@@ -175,7 +175,7 @@ TEST(MessageTest, ResponseRoundTrip) {
   response.authoritative = true;
   response.negative_ttl = 300;
   response.answers.push_back({"a.z.nl", RrType::kTxt, 60, "data"});
-  auto restored = QueryResponse::Deserialize(response.Serialize());
+  auto restored = wire::Decode<QueryResponse>(wire::Encode(response));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->rcode, Rcode::kNxDomain);
   EXPECT_TRUE(restored->authoritative);
@@ -212,7 +212,7 @@ TEST(MessageTest, UpdateSerializationRoundTrip) {
   update.sequence = 3;
   TsigSign(&update, ToBytes("key"));
 
-  auto restored = UpdateRequest::Deserialize(update.Serialize());
+  auto restored = wire::Decode<UpdateRequest>(wire::Encode(update));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->zone, update.zone);
   EXPECT_EQ(restored->additions, update.additions);
@@ -222,7 +222,7 @@ TEST(MessageTest, UpdateSerializationRoundTrip) {
 }
 
 TEST(MessageTest, MalformedUpdateRejected) {
-  EXPECT_FALSE(UpdateRequest::Deserialize(Bytes{1, 2, 3}).ok());
+  EXPECT_FALSE(wire::Decode<UpdateRequest>(Bytes{1, 2, 3}).ok());
 }
 
 // ---------------------------------------------------------------- Server + Resolver
@@ -351,7 +351,7 @@ TEST_F(DnsServiceTest, AuthenticUpdateAppliesAndPropagatesToSecondary) {
 
   sim::Channel rpc(&transport_, world_.hosts[6]);
   Status status = InvalidArgument("pending");
-  rpc.Call(primary_->endpoint(), "dns.update", update.Serialize(),
+  rpc.Call(primary_->endpoint(), "dns.update", wire::Encode(update),
            [&](Result<sim::PayloadView> result) {
              status = result.ok() ? OkStatus() : result.status();
            });
@@ -377,7 +377,7 @@ TEST_F(DnsServiceTest, ForgedUpdateRejected) {
 
   sim::Channel rpc(&transport_, world_.hosts[6]);
   Status status;
-  rpc.Call(primary_->endpoint(), "dns.update", update.Serialize(),
+  rpc.Call(primary_->endpoint(), "dns.update", wire::Encode(update),
            [&](Result<sim::PayloadView> result) { status = result.status(); });
   simulator_.Run();
   EXPECT_EQ(status.code(), StatusCode::kPermissionDenied);
@@ -395,7 +395,7 @@ TEST_F(DnsServiceTest, ReplayedUpdateRejected) {
   update.key_name = "gdn-na";
   update.sequence = 1;
   TsigSign(&update, tsig_keys_["gdn-na"]);
-  Bytes wire = update.Serialize();
+  Bytes encoded = wire::Encode(update);
 
   sim::Channel rpc(&transport_, world_.hosts[6]);
   int ok_count = 0, denied_count = 0;
@@ -406,9 +406,9 @@ TEST_F(DnsServiceTest, ReplayedUpdateRejected) {
       ++denied_count;
     }
   };
-  rpc.Call(primary_->endpoint(), "dns.update", wire, record_result);
+  rpc.Call(primary_->endpoint(), "dns.update", encoded, record_result);
   simulator_.Run();
-  rpc.Call(primary_->endpoint(), "dns.update", wire, record_result);  // replay
+  rpc.Call(primary_->endpoint(), "dns.update", encoded, record_result);  // replay
   simulator_.Run();
   EXPECT_EQ(ok_count, 1);
   EXPECT_EQ(denied_count, 1);
@@ -428,7 +428,7 @@ TEST_F(DnsServiceTest, UpdateToSecondaryRefused) {
 
   sim::Channel rpc(&transport_, world_.hosts[6]);
   Status status;
-  rpc.Call(secondary->endpoint(), "dns.update", update.Serialize(),
+  rpc.Call(secondary->endpoint(), "dns.update", wire::Encode(update),
            [&](Result<sim::PayloadView> result) { status = result.status(); });
   simulator_.Run();
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);

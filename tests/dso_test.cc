@@ -111,7 +111,7 @@ Invocation Get(const std::string& key) {
 
 TEST(InvocationTest, SerializationRoundTrip) {
   Invocation invocation = Put("gimp", "1.1.29");
-  auto restored = Invocation::Deserialize(invocation.Serialize());
+  auto restored = wire::Decode<Invocation>(wire::Encode(invocation));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->method, "put");
   EXPECT_EQ(restored->args, invocation.args);
@@ -119,7 +119,7 @@ TEST(InvocationTest, SerializationRoundTrip) {
 }
 
 TEST(InvocationTest, MalformedRejected) {
-  EXPECT_FALSE(Invocation::Deserialize(Bytes{0xff, 0xff, 0xff}).ok());
+  EXPECT_FALSE(wire::Decode<Invocation>(Bytes{0xff, 0xff, 0xff}).ok());
 }
 
 // ---------------------------------------------------------------- Fixture

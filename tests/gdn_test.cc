@@ -380,11 +380,10 @@ TEST_F(SecureGdnWorldTest, PublishAndDownloadStillWork) {
 TEST_F(SecureGdnWorldTest, UserCannotCommandGos) {
   sim::NodeId user = world_.user_hosts()[0];
   sim::Channel rpc(world_.transport(), user);
-  ByteWriter w;
-  w.WriteU16(dso::kProtoClientServer);
-  w.WriteU16(kPackageTypeId);
   Status status = OkStatus();
-  rpc.Call(world_.GosOf(0)->endpoint(), "gos.create_first_replica", w.Take(),
+  rpc.Call(world_.GosOf(0)->endpoint(), "gos.create_first_replica",
+           wire::Encode(gos::CreateFirstReplicaRequest{dso::kProtoClientServer,
+                                                       kPackageTypeId, {}}),
            [&](Result<sim::PayloadView> result) { status = result.status(); });
   world_.Run();
   EXPECT_EQ(status.code(), StatusCode::kPermissionDenied);

@@ -57,9 +57,9 @@ TEST(ObjectIdTest, SerializationRoundTrip) {
   Rng rng(4);
   ObjectId oid = ObjectId::Generate(&rng);
   ByteWriter w;
-  oid.Serialize(&w);
+  wire::Put(&w, oid);
   ByteReader r(w.data());
-  auto restored = ObjectId::Deserialize(&r);
+  auto restored = wire::Read<ObjectId>(&r);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(*restored, oid);
 }
@@ -79,9 +79,9 @@ TEST(ObjectIdTest, HashSpreadsAcrossBuckets) {
 TEST(ContactAddressTest, SerializationRoundTrip) {
   ContactAddress address{{42, 700}, 3, ReplicaRole::kSlave};
   ByteWriter w;
-  address.Serialize(&w);
+  wire::Put(&w, address);
   ByteReader r(w.data());
-  auto restored = ContactAddress::Deserialize(&r);
+  auto restored = wire::Read<ContactAddress>(&r);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(*restored, address);
 }

@@ -279,16 +279,15 @@ TEST_F(GosTest, RestoreRejectsCorruptCheckpoint) {
 TEST_F(GosTest, RpcCommandsWork) {
   // Drive the server through its RPC surface, as the moderator tool does.
   sim::Channel rpc(&transport_, world_.hosts[3]);
-  ByteWriter w;
-  w.WriteU16(dso::kProtoClientServer);
-  w.WriteU16(KvObject::kTypeId);
   gls::ObjectId oid;
   bool ok = false;
-  rpc.Call(gos_a_->endpoint(), "gos.create_first_replica", w.Take(),
+  rpc.Call(gos_a_->endpoint(), "gos.create_first_replica",
+           wire::Encode(gos::CreateFirstReplicaRequest{dso::kProtoClientServer,
+                                                       KvObject::kTypeId, {}}),
            [&](Result<sim::PayloadView> result) {
              ASSERT_TRUE(result.ok()) << result.status();
              ByteReader r(*result);
-             oid = *gls::ObjectId::Deserialize(&r);
+             oid = *wire::Read<gls::ObjectId>(&r);
              ok = true;
            });
   simulator_.Run();
@@ -307,7 +306,7 @@ TEST_F(GosTest, RpcCommandsWork) {
 
   // remove via RPC.
   ByteWriter rm;
-  oid.Serialize(&rm);
+  wire::Put(&rm, oid);
   Status remove_status = InvalidArgument("pending");
   rpc.Call(gos_a_->endpoint(), "gos.remove_replica", rm.Take(),
            [&](Result<sim::PayloadView> result) {
@@ -475,10 +474,8 @@ TEST(GosAuthTest, OnlyModeratorsMayCommand) {
   ObjectServer gos(&secure, gos_node, &repository, deployment.LeafDirectoryFor(gos_node),
                    &registry, options);
 
-  ByteWriter w;
-  w.WriteU16(dso::kProtoClientServer);
-  w.WriteU16(KvObject::kTypeId);
-  Bytes request = w.Take();
+  Bytes request = wire::Encode(
+      CreateFirstReplicaRequest{dso::kProtoClientServer, KvObject::kTypeId, {}});
 
   // User's command is refused; moderator's succeeds.
   sim::Channel user_rpc(&secure, user_node);

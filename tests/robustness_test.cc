@@ -142,8 +142,8 @@ TEST_P(RobustnessTest, HostileBatchCountsAreRejected) {
     ByteWriter w;
     w.WriteVarint(count);
     for (size_t i = 0; i < present; ++i) {
-      gls::ObjectId::Generate(&rng).Serialize(&w);
-      address.Serialize(&w);
+      wire::Put(&w, gls::ObjectId::Generate(&rng));
+      wire::Put(&w, address);
     }
     return w.Take();
   };
@@ -152,7 +152,7 @@ TEST_P(RobustnessTest, HostileBatchCountsAreRejected) {
     w.WriteU32(target.domain());
     w.WriteVarint(count);
     for (size_t i = 0; i < present; ++i) {
-      gls::ObjectId::Generate(&rng).Serialize(&w);
+      wire::Put(&w, gls::ObjectId::Generate(&rng));
     }
     return w.Take();
   };

@@ -1325,33 +1325,13 @@ namespace typed_test {
 struct PingRequest {
   uint64_t value = 0;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU64(value);
-    return w.Take();
-  }
-  static Result<PingRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    PingRequest request;
-    ASSIGN_OR_RETURN(request.value, r.ReadU64());
-    return request;
-  }
+  static constexpr auto kWireFields = std::tuple(&PingRequest::value);
 };
 
 struct PingResponse {
   uint64_t doubled = 0;
 
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteU64(doubled);
-    return w.Take();
-  }
-  static Result<PingResponse> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    PingResponse response;
-    ASSIGN_OR_RETURN(response.doubled, r.ReadU64());
-    return response;
-  }
+  static constexpr auto kWireFields = std::tuple(&PingResponse::doubled);
 };
 
 constexpr TypedMethod<PingRequest, PingResponse> kPing{"test.ping"};

@@ -1,0 +1,130 @@
+// Bounded decoding: a frame that promises a huge count must not make the
+// decoder allocate for items the frame cannot hold (paper §6.1: servers stay
+// available under bogus protocol messages). The DNS primary decodes a
+// dns.update before it checks the TSIG MAC, so an unauthenticated 4-byte frame
+// reaches the decoder.
+//
+// This binary replaces the global allocation functions to record the largest
+// single allocation while a decode runs, which is why it stands alone: the
+// counter cannot disturb any other suite.
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+
+#include "src/dns/message.h"
+#include "src/dns/zone.h"
+#include "src/gls/directory.h"
+#include "src/gos/object_server.h"
+#include "src/util/wire.h"
+
+namespace {
+
+bool g_counting = false;
+size_t g_largest = 0;
+
+void* CountedAlloc(size_t size) {
+  if (g_counting && size > g_largest) {
+    g_largest = size;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(size_t size) { return CountedAlloc(size); }
+void* operator new[](size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+
+namespace globe {
+namespace {
+
+// The largest single allocation a decode may make, as a multiple of the frame
+// it decodes. A count is admitted only if the remaining bytes hold that many
+// items at their smallest encoding, so reserving for it costs at most
+// sizeof(item) / smallest encoding per frame byte; the widest ratio among the
+// wire types is UpdateRequest::Deletion's (40 B in memory, 4 B on the wire).
+constexpr size_t kMaxAllocationPerFrameByte = 16;
+
+// Decodes `frame` as a T under the counter; returns the largest allocation.
+template <typename T>
+size_t LargestAllocationDecoding(const Bytes& frame, bool* decoded) {
+  g_largest = 0;
+  g_counting = true;
+  *decoded = wire::Decode<T>(frame).ok();
+  g_counting = false;
+  return g_largest;
+}
+
+// 100000, the item cap, as a varint.
+const Bytes kCapCount = {0xa0, 0x8d, 0x06};
+
+Bytes Frame(Bytes prefix, const Bytes& suffix = kCapCount) {
+  prefix.insert(prefix.end(), suffix.begin(), suffix.end());
+  return prefix;
+}
+
+template <typename T>
+void ExpectBounded(const char* what, const Bytes& frame) {
+  bool decoded = true;
+  size_t largest = LargestAllocationDecoding<T>(frame, &decoded);
+  EXPECT_FALSE(decoded) << what;
+  EXPECT_LE(largest, kMaxAllocationPerFrameByte * frame.size())
+      << what << ": " << frame.size() << "-byte frame";
+}
+
+// Frames that promise the item cap in three bytes. A decoder that reserved
+// for a count before checking it against the payload would allocate 7.2 MB for
+// the additions of a 4-byte dns.update, 4 MB for the deletions of a 5-byte
+// one, and 7.2 MB for the answers of a 6-byte dns.query response or the
+// records of a 12-byte zone transfer.
+TEST(BoundedDecodingTest, DnsCountsCannotReserveBeyondTheFrame) {
+  ExpectBounded<dns::UpdateRequest>("dns.update additions", Frame({0x00}));
+  ExpectBounded<dns::UpdateRequest>("dns.update deletions", Frame({0x00, 0x00}));
+  ExpectBounded<dns::QueryResponse>("dns.query answers", Frame({0x00, 0x00, 0x00}));
+
+  Bytes zone_frame = Frame({0x00, 0, 0, 0, 0, 0, 0, 0, 0});
+  ASSERT_EQ(zone_frame.size(), 12u);
+  g_largest = 0;
+  g_counting = true;
+  bool decoded = dns::Zone::Deserialize(zone_frame).ok();
+  g_counting = false;
+  EXPECT_FALSE(decoded);
+  EXPECT_LE(g_largest, kMaxAllocationPerFrameByte * zone_frame.size());
+}
+
+TEST(BoundedDecodingTest, EveryVectorCountIsCheckedBeforeReserving) {
+  ExpectBounded<gls::LookupResult>("gls.lookup addresses", Frame({}));
+  ExpectBounded<gls::BatchAddressRequest>("gls.insert items", Frame({}));
+  ExpectBounded<gls::BatchPointerRequest>("gls.install_ptr oids", Frame({0, 0, 0, 0}));
+  ExpectBounded<gos::ListReplicasResponse>("gos.list_replicas oids", Frame({}));
+  ExpectBounded<gos::CreateFirstReplicaRequest>("gos maintainers", Frame({0, 0, 0, 0}));
+  // A count far beyond the cap, and one just over what the payload holds.
+  const Bytes two_to_the_63 = {0x80, 0x80, 0x80, 0x80, 0x80,
+                               0x80, 0x80, 0x80, 0x80, 0x01};
+  ExpectBounded<gls::LookupResult>("2^63 addresses", Frame({}, two_to_the_63));
+  ExpectBounded<gos::ListReplicasResponse>("one OID too many",
+                                           Frame({0x03}, Bytes(32, 0)));
+}
+
+// The check rejects only what the payload cannot hold: a frame whose count
+// matches its items decodes, and reserves once for exactly those items.
+TEST(BoundedDecodingTest, HonestCountsDecode) {
+  gos::ListReplicasResponse listed;
+  listed.oids.resize(64);
+  Bytes frame = wire::Encode(listed);
+  bool decoded = false;
+  size_t largest = LargestAllocationDecoding<gos::ListReplicasResponse>(frame, &decoded);
+  EXPECT_TRUE(decoded);
+  EXPECT_EQ(largest, 64 * sizeof(gls::ObjectId));
+}
+
+}  // namespace
+}  // namespace globe
