@@ -6,7 +6,7 @@
 // 127.0.0.1 TCP. Three representative Globe workloads ride the unmodified
 // Channel / RpcServer stack:
 //   - lookup:       small request, small response (the GLS read path shape),
-//   - insert_batch: a ~1 KB non-idempotent write (at-most-once dedup engaged),
+//   - insert:       a ~1 KB non-idempotent write (at-most-once dedup engaged),
 //   - dso.invoke:   tiny request, 1 MB response (an object-server file block).
 //
 // Frames/op and wire bytes/op are exact protocol properties (request frame +
@@ -151,7 +151,7 @@ int main() {
     return lookup_response;
   });
   server.RegisterMethod(
-      "gls.insert_batch",
+      "gls.insert",
       [](const sim::RpcContext&, ByteSpan request) -> Result<Bytes> {
         // Touch the batch so the read is not optimized away.
         uint8_t checksum = 0;
@@ -183,7 +183,7 @@ int main() {
   };
   const Workload workloads[] = {
       {"lookup", "gls.lookup", Bytes(40, 0x11), 2000},
-      {"insert_batch", "gls.insert_batch", Bytes(1024, 0x22), 1000},
+      {"insert", "gls.insert", Bytes(1024, 0x22), 1000},
       {"dso.invoke 1MB", "dso.invoke", Bytes(24, 0x33), 100},
   };
   for (const Workload& w : workloads) {

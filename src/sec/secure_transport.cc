@@ -171,7 +171,7 @@ void SecureTransport::Send(const sim::Endpoint& src, const sim::Endpoint& dst,
   Sha256 inner_hash = session->mac_key.Start();
   inner_hash.Update(mac_scratch_.span());
   inner_hash.Update(ciphertext);
-  Bytes mac = session->mac_key.Finish(std::move(inner_hash));
+  auto mac = session->mac_key.Finish(std::move(inner_hash));
 
   frame_scratch_.Reset();
   frame_scratch_.WriteU8(kVersion);

@@ -23,25 +23,24 @@ HmacKey::HmacKey(ByteSpan key) {
   outer_midstate_.Update(pad);
 }
 
-Bytes HmacKey::Finish(Sha256 inner) const {
+std::array<uint8_t, Sha256::kDigestSize> HmacKey::Finish(Sha256 inner) const {
   auto inner_digest = inner.Finish();
   Sha256 outer = outer_midstate_;
-  outer.Update(ByteSpan(inner_digest.data(), inner_digest.size()));
-  auto outer_digest = outer.Finish();
-  return Bytes(outer_digest.begin(), outer_digest.end());
+  outer.Update(inner_digest);
+  return outer.Finish();
 }
 
 bool HmacKey::Verify(Sha256 inner, ByteSpan mac) const {
   return ConstantTimeEqual(Finish(std::move(inner)), mac);
 }
 
-Bytes HmacKey::Mac(ByteSpan message) const {
+std::array<uint8_t, Sha256::kDigestSize> HmacKey::Mac(ByteSpan message) const {
   Sha256 inner = Start();
   inner.Update(message);
   return Finish(std::move(inner));
 }
 
-Bytes HmacSha256(ByteSpan key, ByteSpan message) { return HmacKey(key).Mac(message); }
+Bytes HmacSha256(ByteSpan key, ByteSpan message) { return ToBytes(HmacKey(key).Mac(message)); }
 
 bool VerifyHmacSha256(ByteSpan key, ByteSpan message, ByteSpan mac) {
   Bytes expected = HmacSha256(key, message);

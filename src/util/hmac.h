@@ -27,14 +27,15 @@ class HmacKey {
   // Starts a MAC: feed message parts with Sha256::Update, then Finish()/Verify().
   Sha256 Start() const { return inner_midstate_; }
 
-  // Completes the MAC over everything fed to `inner`.
-  Bytes Finish(Sha256 inner) const;
+  // Completes the MAC over everything fed to `inner`. The MAC lives on the
+  // stack: a per-frame MAC allocates nothing.
+  std::array<uint8_t, Sha256::kDigestSize> Finish(Sha256 inner) const;
 
   // Completes the MAC and compares it against `mac` in constant time.
   bool Verify(Sha256 inner, ByteSpan mac) const;
 
   // One-shot convenience over a single part.
-  Bytes Mac(ByteSpan message) const;
+  std::array<uint8_t, Sha256::kDigestSize> Mac(ByteSpan message) const;
 
  private:
   Sha256 inner_midstate_;  // one block of key ^ ipad absorbed

@@ -3,6 +3,18 @@
 // Used for: content hashes of package files (integrity, paper §6.1), object-identifier
 // derivation in the GLS, and as the compression function under HMAC for the simulated
 // TLS channels and DNS TSIG records.
+//
+// The compression function takes a run of whole 64-byte blocks per call, and one
+// of two implementations runs it:
+//   - on an x86 CPU whose CPUID reports the SHA extensions (leaf 7 EBX bit 29)
+//     together with SSSE3 and SSE4.1, one built on sha256rnds2/sha256msg1/
+//     sha256msg2 (Gulley et al., "Intel SHA Extensions", 2013);
+//   - on every other CPU, a portable C++ one.
+// The choice is made once, on first use, from CPUID; no build flag, option or
+// environment variable selects it, and the accelerated function is compiled
+// for its instructions alone, so one binary runs on either kind of CPU. Both
+// compute FIPS 180-4 exactly: every digest, MAC and keystream byte is the same
+// on both paths (tests/util_test.cc checks them against each other).
 
 #ifndef SRC_UTIL_SHA256_H_
 #define SRC_UTIL_SHA256_H_
@@ -31,8 +43,6 @@ class Sha256 {
   static std::string HexDigest(ByteSpan data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   std::array<uint32_t, 8> state_;
   std::array<uint8_t, kBlockSize> buffer_;
   size_t buffer_len_ = 0;

@@ -10,6 +10,7 @@
 #include "src/sim/rpc.h"
 #include "src/util/rng.h"
 #include "src/sim/backend.h"
+#include "tests/block_path_test.h"
 
 namespace globe::sec {
 namespace {
@@ -99,6 +100,34 @@ TEST(CipherTest, EmptyDataIsFine) {
   Bytes empty;
   ApplyKeystream(key, 0, &empty);
   EXPECT_TRUE(empty.empty());
+}
+
+// The keystream bytes themselves, through both SHA-256 block functions: a
+// 32-byte key (one block with nonce and counter) and a 70-byte key (the key
+// fills a block before nonce and counter), 0x0123456789abcdef as the nonce.
+using CipherGoldenTest = testutil::BlockPathTest;
+GLOBE_INSTANTIATE_BLOCK_PATHS(CipherGoldenTest);
+
+TEST_P(CipherGoldenTest, KeystreamBytesAreFixed) {
+  const std::pair<size_t, const char*> kGolden[] = {
+      {32,
+       "d116c982e6582fc7532b4df98e126db5ded4f447fe110ab42233065ca694f39379bedfad56c78c8e"
+       "789c033cf1cb51ec9a47de143cfec8490ec17c702e3a1504205050fea616db8ea38ef805c32792df"
+       "13c34b8a6351393880313b8aadccce4f24cb45ad"},
+      {70,
+       "934796ff483c4ea0292fc81bde4d85ec97325957b2a2fd76677e2e200ec6e838cb2f910b772c699c"
+       "c1f90251412818603fcb3fa0dcf881fb300f246d0071d587d5600d86389c05da2c3bb54225aa300c"
+       "19a5673e624a45bef49c0ff6d636d8bcfc6bf4b8"},
+  };
+  for (const auto& [key_size, hex] : kGolden) {
+    Bytes key(key_size);
+    for (size_t i = 0; i < key_size; ++i) {
+      key[i] = static_cast<uint8_t>(i * 7 + 1);
+    }
+    Bytes data(100, 0);  // XOR onto zeros leaves the keystream itself
+    ApplyKeystream(key, 0x0123456789abcdefULL, &data);
+    EXPECT_EQ(HexEncode(data), hex) << "key size " << key_size;
+  }
 }
 
 TEST(CipherTest, LongDataCrossesBlocks) {

@@ -3,16 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "src/util/bytes.h"
 #include "src/util/hmac.h"
 #include "src/util/rng.h"
 #include "src/util/serial.h"
 #include "src/util/sha256.h"
+#include "src/util/sha256_internal.h"
 #include "src/util/status.h"
 #include "src/util/strings.h"
+#include "tests/block_path_test.h"
 
 namespace globe {
 namespace {
@@ -223,24 +227,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SerialPropertyTest, ::testing::Values(1, 2, 3, 4
 
 // ---------------------------------------------------------------- SHA-256 vectors
 
+// Each vector runs through both block functions (see block_path_test.h).
+using Sha256Test = testutil::BlockPathTest;
+GLOBE_INSTANTIATE_BLOCK_PATHS(Sha256Test);
+
 // Vectors from FIPS 180-4 / NIST CAVS.
-TEST(Sha256Test, EmptyString) {
+TEST_P(Sha256Test, EmptyString) {
   EXPECT_EQ(Sha256::HexDigest({}),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
-TEST(Sha256Test, Abc) {
+TEST_P(Sha256Test, Abc) {
   EXPECT_EQ(Sha256::HexDigest(ToBytes("abc")),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
-TEST(Sha256Test, TwoBlockMessage) {
+TEST_P(Sha256Test, TwoBlockMessage) {
   EXPECT_EQ(
       Sha256::HexDigest(ToBytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
-TEST(Sha256Test, MillionAs) {
+TEST_P(Sha256Test, MillionAs) {
   Sha256 h;
   Bytes chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) {
@@ -251,7 +259,7 @@ TEST(Sha256Test, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256Test, ExactBlockBoundary) {
+TEST_P(Sha256Test, ExactBlockBoundary) {
   // 64 bytes: padding goes entirely into a second block.
   Bytes data(64, 'x');
   Sha256 streaming;
@@ -262,7 +270,7 @@ TEST(Sha256Test, ExactBlockBoundary) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Sha256Test, StreamingEqualsOneShotOnRandomChunks) {
+TEST_P(Sha256Test, StreamingEqualsOneShotOnRandomChunks) {
   Rng rng(7);
   Bytes data = rng.RandomBytes(10000);
   Sha256 streaming;
@@ -275,10 +283,81 @@ TEST(Sha256Test, StreamingEqualsOneShotOnRandomChunks) {
   EXPECT_EQ(streaming.Finish(), Sha256::Digest(data));
 }
 
+// The block functions against each other, and the choice between them.
+
+// Random messages of every length 0-2048 bytes (so 55, 56, 63, 64, 65, 119, 120
+// and 128, where the padding changes shape) and one of 1 MiB, each fed in random
+// chunks (empty ones included) identically to both functions.
+TEST(Sha256BlockFunctionTest, AcceleratedDigestsEqualPortable) {
+  sha256_internal::BlockFunction accelerated = sha256_internal::AcceleratedBlockFunction();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "CPU lacks " << sha256_internal::MissingCpuFeature();
+  }
+  Rng rng(20);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 2048; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(size_t{1} << 20);
+  for (size_t length : lengths) {
+    Bytes message = rng.RandomBytes(length);
+    std::vector<size_t> chunks;
+    for (size_t fed = 0; fed < length;) {
+      size_t n = std::min<size_t>(rng.UniformInt(length < 4096 ? 200 : 70000), length - fed);
+      chunks.push_back(n);
+      fed += n;
+    }
+    auto digest_with = [&](sha256_internal::BlockFunction fn) {
+      sha256_internal::ScopedBlockFunction use(fn);
+      Sha256 h;
+      size_t pos = 0;
+      for (size_t n : chunks) {
+        h.Update(ByteSpan(message.data() + pos, n));
+        pos += n;
+      }
+      return h.Finish();
+    };
+    ASSERT_EQ(digest_with(accelerated), digest_with(sha256_internal::CompressPortable))
+        << "length " << length;
+  }
+}
+
+// The raw functions from arbitrary (not only reachable) states over runs of
+// 1-20 blocks: the accelerated one's state shuffles must round-trip every word.
+TEST(Sha256BlockFunctionTest, AcceleratedCompressesLikePortableFromAnyState) {
+  sha256_internal::BlockFunction accelerated = sha256_internal::AcceleratedBlockFunction();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "CPU lacks " << sha256_internal::MissingCpuFeature();
+  }
+  Rng rng(21);
+  for (int trial = 0; trial < 200; ++trial) {
+    uint32_t portable[8];
+    uint32_t fast[8];
+    for (int i = 0; i < 8; ++i) {
+      portable[i] = fast[i] = static_cast<uint32_t>(rng.NextU64());
+    }
+    size_t count = 1 + rng.UniformInt(20);
+    Bytes blocks = rng.RandomBytes(count * Sha256::kBlockSize);
+    sha256_internal::CompressPortable(portable, blocks.data(), count);
+    accelerated(fast, blocks.data(), count);
+    ASSERT_TRUE(std::equal(portable, portable + 8, fast)) << "trial " << trial;
+  }
+}
+
+TEST(Sha256BlockFunctionTest, RunsAcceleratedExactlyWhenTheCpuHasIt) {
+  sha256_internal::BlockFunction accelerated = sha256_internal::AcceleratedBlockFunction();
+  EXPECT_EQ(accelerated == nullptr, !sha256_internal::MissingCpuFeature().empty());
+  EXPECT_EQ(sha256_internal::ActiveBlockFunction(),
+            accelerated != nullptr ? accelerated : sha256_internal::CompressPortable);
+}
+
 // ---------------------------------------------------------------- HMAC vectors
 
+using HmacTest = testutil::BlockPathTest;
+GLOBE_INSTANTIATE_BLOCK_PATHS(HmacTest);
+
 // RFC 4231 test case 1.
-TEST(HmacTest, Rfc4231Case1) {
+TEST_P(HmacTest, Rfc4231Case1) {
   Bytes key(20, 0x0b);
   Bytes mac = HmacSha256(key, ToBytes("Hi There"));
   EXPECT_EQ(HexEncode(mac),
@@ -286,14 +365,14 @@ TEST(HmacTest, Rfc4231Case1) {
 }
 
 // RFC 4231 test case 2 ("Jefe").
-TEST(HmacTest, Rfc4231Case2) {
+TEST_P(HmacTest, Rfc4231Case2) {
   Bytes mac = HmacSha256(ToBytes("Jefe"), ToBytes("what do ya want for nothing?"));
   EXPECT_EQ(HexEncode(mac),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
 }
 
 // RFC 4231 test case 3: 20x 0xaa key, 50x 0xdd data.
-TEST(HmacTest, Rfc4231Case3) {
+TEST_P(HmacTest, Rfc4231Case3) {
   Bytes key(20, 0xaa);
   Bytes data(50, 0xdd);
   EXPECT_EQ(HexEncode(HmacSha256(key, data)),
@@ -301,14 +380,14 @@ TEST(HmacTest, Rfc4231Case3) {
 }
 
 // RFC 4231 test case 6: key longer than block size.
-TEST(HmacTest, LongKeyIsHashedFirst) {
+TEST_P(HmacTest, LongKeyIsHashedFirst) {
   Bytes key(131, 0xaa);
   Bytes mac = HmacSha256(key, ToBytes("Test Using Larger Than Block-Size Key - Hash Key First"));
   EXPECT_EQ(HexEncode(mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
-TEST(HmacTest, VerifyDetectsTampering) {
+TEST_P(HmacTest, VerifyDetectsTampering) {
   Bytes key = ToBytes("secret");
   Bytes msg = ToBytes("original message");
   Bytes mac = HmacSha256(key, msg);
@@ -321,7 +400,7 @@ TEST(HmacTest, VerifyDetectsTampering) {
   EXPECT_FALSE(VerifyHmacSha256(key, msg, bad_mac));
 }
 
-TEST(HmacTest, DifferentKeysDifferentMacs) {
+TEST_P(HmacTest, DifferentKeysDifferentMacs) {
   Bytes msg = ToBytes("msg");
   EXPECT_NE(HmacSha256(ToBytes("k1"), msg), HmacSha256(ToBytes("k2"), msg));
 }
@@ -333,7 +412,7 @@ TEST(HmacKeyTest, MatchesOneShotHmac) {
   const Bytes msg = ToBytes("what do ya want for nothing?");
   for (const Bytes& key : keys) {
     HmacKey prepared(key);
-    EXPECT_EQ(prepared.Mac(msg), HmacSha256(key, msg)) << "key size " << key.size();
+    EXPECT_EQ(ToBytes(prepared.Mac(msg)), HmacSha256(key, msg)) << "key size " << key.size();
   }
 }
 
