@@ -33,8 +33,9 @@ BindPhases MeasureBind(gdn::GdnWorld& world, sim::NodeId user, const std::string
   BindPhases phases;
 
   // Phase 1: GNS resolve.
-  dns::GnsClient gns(world.transport(), user, world.config().zone,
-                     world.naming_authority()->endpoint(), world.ResolverEndpointFor(user));
+  dns::GnsClient gns(world.transport(), user, gdn::kGdnZone,
+                     world.services().naming_authority()->endpoint(),
+                     world.services().ResolverFor(user)->endpoint());
   std::string oid_hex;
   sim::SimTime t0 = world.simulator().Now();
   sim::SimTime t1 = t0;
@@ -53,7 +54,8 @@ BindPhases MeasureBind(gdn::GdnWorld& world, sim::NodeId user, const std::string
   auto oid = gls::ObjectId::FromHex(oid_hex);
 
   // Phase 2: GLS lookup.
-  gls::GlsClient gls_client(world.transport(), user, world.gls().LeafDirectoryFor(user));
+  gls::GlsClient gls_client(world.transport(), user,
+                            world.services().gls().LeafDirectoryFor(user));
   std::vector<gls::ContactAddress> addresses;
   t0 = world.simulator().Now();
   t1 = t0;
@@ -118,16 +120,16 @@ int main() {
       return 1;
     }
     sim::NodeId client = sweep_world.user_hosts()[0];
-    size_t country = static_cast<size_t>(sweep_world.CountryOf(client));
-    dns::GnsClient gns(sweep_world.transport(), client, sweep_world.config().zone,
-                       sweep_world.naming_authority()->endpoint(),
-                       sweep_world.ResolverEndpointFor(client));
+    dns::CachingResolver* resolver = sweep_world.services().ResolverFor(client);
+    dns::GnsClient gns(sweep_world.transport(), client, gdn::kGdnZone,
+                       sweep_world.services().naming_authority()->endpoint(),
+                       resolver->endpoint());
     for (int i = 0; i < 30; ++i) {
       gns.Resolve("/apps/ttl/pkg", [](Result<std::string>) {});
       sweep_world.Run();
       sweep_world.simulator().RunUntil(sweep_world.simulator().Now() + 120 * sim::kSecond);
     }
-    const auto& stats = sweep_world.ResolverOf(country)->stats();
+    const auto& stats = resolver->stats();
     double ratio = stats.queries > 0
                        ? static_cast<double>(stats.cache_hits) / static_cast<double>(30)
                        : 0;

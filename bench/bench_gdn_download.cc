@@ -55,7 +55,7 @@ RunResult Run(gls::ProtocolId protocol, bool replica_in_crowd_country,
     std::exit(1);
   }
 
-  sim::NodeId origin_host = world.countries()[0].gos_host;
+  sim::NodeId origin_host = world.services().GosOf(0)->host();
   world.network().mutable_stats()->Clear();
   world.network().ClearPerNodeReceived();
 
@@ -63,7 +63,7 @@ RunResult Run(gls::ProtocolId protocol, bool replica_in_crowd_country,
   double total_ms = 0;
   for (int round = 0; round < kDownloadsPerUser; ++round) {
     for (sim::NodeId user : world.user_hosts()) {
-      if (world.CountryOf(user) != static_cast<int>(crowd_country)) {
+      if (world.services().CountryOf(user) != static_cast<int>(crowd_country)) {
         continue;
       }
       auto content = world.DownloadFile(user, "/apps/big/dist", "dist.tar.gz");

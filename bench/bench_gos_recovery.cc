@@ -50,7 +50,7 @@ int main() {
     packages.push_back(package);
   }
 
-  gos::ObjectServer* gos = world.GosOf(1);
+  gos::ObjectServer* gos = world.services().GosOf(1);
   bench::Note("GOS in country 1 hosts %zu replicas", gos->num_replicas());
 
   // Checkpoint.
@@ -61,7 +61,7 @@ int main() {
 
   // Crash: host down, all replicas lost (we model by rebuilding the server).
   // Note the GLS still points at the dead replicas until Restore fixes it.
-  sim::NodeId host = world.countries()[1].gos_host;
+  sim::NodeId host = world.services().GosOf(1)->host();
   world.network().SetNodeUp(host, false);
   sim::NodeId probe_user = world.user_hosts()[0];
   auto during_crash = world.DownloadFile(probe_user, packages[0].name, "blob");

@@ -259,7 +259,7 @@ ViralResult RunViral(ViralMode mode) {
   }
   std::vector<std::vector<sim::NodeId>> users_by_country(world.num_countries());
   for (sim::NodeId user : world.user_hosts()) {
-    int country = world.CountryOf(user);
+    int country = world.services().CountryOf(user);
     if (country >= 0) {
       users_by_country[static_cast<size_t>(country)].push_back(user);
     }

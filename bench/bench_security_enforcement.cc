@@ -48,7 +48,7 @@ std::vector<AttackOutcome> RunAttacks(gdn::GdnWorld& world) {
   {
     sim::Channel rpc(world.transport(), attacker);
     Status status = Unavailable("no answer");
-    rpc.Call(world.GosOf(0)->endpoint(), "gos.create_first_replica",
+    rpc.Call(world.services().GosOf(0)->endpoint(), "gos.create_first_replica",
              wire::Encode(gos::CreateFirstReplicaRequest{dso::kProtoClientServer,
                                                          gdn::kPackageTypeId, {}}),
              [&](Result<sim::PayloadView> r) { status = r.ok() ? OkStatus() : r.status(); });
@@ -59,8 +59,8 @@ std::vector<AttackOutcome> RunAttacks(gdn::GdnWorld& world) {
   // R4: state-modifying invocation on a replica (before R2 can pollute the GLS).
   {
     dso::RuntimeSystem runtime(world.transport(), attacker,
-                               world.gls().LeafDirectoryFor(attacker),
-                               &world.repository());
+                               world.services().gls().LeafDirectoryFor(attacker),
+                               &world.services().repository());
     std::unique_ptr<dso::BoundObject> bound;
     runtime.Bind(*oid, {}, [&](Result<std::unique_ptr<dso::BoundObject>> r) {
       if (r.ok()) {
@@ -81,7 +81,7 @@ std::vector<AttackOutcome> RunAttacks(gdn::GdnWorld& world) {
   // R2: forged GLS registration pointing the victim at the attacker.
   {
     gls::GlsClient gls_client(world.transport(), attacker,
-                              world.gls().LeafDirectoryFor(attacker));
+                              world.services().gls().LeafDirectoryFor(attacker));
     Status status = Unavailable("no answer");
     gls_client.Insert(*oid,
                       gls::ContactAddress{{attacker, 4444}, dso::kProtoMasterSlave,
@@ -93,9 +93,9 @@ std::vector<AttackOutcome> RunAttacks(gdn::GdnWorld& world) {
 
   // R3: unauthorized GNS name registration.
   {
-    dns::GnsClient gns(world.transport(), attacker, world.config().zone,
-                       world.naming_authority()->endpoint(),
-                       world.ResolverEndpointFor(attacker));
+    dns::GnsClient gns(world.transport(), attacker, gdn::kGdnZone,
+                       world.services().naming_authority()->endpoint(),
+                       world.services().ResolverFor(attacker)->endpoint());
     Status status = Unavailable("no answer");
     gns.AddName("/apps/warez", gls::ObjectId::Generate(&rng).ToHex(),
                 [&](Status s) { status = s; });
@@ -106,7 +106,7 @@ std::vector<AttackOutcome> RunAttacks(gdn::GdnWorld& world) {
   // R5: forged DNS UPDATE straight at the primary (attacker lacks the TSIG key).
   {
     dns::UpdateRequest update;
-    update.zone = world.config().zone;
+    update.zone = gdn::kGdnZone;
     update.additions.push_back(
         {"warez.gdn.cs.vu.nl", dns::RrType::kTxt, 3600, "badc0de"});
     update.key_name = "gdn-na";
@@ -114,7 +114,8 @@ std::vector<AttackOutcome> RunAttacks(gdn::GdnWorld& world) {
     dns::TsigSign(&update, ToBytes("guessed-key"));
     sim::Channel rpc(world.transport(), attacker);
     Status status = Unavailable("no answer");
-    rpc.Call(world.dns_primary()->endpoint(), "dns.update", wire::Encode(update),
+    rpc.Call(world.services().dns_primary()->endpoint(), "dns.update",
+             wire::Encode(update),
              [&](Result<sim::PayloadView> r) { status = r.ok() ? OkStatus() : r.status(); });
     world.Run();
     outcomes[4] = {!status.ok(), status.ToString()};

@@ -26,7 +26,7 @@ CrowdResult RunFlashCrowd(gdn::GdnWorld& world, const std::string& package) {
   double total_ms = 0;
   int downloads = 0;
   for (sim::NodeId user : world.user_hosts()) {
-    if (world.CountryOf(user) != last_country) {
+    if (world.services().CountryOf(user) != last_country) {
       continue;
     }
     auto content = world.DownloadFile(user, package, "distribution.tar.gz");

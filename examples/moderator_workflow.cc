@@ -46,8 +46,8 @@ int main() {
   std::printf("\nan ordinary user tries to trojan the package:\n");
   sim::NodeId attacker = world.user_hosts()[5];
   dso::RuntimeSystem attacker_runtime(world.transport(), attacker,
-                                      world.gls().LeafDirectoryFor(attacker),
-                                      &world.repository());
+                                      world.services().gls().LeafDirectoryFor(attacker),
+                                      &world.services().repository());
   std::unique_ptr<dso::BoundObject> bound;
   attacker_runtime.Bind(*oid, {}, [&](Result<std::unique_ptr<dso::BoundObject>> r) {
     if (r.ok()) {
@@ -87,7 +87,7 @@ int main() {
   Status removal = Unavailable("pending");
   world.moderator()->RemovePackage("/apps/text/teTeX", [&](Status s) { removal = s; });
   world.Run();
-  world.naming_authority()->Flush();
+  world.services().naming_authority()->Flush();
   world.Run();
   Report("remove replicas + GNS name", removal);
 
@@ -98,9 +98,10 @@ int main() {
   std::printf("\nsecurity counters: %llu handshakes, %llu denied GOS commands, "
               "%llu denied GNS requests\n",
               static_cast<unsigned long long>(world.secure_transport()->stats().handshakes),
-              static_cast<unsigned long long>(world.GosOf(0)->stats().commands_denied),
               static_cast<unsigned long long>(
-                  world.naming_authority()->stats().requests_denied));
+                  world.services().GosOf(0)->stats().commands_denied),
+              static_cast<unsigned long long>(
+                  world.services().naming_authority()->stats().requests_denied));
   std::printf("== done ==\n");
   return 0;
 }

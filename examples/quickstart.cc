@@ -21,7 +21,7 @@ int main() {
   gdn::GdnWorld world;
   std::printf("world: %zu countries, %zu user machines, %zu GLS directory nodes\n",
               world.num_countries(), world.user_hosts().size(),
-              world.gls().subnodes().size());
+              world.services().gls().subnodes().size());
 
   // The moderator publishes the Gimp package: master replica in country 0, a slave
   // in country 2, name registered as /apps/graphics/Gimp.

@@ -1,17 +1,16 @@
 // GdnWorld: the complete GDN deployment from the paper's Figure 3, in one object.
 //
-// Builds, over one simulator run:
-//   - a hierarchical Internet (continents > countries > sites) with user machines,
-//   - the Globe Location Service directory tree (one directory node per domain,
-//     optionally partitioned at the top),
-//   - the DNS-based GNS: a primary authoritative server for the GDN Zone,
-//     secondaries refreshed by zone transfer, one caching resolver per country, and
-//     the GNS Naming Authority,
-//   - one Globe Object Server per country with a colocated GDN-enabled HTTPD,
-//   - a moderator machine running the moderator tool,
+// Runs the GDN's services (see src/gdn/services.h) over one simulator run:
+//   - a hierarchical Internet (continents > countries > sites) with user machines;
+//     the countries are the domains one level above the sites;
+//   - the services themselves: the Globe Location Service directory tree, the
+//     DNS-based GNS, one Globe Object Server with a colocated GDN-enabled HTTPD
+//     per country, and the moderator tool;
 //   - optionally, the Figure-4 TLS channel policy: mutual authentication between GDN
 //     hosts, server authentication towards user machines, and role-enforced
-//     authorization at the GLS, GOS, Naming Authority and replica write paths.
+//     authorization at the GLS, GOS, Naming Authority and replica write paths;
+//   - the search index (paper 8 future work) and the adaptive replication
+//     controller.
 //
 // Tests, examples and benchmarks all build their scenarios on this harness.
 
@@ -25,97 +24,39 @@
 #include <vector>
 
 #include "src/ctl/controller.h"
-#include "src/dns/gns.h"
-#include "src/dns/resolver.h"
-#include "src/dns/server.h"
-#include "src/gdn/httpd.h"
-#include "src/gdn/moderator.h"
 #include "src/gdn/search.h"
-#include "src/gls/deploy.h"
-#include "src/gos/object_server.h"
+#include "src/gdn/services.h"
 #include "src/sec/secure_transport.h"
 #include "src/sim/backend.h"  // GdnWorld is a composition root: it owns the sim stack
 
 namespace globe::gdn {
 
-struct GdnWorldConfig {
+struct GdnWorldConfig : GdnServicesOptions {
   // Topology: fanouts per level below the world root, then user hosts per leaf site.
   std::vector<int> fanouts = {2, 2, 2};
   int user_hosts_per_site = 2;
 
-  // Figure-4 security: TLS-style channels plus role-based authorization everywhere.
-  bool secure = false;
-  // Confidentiality on top of authentication+integrity (the cost §6.3 questions).
+  // A secure world also runs Figure-4 TLS-style channels; this adds confidentiality
+  // on top of authentication+integrity (the cost §6.3 questions).
   bool encrypt = false;
-
-  // DNS/GNS parameters.
-  int dns_secondaries = 1;
-  // The authority's TXT record TTL is naming_authority.record_ttl; its
-  // enforce_authorization follows `secure`.
-  dns::NamingAuthorityOptions naming_authority;
-
-  // HTTPD behaviour.
-  HttpdOptions httpd;
-
-  // Root directory-node partitioning (1 = unpartitioned).
-  int root_subnodes = 1;
-
-  // Memory bound for every directory subnode (entries resident per subnode;
-  // 0 = unbounded). See GlsOptions::store_capacity.
-  size_t gls_store_capacity = 0;
-
-  // GLS lookup caching on the hot read path: every directory subnode keeps a TTL'd
-  // cache of the answers its descents returned, and the GDN-HTTPDs issue
-  // cache-permitted lookups when binding to packages. Staleness is bounded by the
-  // TTL plus delete-driven invalidation chains (see src/gls/cache.h). The TTL is
-  // sized for actual content-churn staleness: RPC deadline events are erased from
-  // the simulator queue when responses land, so a drained step costs round-trip
-  // time and short TTLs behave the same in tests and benches as in a long run.
-  bool gls_cache = false;
-  sim::SimTime gls_cache_ttl = 30 * sim::kSecond;
-
-  sim::NetworkOptions network;
-  sec::CryptoProfile crypto;
-  std::string zone = "gdn.cs.vu.nl";
-  uint64_t seed = 0x91de;
 };
 
 class GdnWorld {
  public:
   explicit GdnWorld(GdnWorldConfig config = {});
 
-  // Per-country service placement.
-  struct Country {
-    sim::DomainId domain = sim::kNoDomain;
-    sim::NodeId gos_host = sim::kNoNode;  // also runs the colocated GDN-HTTPD
-    sim::NodeId resolver_host = sim::kNoNode;
-  };
-
   sim::Simulator& simulator() { return engine_; }
-  sim::Network& network() { return *network_; }
+  sim::Network& network() { return network_; }
   sim::Transport* transport() { return transport_; }
   const sim::Topology& topology() const { return world_.topology; }
   sec::SecureTransport* secure_transport() { return secure_transport_.get(); }
-  const GdnWorldConfig& config() const { return config_; }
-
-  const std::vector<Country>& countries() const { return countries_; }
   const std::vector<sim::NodeId>& user_hosts() const { return world_.hosts; }
-  gls::GlsDeployment& gls() { return *gls_; }
-  dns::AuthoritativeServer* dns_primary() { return dns_primary_.get(); }
-  dns::GnsNamingAuthority* naming_authority() { return naming_authority_.get(); }
-  ModeratorTool* moderator() { return moderator_.get(); }
-  const dso::ImplementationRepository& repository() const { return repository_; }
+  GdnServices& services() { return services_; }
 
-  gos::ObjectServer* GosOf(size_t country) { return goses_[country].get(); }
-  GdnHttpd* HttpdOf(size_t country) { return httpds_[country].get(); }
-  dns::CachingResolver* ResolverOf(size_t country) { return resolvers_[country].get(); }
-  size_t num_countries() const { return countries_.size(); }
-
-  // Country index of (the country domain containing) a node, or -1.
-  int CountryOf(sim::NodeId node) const;
-  // The HTTPD nearest to a user machine (its country's access point).
-  GdnHttpd* NearestHttpd(sim::NodeId user);
-  sim::Endpoint ResolverEndpointFor(sim::NodeId node) const;
+  // The services accessors that benchmark/ reads from the world.
+  size_t num_countries() const { return services_.num_countries(); }
+  ModeratorTool* moderator() { return services_.moderator(); }
+  GdnHttpd* NearestHttpd(sim::NodeId user) { return services_.NearestHttpd(user); }
 
   std::unique_ptr<Browser> MakeBrowser(sim::NodeId user);
 
@@ -124,9 +65,8 @@ class GdnWorld {
 
   // ---- Synchronous conveniences (each drains the simulator) ----
 
-  // Publishes a package through the moderator tool: scenario = master at
-  // countries[master], secondaries at the other listed countries, with
-  // `maintainers` (see AddMaintainerMachine) attached to the scenario.
+  // GdnServices::PublishPackage (`maintainers` come from AddMaintainerMachine),
+  // then the description, registered in the search index, and adaptive tracking.
   Result<gls::ObjectId> PublishPackage(const std::string& globe_name,
                                        const std::map<std::string, Bytes>& files,
                                        gls::ProtocolId protocol, size_t master_country,
@@ -144,8 +84,8 @@ class GdnWorld {
   // True if `node` hosts any GDN service (and thus holds a GDN-host credential).
   bool IsGdnHost(sim::NodeId node) const { return gdn_hosts_.count(node) > 0; }
 
-  // Virtual-time duration of the last DownloadFile / FetchListing, measured from
-  // request to response arrival.
+  // Virtual-time duration of the last DownloadFile / FetchListing / SearchViaHttp,
+  // measured from request to response arrival.
   sim::SimTime last_op_duration() const { return last_op_duration_; }
 
   // ---- Attribute-based search (paper 8 future work) ----
@@ -179,7 +119,6 @@ class GdnWorld {
   // One aggregate-and-evaluate pass; no-op before EnableAdaptiveReplication.
   void EvaluateAdaptiveNow();
   ctl::ReplicationController* controller() { return controller_.get(); }
-  ctl::MetricsRegistry* world_metrics() { return world_metrics_.get(); }
 
   // The world's ctl::PolicyActuator implementation (public for tests; normal
   // use is through the controller). Aborts on the first failing step so the
@@ -195,36 +134,28 @@ class GdnWorld {
   sec::PrincipalId AddMaintainerMachine(const std::string& name, sim::NodeId node);
 
  private:
+  // The services' host hook: installs each host's credential.
+  void CredentialHost(sim::NodeId node, std::string_view service);
   void SetupSecurity();
-  void CredentialHost(sim::NodeId node, const std::string& name);
+  void SetupSearchIndex();
+  void ScheduleAdaptiveTick();
+  // One GET from `user` through their nearest HTTPD, drained: the body of a 200
+  // reply, else NotFound("HTTP <code>: <body>").
+  Result<Bytes> Get(sim::NodeId user, const std::string& target);
 
   GdnWorldConfig config_;
   sim::UniformWorld world_;
   sim::Simulator engine_;
   sec::KeyRegistry registry_;
-  std::unique_ptr<sim::Network> network_;
-  std::unique_ptr<sim::PlainTransport> plain_transport_;
+  sim::Network network_;
+  sim::PlainTransport plain_transport_;
   std::unique_ptr<sec::SecureTransport> secure_transport_;
-  sim::Transport* transport_ = nullptr;
+  sim::Transport* transport_;
 
-  dso::ImplementationRepository repository_;
   std::set<sim::NodeId> gdn_hosts_;
   // Non-host machines admitted to mutual authentication (maintainer machines).
   std::set<sim::NodeId> mutual_nodes_;
-  std::unique_ptr<gls::GlsDeployment> gls_;
-
-  dns::TsigKeyTable tsig_keys_;
-  std::unique_ptr<dns::AuthoritativeServer> dns_primary_;
-  std::vector<std::unique_ptr<dns::AuthoritativeServer>> dns_secondaries_;
-  std::unique_ptr<dns::GnsNamingAuthority> naming_authority_;
-
-  std::vector<Country> countries_;
-  std::vector<std::unique_ptr<dns::CachingResolver>> resolvers_;
-  std::vector<std::unique_ptr<gos::ObjectServer>> goses_;
-  std::vector<std::unique_ptr<GdnHttpd>> httpds_;
-
-  sim::NodeId moderator_host_ = sim::kNoNode;
-  std::unique_ptr<ModeratorTool> moderator_;
+  GdnServices services_;
   sim::SimTime last_op_duration_ = 0;
 
   gls::ObjectId search_oid_;
@@ -235,9 +166,6 @@ class GdnWorld {
   std::unique_ptr<ctl::PolicyActuator> actuator_;
   std::unique_ptr<ctl::ReplicationController> controller_;
   sim::SimTime adaptive_interval_ = 0;
-
-  void SetupSearchIndex();
-  void ScheduleAdaptiveTick();
 };
 
 }  // namespace globe::gdn

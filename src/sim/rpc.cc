@@ -280,7 +280,7 @@ namespace {
 
 struct PendingCall {
   Endpoint server;
-  std::string method;
+  std::string_view method;  // outlives the call (see Channel::Call)
   Bytes request;  // kept for retries
   Channel::Callback done;
   CallOptions options;
@@ -415,8 +415,8 @@ void OnDeadline(const std::shared_ptr<ChannelState>& state, uint64_t id) {
   }
   ++state->stats.deadline_exceeded;
   it->second.deadline_timer = Clock::kNoTimer;
-  OnAttemptFailed(state, id,
-                  Unavailable("rpc deadline exceeded: " + it->second.method));
+  OnAttemptFailed(state, id, Unavailable("rpc deadline exceeded: " +
+                                         std::string(it->second.method)));
 }
 
 void SendAttempt(const std::shared_ptr<ChannelState>& state, uint64_t id) {
@@ -575,7 +575,7 @@ CallHandle Channel::Call(const Endpoint& server, std::string_view method, Bytes 
   uint64_t id = NextRequestId();
   PendingCall call;
   call.server = server;
-  call.method = std::string(method);
+  call.method = method;
   call.request = std::move(request);
   call.done = std::move(done);
   call.options = std::move(options);

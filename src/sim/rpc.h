@@ -311,7 +311,9 @@ class Channel {
   // Issues a call; `done` runs at most once, with the response payload or an error
   // (UNAVAILABLE when the deadline and all retries are exhausted; whatever status
   // the server returned otherwise). It never runs after Cancel() on the returned
-  // handle, nor after this Channel is destroyed.
+  // handle, nor after this Channel is destroyed. The channel keeps `method` as a
+  // view, so the name must outlive the call: TypedMethod names and string
+  // literals do.
   CallHandle Call(const Endpoint& server, std::string_view method, Bytes request,
                   Callback done, CallOptions options = {});
 

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/gdn/package.h"
+#include "src/gdn/services.h"
 #include "src/gdn/world.h"
 #include "src/util/sha256.h"
 
@@ -130,14 +135,30 @@ TEST_F(GdnWorldTest, WorldWiring) {
   EXPECT_EQ(world_.num_countries(), 4u);
   EXPECT_EQ(world_.user_hosts().size(), 16u);
   for (size_t i = 0; i < world_.num_countries(); ++i) {
-    EXPECT_NE(world_.GosOf(i), nullptr);
-    EXPECT_NE(world_.HttpdOf(i), nullptr);
+    EXPECT_NE(world_.services().GosOf(i), nullptr);
+    EXPECT_NE(world_.services().HttpdOf(i), nullptr);
   }
   // Every user maps to a country and an HTTPD.
   for (sim::NodeId user : world_.user_hosts()) {
-    EXPECT_GE(world_.CountryOf(user), 0);
+    EXPECT_GE(world_.services().CountryOf(user), 0);
     EXPECT_NE(world_.NearestHttpd(user), nullptr);
   }
+}
+
+// A NodeId read off the wire (a socket frame header names its source) need not
+// be a node of the topology: it is in no country, and country 0 serves it.
+TEST_F(GdnWorldTest, NodeOutsideTheTopologyHasNoCountry) {
+  GdnServices& services = world_.services();
+  sim::NodeId user = world_.user_hosts().back();
+  size_t country = static_cast<size_t>(services.CountryOf(user));
+  ASSERT_NE(country, 0u);
+  EXPECT_EQ(services.NearestHttpd(user), services.HttpdOf(country));
+  EXPECT_EQ(services.ResolverFor(user), services.ResolverOf(country));
+
+  auto stranger = static_cast<sim::NodeId>(world_.topology().num_nodes() + 5);
+  EXPECT_EQ(services.CountryOf(stranger), -1);
+  EXPECT_EQ(services.NearestHttpd(stranger), services.HttpdOf(0));
+  EXPECT_EQ(services.ResolverFor(stranger), services.ResolverOf(0));
 }
 
 TEST_F(GdnWorldTest, PublishAndDownloadEndToEnd) {
@@ -191,10 +212,10 @@ TEST_F(CachedGdnWorldTest, CachedLookupsServeDownloadsEndToEnd) {
 
   // The cached read path really ran: allow_cached lookups consulted the caches,
   // and the descents left entries behind on the replica-side pointer holders.
-  gls::SubnodeStats stats = world_.gls().TotalStats();
+  gls::SubnodeStats stats = world_.services().gls().TotalStats();
   EXPECT_GT(stats.cache_misses + stats.cache_hits, 0u);
   size_t cached_entries = 0;
-  for (const auto& subnode : world_.gls().subnodes()) {
+  for (const auto& subnode : world_.services().gls().subnodes()) {
     cached_entries += subnode->CacheSize();
   }
   EXPECT_GT(cached_entries, 0u);
@@ -266,7 +287,7 @@ TEST_F(GdnWorldTest, ConcurrentRequestsShareOneBind) {
   EXPECT_EQ(httpd->stats().binds, 1u);
 
   size_t registered_on_httpd = 0;
-  for (const auto& subnode : world_.gls().subnodes()) {
+  for (const auto& subnode : world_.services().gls().subnodes()) {
     for (const auto& [entry_oid, entry] : subnode->ExportEntries()) {
       if (entry_oid != *oid) {
         continue;
@@ -327,15 +348,85 @@ TEST_F(GdnWorldTest, RemovePackageMakesItUnreachable) {
   Status remove_status = Unavailable("pending");
   world_.moderator()->RemovePackage("/apps/temp", [&](Status s) { remove_status = s; });
   world_.Run();
-  world_.naming_authority()->Flush();
+  world_.services().naming_authority()->Flush();
   world_.Run();
   ASSERT_TRUE(remove_status.ok()) << remove_status;
 
   // Fresh HTTPD state (the old one may hold a stale binding): use another country.
   sim::NodeId other_user = world_.user_hosts()[7];
-  ASSERT_NE(world_.CountryOf(other_user), world_.CountryOf(world_.user_hosts()[0]));
+  ASSERT_NE(world_.services().CountryOf(other_user),
+            world_.services().CountryOf(world_.user_hosts()[0]));
   auto content = world_.DownloadFile(other_user, "/apps/temp", "f");
   EXPECT_FALSE(content.ok());
+}
+
+// ---------------------------------------------------------------- Service layout
+
+// One line per node: its NodeId, its topology name and " gdn" if the world
+// counts it a GDN host. NodeIds decide link latencies and event order, so every
+// virtual-time number a world reports depends on this layout staying put.
+std::vector<std::string> LayoutLines(const GdnWorld& world, bool with_users) {
+  std::set<sim::NodeId> users(world.user_hosts().begin(), world.user_hosts().end());
+  std::vector<std::string> lines;
+  for (sim::NodeId node = 0; node < world.topology().num_nodes(); ++node) {
+    if (with_users || users.count(node) == 0) {
+      lines.push_back(std::to_string(node) + " " + world.topology().NodeName(node) +
+                      (world.IsGdnHost(node) ? " gdn" : ""));
+    }
+  }
+  return lines;
+}
+
+TEST(GdnWorldLayoutTest, DefaultWorldKeepsEveryServiceNode) {
+  GdnWorld world;
+  const std::vector<std::string> expected = {
+      "16 gls.world.0 gdn",
+      "17 gls.world.c0.0 gdn",
+      "18 gls.world.c0.k0.0 gdn",
+      "19 gls.world.c0.k0.t0.0 gdn",
+      "20 gls.world.c0.k0.t1.0 gdn",
+      "21 gls.world.c0.k1.0 gdn",
+      "22 gls.world.c0.k1.t0.0 gdn",
+      "23 gls.world.c0.k1.t1.0 gdn",
+      "24 gls.world.c1.0 gdn",
+      "25 gls.world.c1.k0.0 gdn",
+      "26 gls.world.c1.k0.t0.0 gdn",
+      "27 gls.world.c1.k0.t1.0 gdn",
+      "28 gls.world.c1.k1.0 gdn",
+      "29 gls.world.c1.k1.t0.0 gdn",
+      "30 gls.world.c1.k1.t1.0 gdn",
+      "31 gos.world.c0.k0 gdn",
+      "32 resolver.world.c0.k0 gdn",
+      "33 gos.world.c0.k1 gdn",
+      "34 resolver.world.c0.k1 gdn",
+      "35 gos.world.c1.k0 gdn",
+      "36 resolver.world.c1.k0 gdn",
+      "37 gos.world.c1.k1 gdn",
+      "38 resolver.world.c1.k1 gdn",
+      "39 dns.primary gdn",
+      "40 dns.secondary0 gdn",
+      "41 gns.authority gdn",
+      // Without `secure`, the moderator machine is not counted a GDN host.
+      "42 moderator",
+  };
+  EXPECT_EQ(LayoutLines(world, /*with_users=*/false), expected);
+}
+
+// The benchmark's world: 4 continents x 4 countries x 2 sites, 8 users per site.
+TEST(GdnWorldLayoutTest, BenchmarkShapedWorldKeepsEveryNode) {
+  GdnWorldConfig config;
+  config.fanouts = {4, 4, 2};
+  config.user_hosts_per_site = 8;
+  config.secure = true;
+  config.gls_cache = true;
+  config.httpd.bind_as_replica = true;
+  GdnWorld world(config);
+  std::string joined;
+  for (const std::string& line : LayoutLines(world, /*with_users=*/true)) {
+    joined += line + "\n";
+  }
+  EXPECT_EQ(Sha256::HexDigest(ToBytes(joined)),
+            "85ef3f5a525343ef7c3acd67a3bdb42423d95d7cff72d3a7568032b3eb26ca2c");
 }
 
 TEST_F(GdnWorldTest, FrontPageServes) {
@@ -347,6 +438,73 @@ TEST_F(GdnWorldTest, FrontPageServes) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->status_code, 200);
   EXPECT_NE(ToString(out->body).find("Globe Distribution Network"), std::string::npos);
+}
+
+// ---------------------------------------------------------------- One-domain services
+
+// What one run of the one-domain services did: each file's HTTP reply, and when
+// and after how many events the simulator went idle.
+struct OneDomainRun {
+  std::vector<Result<http::HttpResponse>> replies;
+  sim::SimTime finished = 0;
+  uint64_t events = 0;
+};
+
+// The services StandaloneGdnNode runs, built on a one-domain topology the test
+// owns so that a sim::Network can route between them: publish `files` through
+// the shared publish flow, then download each one with a Browser.
+OneDomainRun RunOneDomainServices(const std::map<std::string, Bytes>& files) {
+  sim::Topology topology;
+  sim::DomainId domain = topology.AddDomain("standalone", sim::kNoDomain);
+  sim::Simulator simulator;
+  sim::Network network(&simulator, &topology);
+  sim::PlainTransport transport(&network);
+  sec::KeyRegistry registry;
+  GdnServices services(&transport, &topology, &registry, {domain}, {},
+                       [](sim::NodeId, std::string_view) {});
+  GdnServices::Pump drain = [&](const std::function<bool()>& done) {
+    simulator.Run();
+    return !done || done();
+  };
+  auto oid = services.PublishPackage("/apps/one/Site", files, dso::kProtoMasterSlave,
+                                     /*master_country=*/0, {}, {}, drain);
+  EXPECT_TRUE(oid.ok()) << oid.status();
+
+  OneDomainRun run;
+  Browser browser(&transport, topology.AddNode("user", domain));
+  for (const auto& [path, content] : files) {
+    browser.Fetch(services.GosOf(0)->host(),
+                  http::UrlEncode("/packages/apps/one/Site/files/" + path),
+                  [&](Result<http::HttpResponse> reply) {
+                    run.replies.push_back(std::move(reply));
+                  });
+    simulator.Run();
+  }
+  run.finished = simulator.Now();
+  run.events = simulator.executed_events();
+  return run;
+}
+
+TEST(OneDomainServicesTest, PublishesAndServesInTheSimulator) {
+  const std::map<std::string, Bytes> files = {
+      {"README", Bytes(904, 0x52)},
+      {"bin/hello", Bytes(4096, 0x42)},
+  };
+  OneDomainRun first = RunOneDomainServices(files);
+  ASSERT_EQ(first.replies.size(), files.size());
+  auto reply = first.replies.begin();
+  for (const auto& [path, content] : files) {
+    ASSERT_TRUE(reply->ok()) << path << ": " << reply->status();
+    EXPECT_EQ((*reply)->status_code, 200) << path;
+    EXPECT_EQ((*reply)->body, content) << path;
+    ++reply;
+  }
+
+  // A second run replays the first exactly.
+  OneDomainRun second = RunOneDomainServices(files);
+  EXPECT_GT(first.events, 0u);
+  EXPECT_EQ(second.finished, first.finished);
+  EXPECT_EQ(second.events, first.events);
 }
 
 // ---------------------------------------------------------------- Secured world
@@ -381,7 +539,7 @@ TEST_F(SecureGdnWorldTest, UserCannotCommandGos) {
   sim::NodeId user = world_.user_hosts()[0];
   sim::Channel rpc(world_.transport(), user);
   Status status = OkStatus();
-  rpc.Call(world_.GosOf(0)->endpoint(), "gos.create_first_replica",
+  rpc.Call(world_.services().GosOf(0)->endpoint(), "gos.create_first_replica",
            wire::Encode(gos::CreateFirstReplicaRequest{dso::kProtoClientServer,
                                                        kPackageTypeId, {}}),
            [&](Result<sim::PayloadView> result) { status = result.status(); });
@@ -397,8 +555,8 @@ TEST_F(SecureGdnWorldTest, UserCannotModifyPackageReplica) {
   // The attacker binds to the package directly and attempts a write invocation.
   sim::NodeId attacker = world_.user_hosts()[1];
   dso::RuntimeSystem runtime(world_.transport(), attacker,
-                             world_.gls().LeafDirectoryFor(attacker),
-                             &world_.repository());
+                             world_.services().gls().LeafDirectoryFor(attacker),
+                             &world_.services().repository());
   std::unique_ptr<dso::BoundObject> bound;
   runtime.Bind(*oid, {}, [&](Result<std::unique_ptr<dso::BoundObject>> r) {
     ASSERT_TRUE(r.ok());
@@ -446,8 +604,8 @@ TEST_F(SecureGdnWorldTest, MaintainerMayManageOnlyTheirPackage) {
 
   auto write_as_maintainer = [&](const gls::ObjectId& oid) {
     dso::RuntimeSystem runtime(world_.transport(), maintainer_node,
-                               world_.gls().LeafDirectoryFor(maintainer_node),
-                               &world_.repository());
+                               world_.services().gls().LeafDirectoryFor(maintainer_node),
+                               &world_.services().repository());
     std::unique_ptr<dso::BoundObject> bound;
     runtime.Bind(oid, {}, [&](Result<std::unique_ptr<dso::BoundObject>> r) {
       if (r.ok()) {
@@ -475,8 +633,8 @@ TEST_F(SecureGdnWorldTest, MaintainerMayManageOnlyTheirPackage) {
   // And an ordinary user still cannot touch the maintained package.
   sim::NodeId user = world_.user_hosts()[2];
   dso::RuntimeSystem user_runtime(world_.transport(), user,
-                                  world_.gls().LeafDirectoryFor(user),
-                                  &world_.repository());
+                                  world_.services().gls().LeafDirectoryFor(user),
+                                  &world_.services().repository());
   std::unique_ptr<dso::BoundObject> bound;
   user_runtime.Bind(*theirs, {}, [&](Result<std::unique_ptr<dso::BoundObject>> r) {
     if (r.ok()) {

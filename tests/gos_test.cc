@@ -517,7 +517,7 @@ TEST(GosMigrationTest, SwitchProtocolRetiresHttpdSideReplicas) {
   // bind_as_replica the HTTPD joins as a slave and registers in the GLS.
   sim::NodeId user = world.user_hosts().back();
   gdn::GdnHttpd* httpd = world.NearestHttpd(user);
-  ASSERT_NE(world.CountryOf(user), 0);
+  ASSERT_NE(world.services().CountryOf(user), 0);
   auto v1 = world.DownloadFile(user, "/apps/live", "VERSION");
   ASSERT_TRUE(v1.ok()) << v1.status();
   EXPECT_EQ(ToString(*v1), "1.0");
@@ -525,7 +525,7 @@ TEST(GosMigrationTest, SwitchProtocolRetiresHttpdSideReplicas) {
 
   // The nearest advertised address from the user's country is now the
   // HTTPD-side replica itself (GLS lookups stop at the closest registration).
-  auto client = world.gls().MakeClient(user);
+  auto client = world.services().gls().MakeClient(user);
   std::vector<gls::ContactAddress> before;
   client->Lookup(*oid, [&](Result<gls::LookupResult> r) {
     ASSERT_TRUE(r.ok()) << r.status();
@@ -538,7 +538,7 @@ TEST(GosMigrationTest, SwitchProtocolRetiresHttpdSideReplicas) {
 
   // The master's GOS switches protocols. The epoch bump must reach the
   // HTTPD-side replica too: the retire fan-out fences it.
-  ObjectServer* gos = world.GosOf(0);
+  ObjectServer* gos = world.services().GosOf(0);
   Status status = InvalidArgument("pending");
   gos->SwitchProtocol(*oid, dso::kProtoCacheInval, [&](Status s) { status = s; });
   world.Run();

@@ -30,7 +30,7 @@ TEST(IntegrationTest, CompletePackageLifecycle) {
   for (size_t country = 0; country < world.num_countries(); ++country) {
     sim::NodeId user = sim::kNoNode;
     for (sim::NodeId candidate : world.user_hosts()) {
-      if (world.CountryOf(candidate) == static_cast<int>(country)) {
+      if (world.services().CountryOf(candidate) == static_cast<int>(country)) {
         user = candidate;
         break;
       }
@@ -62,13 +62,13 @@ TEST(IntegrationTest, CompletePackageLifecycle) {
   Status removal = Unavailable("pending");
   world.moderator()->RemovePackage("/apps/devel/gcc", [&](Status s) { removal = s; });
   world.Run();
-  world.naming_authority()->Flush();
+  world.services().naming_authority()->Flush();
   world.Run();
   ASSERT_TRUE(removal.ok()) << removal;
   for (size_t i = 0; i < world.num_countries(); ++i) {
     // Only the world's search-index replica remains on each object server.
-    EXPECT_EQ(world.GosOf(i)->num_replicas(), 1u) << "country " << i;
-    EXPECT_NE(world.GosOf(i)->FindReplica(world.search_oid()), nullptr);
+    EXPECT_EQ(world.services().GosOf(i)->num_replicas(), 1u) << "country " << i;
+    EXPECT_NE(world.services().GosOf(i)->FindReplica(world.search_oid()), nullptr);
   }
 }
 
@@ -166,7 +166,7 @@ TEST(IntegrationTest, SlaveServesReadsWhenMasterIsDown) {
                   .ok());
 
   // Crash the master's host. Users near the slave still read.
-  world.network().SetNodeUp(world.countries()[0].gos_host, false);
+  world.network().SetNodeUp(world.services().GosOf(0)->host(), false);
   sim::NodeId user = world.user_hosts().back();
   auto content = world.DownloadFile(user, "/apps/ha", "f");
   ASSERT_TRUE(content.ok()) << content.status();
@@ -183,7 +183,7 @@ TEST(IntegrationTest, GosRestartKeepsPackageAvailable) {
   ASSERT_TRUE(world.DownloadFile(user, "/apps/persist", "f").ok());
 
   // Checkpoint, crash, restore — paper §4 reboot behaviour.
-  gos::ObjectServer* gos = world.GosOf(1);
+  gos::ObjectServer* gos = world.services().GosOf(1);
   Bytes checkpoint = gos->Checkpoint();
   Status restored = Unavailable("pending");
   // A real reboot would recreate the server process; restarting in place with fresh
@@ -242,7 +242,8 @@ TEST(IntegrationTest, ManyPackagesCoexist) {
     EXPECT_EQ(ToString(*content), "content of package " + std::to_string(i));
   }
   // The GDN Zone now holds one TXT record per package.
-  EXPECT_EQ(world.dns_primary()->FindZone("pkg0.bulk.apps.gdn.cs.vu.nl")->record_count(),
+  dns::AuthoritativeServer* primary = world.services().dns_primary();
+  EXPECT_EQ(primary->FindZone("pkg0.bulk.apps.gdn.cs.vu.nl")->record_count(),
             static_cast<size_t>(kPackages));
 }
 
@@ -259,16 +260,16 @@ TEST(IntegrationTest, RepeatBindsHitResolverCache) {
   // name resolution is a cache hit.
   sim::NodeId user1 = world.user_hosts()[0];
   sim::NodeId user2 = world.user_hosts()[1];
-  ASSERT_EQ(world.CountryOf(user1), world.CountryOf(user2));
-  size_t country = static_cast<size_t>(world.CountryOf(user1));
+  ASSERT_EQ(world.services().CountryOf(user1), world.services().CountryOf(user2));
+  size_t country = static_cast<size_t>(world.services().CountryOf(user1));
 
   ASSERT_TRUE(world.DownloadFile(user1, "/apps/cached", "f").ok());
-  uint64_t hits_before = world.ResolverOf(country)->stats().cache_hits;
+  uint64_t hits_before = world.services().ResolverOf(country)->stats().cache_hits;
   // New HTTPD binding is cached too, so force a second *name* lookup by asking for
   // the listing of the same package from the other user — the HTTPD reuses its
   // binding, so instead query the resolver directly.
   dns::DnsClient dns_client(world.transport(), user2,
-                            world.ResolverOf(country)->endpoint());
+                            world.services().ResolverOf(country)->endpoint());
   bool resolved = false;
   dns_client.Resolve("cached.apps.gdn.cs.vu.nl", dns::RrType::kTxt,
                      [&](Result<dns::QueryResponse> r) {
@@ -276,7 +277,7 @@ TEST(IntegrationTest, RepeatBindsHitResolverCache) {
                      });
   world.Run();
   EXPECT_TRUE(resolved);
-  EXPECT_GT(world.ResolverOf(country)->stats().cache_hits, hits_before);
+  EXPECT_GT(world.services().ResolverOf(country)->stats().cache_hits, hits_before);
 }
 
 }  // namespace

@@ -33,20 +33,20 @@ class RobustnessFixture : public ::testing::TestWithParam<Param> {
   // ports (which are ephemeral — sweep a band of them).
   std::vector<sim::Endpoint> CriticalEndpoints() {
     std::vector<sim::Endpoint> endpoints;
-    for (const auto& country : world_.countries()) {
-      endpoints.push_back({country.gos_host, sim::kPortGos});
-      endpoints.push_back({country.gos_host, sim::kPortHttp});
-      endpoints.push_back({country.resolver_host, sim::kPortDns});
+    for (size_t i = 0; i < world_.num_countries(); ++i) {
+      endpoints.push_back({world_.services().GosOf(i)->host(), sim::kPortGos});
+      endpoints.push_back({world_.services().GosOf(i)->host(), sim::kPortHttp});
+      endpoints.push_back(world_.services().ResolverOf(i)->endpoint());
     }
-    endpoints.push_back({world_.dns_primary()->node(), sim::kPortDns});
-    endpoints.push_back({world_.naming_authority()->endpoint().node,
+    endpoints.push_back({world_.services().dns_primary()->node(), sim::kPortDns});
+    endpoints.push_back({world_.services().naming_authority()->endpoint().node,
                          sim::kPortGnsAuthority});
-    for (const auto& subnode : world_.gls().subnodes()) {
+    for (const auto& subnode : world_.services().gls().subnodes()) {
       endpoints.push_back(subnode->endpoint());
     }
     // A band of ephemeral ports where replica communication objects live.
     for (uint16_t port = sim::kPortClientBase; port < sim::kPortClientBase + 40; ++port) {
-      endpoints.push_back({world_.countries()[0].gos_host, port});
+      endpoints.push_back({world_.services().GosOf(0)->host(), port});
     }
     return endpoints;
   }
@@ -100,7 +100,7 @@ TEST_P(RobustnessTest, CorruptHttpRequests) {
       std::string(100000, 'A'),
       "GET /search?q=%", // truncated escape in query
   };
-  sim::NodeId httpd = world_.countries()[0].gos_host;
+  sim::NodeId httpd = world_.services().GosOf(0)->host();
   for (const auto& nasty : nasties) {
     world_.network().Send({world_.user_hosts()[1], 2345}, {httpd, sim::kPortHttp},
                           ToBytes(nasty));
@@ -124,7 +124,7 @@ TEST_P(RobustnessTest, HostileBatchCountsAreRejected) {
     std::vector<std::tuple<gls::ObjectId, std::vector<gls::ContactAddress>,
                            std::set<sim::DomainId>>>
         state;
-    for (const auto& subnode : world_.gls().subnodes()) {
+    for (const auto& subnode : world_.services().gls().subnodes()) {
       for (const auto& [oid, entry] : subnode->ExportEntries()) {
         state.emplace_back(oid, entry.addresses, entry.pointers);
       }
@@ -133,7 +133,7 @@ TEST_P(RobustnessTest, HostileBatchCountsAreRejected) {
   };
   const auto before = directory_state();
 
-  const gls::DirectorySubnode& target = *world_.gls().subnodes().front();
+  const gls::DirectorySubnode& target = *world_.services().gls().subnodes().front();
   const gls::ContactAddress address{{world_.user_hosts()[0], 4242}, 1,
                                     gls::ReplicaRole::kMaster};
   // gls.insert / gls.delete and gls.install_ptr payloads promising `count`
@@ -249,7 +249,7 @@ TEST(SecureRobustnessTest, GarbageAgainstSecuredWorld) {
 
   Rng rng(77);
   for (int i = 0; i < 100; ++i) {
-    sim::NodeId target = world.countries()[i % world.num_countries()].gos_host;
+    sim::NodeId target = world.services().GosOf(i % world.num_countries())->host();
     uint16_t port = (i % 2 == 0) ? sim::kPortGos : sim::kPortHttp;
     world.network().Send({world.user_hosts()[0], 999}, {target, port},
                          rng.RandomBytes(rng.UniformInt(200)));
@@ -272,9 +272,9 @@ TEST(FailureRecoveryTest, GlsNodeCrashDuringInserts) {
                   .ok());
 
   // Crash the leaf directory node serving country 1's GOS.
-  sim::NodeId gos_host = world.countries()[1].gos_host;
+  sim::NodeId gos_host = world.services().GosOf(1)->host();
   sim::DomainId leaf_domain = world.topology().NodeDomain(gos_host);
-  auto subnodes = world.gls().SubnodesOf(leaf_domain);
+  auto subnodes = world.services().gls().SubnodesOf(leaf_domain);
   ASSERT_FALSE(subnodes.empty());
   sim::NodeId directory_host = subnodes[0]->host();
   Bytes checkpoint = subnodes[0]->SaveState();
@@ -282,7 +282,7 @@ TEST(FailureRecoveryTest, GlsNodeCrashDuringInserts) {
 
   // Creating a replica in country 1 now fails (its GLS leaf is down).
   Status create_status = OkStatus();
-  world.GosOf(1)->CreateFirstReplica(
+  world.services().GosOf(1)->CreateFirstReplica(
       dso::kProtoMasterSlave, kPackageTypeId,
       [&](Result<std::pair<gls::ObjectId, gls::ContactAddress>> r) {
         create_status = r.ok() ? OkStatus() : r.status();
@@ -294,7 +294,7 @@ TEST(FailureRecoveryTest, GlsNodeCrashDuringInserts) {
   world.network().SetNodeUp(directory_host, true);
   ASSERT_TRUE(const_cast<gls::DirectorySubnode*>(subnodes[0])->RestoreState(checkpoint).ok());
   create_status = Unavailable("pending");
-  world.GosOf(1)->CreateFirstReplica(
+  world.services().GosOf(1)->CreateFirstReplica(
       dso::kProtoMasterSlave, kPackageTypeId,
       [&](Result<std::pair<gls::ObjectId, gls::ContactAddress>> r) {
         create_status = r.ok() ? OkStatus() : r.status();

@@ -144,7 +144,8 @@ TEST(SearchWorldTest, SearchOverHttpFindsPublishedPackages) {
 TEST(SearchWorldTest, IndexReplicaOnEveryGos) {
   GdnWorld world;
   for (size_t i = 0; i < world.num_countries(); ++i) {
-    EXPECT_NE(world.GosOf(i)->FindReplica(world.search_oid()), nullptr) << "country " << i;
+    EXPECT_NE(world.services().GosOf(i)->FindReplica(world.search_oid()), nullptr)
+        << "country " << i;
   }
 }
 
@@ -153,7 +154,8 @@ TEST(SearchWorldTest, SearchUpdatesPropagateToSlaves) {
   ASSERT_TRUE(world.RegisterInSearchIndex("/apps/late", "freshly indexed package").ok());
 
   // The slave replica on the last country's GOS answers locally.
-  auto* slave = world.GosOf(world.num_countries() - 1)->FindReplica(world.search_oid());
+  auto* slave =
+      world.services().GosOf(world.num_countries() - 1)->FindReplica(world.search_oid());
   ASSERT_NE(slave, nullptr);
   Result<Bytes> result = Unavailable("pending");
   auto query = search::Query("freshly");

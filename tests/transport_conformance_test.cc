@@ -22,8 +22,9 @@
 //   - batched MAC verification rejects exactly the tampered frame in a batch.
 // Plus socket-only cases: a frame the secure transport holds back keeps its
 // place when the loop runs I/O before the frame's due timer, a real HTTP GET
-// over a plain TCP socket fetches a package file from a StandaloneGdnNode, and
-// read buffers recycle through the pool under connection churn without
+// over a plain TCP socket fetches a package file from a StandaloneGdnNode, a
+// replica read whose frame claims a source node outside the topology is served,
+// and read buffers recycle through the pool under connection churn without
 // invalidating pinned views.
 
 #include <arpa/inet.h>
@@ -34,12 +35,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/dso/wire.h"
+#include "src/gdn/package.h"
+#include "src/gdn/services.h"
 #include "src/gdn/standalone.h"
 #include "src/sec/secure_transport.h"
 #include "src/net/event_loop.h"
@@ -782,6 +788,61 @@ TEST(SocketTransportEndToEnd, ConcurrentHttpGetsAllSucceed) {
     EXPECT_NE(response.find(body_text), std::string::npos);
   }
   EXPECT_GE(transport.stats().http_requests, static_cast<uint64_t>(kClients));
+}
+
+// A GOS's access telemetry maps each reader to a country, and on this backend
+// the reader's NodeId is whatever the frame header claims. Reads from a node
+// outside the topology count in country 0's region, and the replica goes on
+// serving.
+TEST(SocketTransportEndToEnd, ReadFromNodeOutsideTheTopologyIsServed) {
+  net::EventLoop loop;
+  net::SocketTransport server(&loop);
+  sim::Topology topology;
+  sim::DomainId root = topology.AddDomain("root", sim::kNoDomain);
+  std::vector<sim::DomainId> countries = {topology.AddDomain("a", root),
+                                          topology.AddDomain("b", root)};
+  sec::KeyRegistry registry;
+  std::map<sim::NodeId, uint16_t> ports;
+  gdn::GdnServices services(&server, &topology, &registry, countries, {},
+                            [&](sim::NodeId n, std::string_view) {
+                              auto port = server.Listen(n);
+                              ASSERT_TRUE(port.ok()) << port.status();
+                              ports[n] = *port;
+                            });
+  gdn::GdnServices::Pump pump = [&](const std::function<bool()>& done) {
+    if (!done) {
+      loop.RunFor(200 * sim::kMillisecond);
+      return true;
+    }
+    return loop.RunUntil(done, 10 * sim::kSecond);
+  };
+  auto oid = services.PublishPackage("/tests/Stranger", {{"data.txt", ToBytes("x\n")}},
+                                     dso::kProtoMasterSlave, /*master_country=*/0, {},
+                                     {}, pump);
+  ASSERT_TRUE(oid.ok()) << oid.status();
+  sim::Endpoint replica = services.GosOf(0)->FindReplica(*oid)->master_endpoint();
+
+  net::SocketTransport client(&loop);
+  client.AddRoute(replica.node, "127.0.0.1", ports[replica.node]);
+  auto stranger = static_cast<sim::NodeId>(topology.num_nodes() + 1000);
+  sim::Channel channel(&client, stranger);
+  auto reads = [&]() -> uint64_t {
+    const ctl::AccessStats* stats = services.GosOf(0)->metrics()->Find(*oid);
+    return stats == nullptr ? 0 : stats->total_reads();
+  };
+  const uint64_t reads_before = reads();
+  for (int i = 0; i < 2; ++i) {
+    Result<Bytes> listing = Unavailable("pending");
+    bool answered = false;
+    dso::kDsoInvoke.Call(&channel, replica, gdn::pkg::ListContents(),
+                         [&](Result<Bytes> r) {
+                           listing = std::move(r);
+                           answered = true;
+                         });
+    ASSERT_TRUE(loop.RunUntil([&] { return answered; }, 10 * sim::kSecond));
+    ASSERT_TRUE(listing.ok()) << listing.status();
+  }
+  EXPECT_EQ(reads(), reads_before + 2);
 }
 
 // Connection churn: each short-lived client connection acquires a read buffer

@@ -5,8 +5,9 @@
 // reaches the decoder.
 //
 // This binary replaces the global allocation functions to record the largest
-// single allocation while a decode runs, which is why it stands alone: the
-// counter cannot disturb any other suite.
+// single allocation while a decode runs, and to count the allocations of one
+// RPC call, which is why it stands alone: the counter cannot disturb any other
+// suite.
 
 #include <gtest/gtest.h>
 
@@ -17,16 +18,20 @@
 #include "src/dns/zone.h"
 #include "src/gls/directory.h"
 #include "src/gos/object_server.h"
+#include "src/sim/backend.h"
+#include "src/sim/rpc.h"
 #include "src/util/wire.h"
 
 namespace {
 
 bool g_counting = false;
 size_t g_largest = 0;
+size_t g_allocations = 0;
 
 void* CountedAlloc(size_t size) {
-  if (g_counting && size > g_largest) {
-    g_largest = size;
+  if (g_counting) {
+    ++g_allocations;
+    g_largest = size > g_largest ? size : g_largest;
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
@@ -124,6 +129,42 @@ TEST(BoundedDecodingTest, HonestCountsDecode) {
   size_t largest = LargestAllocationDecoding<gos::ListReplicasResponse>(frame, &decoded);
   EXPECT_TRUE(decoded);
   EXPECT_EQ(largest, 64 * sizeof(gls::ObjectId));
+}
+
+// Channel::Call keeps the method name as a view, so a name longer than the
+// 15 characters libstdc++ stores inline costs no allocation per call.
+TEST(CallAllocationTest, LongMethodNameCostsNoExtraAllocation) {
+  sim::Simulator simulator;
+  sim::UniformWorld world = sim::BuildUniformWorld({2}, 2);
+  sim::Network network(&simulator, &world.topology);
+  sim::PlainTransport transport(&network);
+  sim::RpcServer server(&transport, world.hosts[0], 700);
+  auto echo = [](const sim::RpcContext&, ByteSpan request) -> Result<Bytes> {
+    return Bytes(request.begin(), request.end());
+  };
+  const char* const kShortName = "gls.lookup";
+  const char* const kLongName = "gos.create_first_replica";
+  server.RegisterMethod(kShortName, echo);
+  server.RegisterMethod(kLongName, echo);
+  sim::Channel channel(&transport, world.hosts[1]);
+
+  auto allocations_of_one_call = [&](const char* method) {
+    auto call = [&] {
+      channel.Call(server.endpoint(), method, Bytes(16, 0x5a),
+                   [](Result<sim::PayloadView> result) { EXPECT_TRUE(result.ok()); });
+      simulator.Run();
+    };
+    call();  // warm-up: the peer entry and every buffer's high-water mark
+    g_allocations = 0;
+    g_counting = true;
+    call();
+    g_counting = false;
+    return g_allocations;
+  };
+  size_t short_name = allocations_of_one_call(kShortName);
+  size_t long_name = allocations_of_one_call(kLongName);
+  EXPECT_GT(short_name, 0u);
+  EXPECT_EQ(long_name, short_name);
 }
 
 }  // namespace
