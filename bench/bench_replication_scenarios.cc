@@ -381,6 +381,8 @@ class KvObject : public dso::SemanticsObject {
     return NotFound("no such method: " + invocation.method);
   }
 
+  bool IsReadOnly(std::string_view) const override { return false; }
+
   Bytes GetState() const override {
     ByteWriter w;
     w.WriteVarint(entries_.size());

@@ -18,7 +18,7 @@
 // writes above the commit floor in an ordered buffer, resyncing from the sequencer
 // when the floor passes a hole in it.
 //
-// Peer methods (beyond dso.invoke / dso.get_state / dso.master_endpoint / dso.lease):
+// Peer methods (beyond the dso.* methods every replica answers, dso.lease included):
 //   ar.register   : endpoint -> VersionedState      (member joins at the sequencer)
 //   ar.unregister : endpoint -> empty               (member leaves on Shutdown)
 //   ar.order      : Invocation -> result bytes      (member -> sequencer)

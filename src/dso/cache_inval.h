@@ -15,7 +15,7 @@
 // it lazily. Caches hold the terminal kCache role — they are never electable (a
 // cache may not even hold valid state), so this protocol has no master fail-over.
 //
-// Peer methods (beyond dso.invoke / dso.get_state / dso.master_endpoint):
+// Peer methods (beyond the dso.* methods every replica answers):
 //   ci.register   : endpoint -> version, epoch  (cache joins; no state transferred)
 //   ci.unregister : endpoint -> empty
 //   ci.fetch      : empty -> VersionedState     (cache -> master, on demand)

@@ -14,11 +14,14 @@ RemoteProxy::RemoteProxy(sim::Transport* transport, sim::NodeId host,
     : comm_(transport, host), peer_(peer) {}
 
 void RemoteProxy::Invoke(const Invocation& invocation, InvokeCallback done) {
-  // Writes carry the retry budget (the replica dedups dso.invoke, so a repeated
-  // delivery cannot execute twice); reads keep the single-attempt default.
-  comm_.Call(kDsoInvoke, peer_.endpoint, invocation,
-             [done = std::move(done)](Result<Bytes> result) { done(std::move(result)); },
-             invocation.read_only ? sim::CallOptions{} : WriteCallOptions());
+  // Reads go on dso.reader with the single-attempt default, so no replica keeps
+  // their responses. Writes go on dso.invoke and carry the retry budget: the
+  // replica dedups it, so a repeated delivery cannot execute twice.
+  if (invocation.read_only) {
+    comm_.Call(kDsoReader, peer_.endpoint, invocation, std::move(done));
+    return;
+  }
+  comm_.Call(kDsoInvoke, peer_.endpoint, invocation, std::move(done), WriteCallOptions());
 }
 
 }  // namespace globe::dso

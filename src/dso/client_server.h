@@ -4,11 +4,12 @@
 // everything to it.
 //
 // RemoteProxy doubles as the generic thin-client binding for every other protocol:
-// replicas of all protocols accept "dso.invoke" and route reads/writes per their own
-// rules, so a proxy only needs to pick the nearest replica and forward.
+// replicas of all protocols accept "dso.reader" and "dso.invoke" and route reads/writes
+// per their own rules, so a proxy only needs to pick the nearest replica and forward.
 //
 // Peer methods (all from the dso::Replica core):
-//   dso.invoke          : Invocation -> result bytes
+//   dso.invoke          : Invocation -> result bytes (at most once; writes)
+//   dso.reader          : Invocation -> result bytes (reads only)
 //   dso.get_state       : empty -> VersionedState
 //   dso.master_endpoint : empty -> endpoint
 

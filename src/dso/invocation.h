@@ -4,7 +4,13 @@
 // only on opaque invocation messages in which method identifiers and parameters have
 // been encoded." This is that message. The one property replication protocols are
 // allowed to see is whether the invocation modifies state — that is what routes reads
-// to local replicas and writes to masters.
+// to local replicas and writes to masters — and replicas learn it from their
+// semantics subobject (SemanticsObject::IsReadOnly), not from the message.
+//
+// `read_only` is the caller's intent. It picks the method a thin proxy sends on
+// (dso.reader for reads, dso.invoke for writes) and the retry policy (writes carry
+// a retry budget, reads a single attempt). Replicas do not trust it: a write
+// flagged read-only still meets the write guard, or is refused on dso.reader.
 
 #ifndef SRC_DSO_INVOCATION_H_
 #define SRC_DSO_INVOCATION_H_

@@ -15,8 +15,7 @@
 // staged slot. MasterSlaveMaster / MasterSlaveSlave remain as constructors for the
 // two starting roles.
 //
-// Peer methods (beyond the common dso.invoke / dso.get_state / dso.master_endpoint /
-// dso.lease):
+// Peer methods (beyond the dso.* methods every replica answers, dso.lease included):
 //   ms.register_slave   : endpoint -> VersionedState   (slave joins, gets snapshot)
 //   ms.unregister_slave : endpoint -> empty
 //   ms.state_push       : VersionedState -> PushAck    (master -> slave; refused

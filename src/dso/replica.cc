@@ -42,6 +42,18 @@ Replica::Replica(sim::Transport* transport, sim::NodeId host,
                                          InvokeCallback respond) {
     HandleInvoke(ctx, invocation, std::move(respond));
   });
+  comm_.RegisterAsync(kDsoReader, [this](const sim::RpcContext& ctx,
+                                         Invocation invocation,
+                                         InvokeCallback respond) {
+    if (!semantics_->IsReadOnly(invocation.method)) {
+      // A write is admitted only on dso.invoke: guarded there, and executed at
+      // most once.
+      respond(InvalidArgument(invocation.method + " is not a read; send it on " +
+                              kDsoInvoke.name()));
+      return;
+    }
+    Serve(invocation, /*read=*/true, ctx.client.node, std::move(respond));
+  });
   comm_.Register(kDsoGetState,
                  [this](const sim::RpcContext&,
                         const sim::EmptyMessage&) -> Result<VersionedState> {
@@ -155,18 +167,20 @@ void Replica::Shutdown(std::function<void(Status)> done) {
 }
 
 void Replica::Invoke(const Invocation& invocation, InvokeCallback done) {
-  Serve(invocation, comm_.endpoint().node, std::move(done));
+  Serve(invocation, semantics_->IsReadOnly(invocation.method), comm_.endpoint().node,
+        std::move(done));
 }
 
 void Replica::HandleInvoke(const sim::RpcContext& ctx, const Invocation& invocation,
                            InvokeCallback respond) {
-  if (!invocation.read_only && write_guard_) {
+  bool read = semantics_->IsReadOnly(invocation.method);
+  if (!read && write_guard_) {
     if (Status s = write_guard_(ctx); !s.ok()) {
       respond(s);
       return;
     }
   }
-  Serve(invocation, ctx.client.node, std::move(respond));
+  Serve(invocation, read, ctx.client.node, std::move(respond));
 }
 
 Result<PushAck> Replica::AdmitPush(const sim::RpcContext& ctx, uint64_t epoch) {
@@ -182,7 +196,7 @@ Result<PushAck> Replica::AdmitPush(const sim::RpcContext& ctx, uint64_t epoch) {
   return ack;
 }
 
-void Replica::Serve(const Invocation& invocation, sim::NodeId client,
+void Replica::Serve(const Invocation& invocation, bool read, sim::NodeId client,
                     InvokeCallback done) {
   if (group_.retired()) {
     // The object migrated away from this binding: refusing reads too is the
@@ -191,7 +205,7 @@ void Replica::Serve(const Invocation& invocation, sim::NodeId client,
     done(FailedPrecondition("replica retired (object migrated); rebind"));
     return;
   }
-  if (invocation.read_only) {
+  if (read) {
     ServeRead(invocation, client, std::move(done));
     return;
   }

@@ -8,7 +8,8 @@
 //     write guard, replica group, version, access hook, protocol id (in the
 //     group's FailoverConfig) and the primary's endpoint;
 //   - the protocol-agnostic peer methods: dso.invoke (write guard on writes),
-//     dso.get_state and dso.master_endpoint;
+//     dso.reader (reads only), dso.get_state and dso.master_endpoint, each
+//     classifying an invocation with SemanticsObject::IsReadOnly;
 //   - the serving path: refusal after dso.retire, local reads with their
 //     access sample, writes forwarded to the primary;
 //   - the primary write path, reached by every write entry (local Invoke,
@@ -140,8 +141,9 @@ class Replica : public ReplicationObject {
 
   // Reads are recorded where they are served, writes only where they execute,
   // so a forwarded write is counted once — at the primary, attributed to the
-  // forwarding replica.
-  void Serve(const Invocation& invocation, sim::NodeId client, InvokeCallback done);
+  // forwarding replica. `read` is the semantics object's classification.
+  void Serve(const Invocation& invocation, bool read, sim::NodeId client,
+             InvokeCallback done);
   void ForwardWrite(const Invocation& invocation, InvokeCallback done);
   // Executes a write at the primary; on success bumps the version and records
   // the access.

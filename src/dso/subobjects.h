@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "src/dso/invocation.h"
 #include "src/gls/oid.h"
@@ -52,6 +53,12 @@ class SemanticsObject {
 
   // Executes one marshalled invocation against local state.
   virtual Result<Bytes> Invoke(const Invocation& invocation) = 0;
+
+  // Whether `method` leaves the state unchanged. Replicas classify every
+  // invocation with this, never with the caller's Invocation::read_only: a
+  // read is served where it lands, anything else — unknown methods included —
+  // takes the write guard and the write path.
+  virtual bool IsReadOnly(std::string_view method) const = 0;
 
   // Full-state marshalling: used to initialize new replicas, to push state in the
   // master/slave protocol, and by the GOS persistence machinery.

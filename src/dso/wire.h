@@ -106,12 +106,21 @@ struct ApplyMessage {
 };
 
 // The protocol-agnostic peer methods: every replica of every protocol answers
-// these, which is what lets RemoteProxy bind thinly to anything. dso.invoke
-// carries writes (semantics mutations are arbitrary, so a duplicate delivery
-// must never execute twice) and is therefore non-idempotent; that it also
-// dedups read invocations costs a little response memory and nothing else.
+// these, which is what lets RemoteProxy bind thinly to anything.
+//
+// dso.invoke carries writes: semantics mutations are arbitrary, so a duplicate
+// delivery must never execute twice, and the method is non-idempotent. Its
+// at-most-once table keeps each response for the dedup TTL (120 s), for a file
+// read the whole file, so thin proxies send reads on dso.reader: idempotent,
+// kept nowhere, and run twice if delivered twice. Replicas classify an
+// invocation with the semantics object's IsReadOnly, never with the caller's
+// flag: dso.invoke puts a write through the write guard and the write path
+// whatever the flag says (a read sent on it is served, and deduped), and
+// dso.reader refuses a write. The names have the same length, so a read's
+// frames are as long on either method.
 inline constexpr sim::TypedMethod<Invocation, Bytes> kDsoInvoke{"dso.invoke",
                                                                 sim::kNonIdempotent};
+inline constexpr sim::TypedMethod<Invocation, Bytes> kDsoReader{"dso.reader"};
 inline constexpr sim::TypedMethod<sim::EmptyMessage, VersionedState> kDsoGetState{
     "dso.get_state"};
 inline constexpr sim::TypedMethod<sim::EmptyMessage, EndpointMessage>

@@ -74,8 +74,22 @@ Result<Bytes> PackageObject::Invoke(const dso::Invocation& invocation) {
   return NotFound("package DSO has no method " + invocation.method);
 }
 
+bool PackageObject::IsReadOnly(std::string_view method) const {
+  return method == "pkg.listContents" || method == "pkg.getFileContents" ||
+         method == "pkg.getFileInfo" || method == "pkg.getDescription";
+}
+
 Bytes PackageObject::GetState() const {
+  // Sized up front: a writer grown field by field copies the whole state again
+  // each time a digest lands behind a file that filled its capacity.
+  constexpr size_t kMaxVarintBytes = 10;
+  size_t size = 2 * kMaxVarintBytes + description_.size();
+  for (const auto& [path, entry] : files_) {
+    size += 3 * kMaxVarintBytes + path.size() + entry.content.size() +
+            entry.sha256_hex.size();
+  }
   ByteWriter w;
+  w.Reserve(size);
   w.WriteString(description_);
   w.WriteVarint(files_.size());
   for (const auto& [path, entry] : files_) {

@@ -44,6 +44,8 @@ class PackageObject : public dso::SemanticsObject {
   //   pkg.getFileInfo     {path} -> FileInfo      read
   //   pkg.getDescription  {} -> text              read
   Result<Bytes> Invoke(const dso::Invocation& invocation) override;
+  // True for exactly the four read methods above.
+  bool IsReadOnly(std::string_view method) const override;
 
   Bytes GetState() const override;
   Status SetState(ByteSpan state) override;

@@ -104,6 +104,10 @@ Result<Bytes> SearchIndexObject::Invoke(const dso::Invocation& invocation) {
   return NotFound("search index has no method " + invocation.method);
 }
 
+bool SearchIndexObject::IsReadOnly(std::string_view method) const {
+  return method == "idx.search" || method == "idx.size";
+}
+
 Bytes SearchIndexObject::GetState() const {
   ByteWriter w;
   w.WriteVarint(descriptions_.size());

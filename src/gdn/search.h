@@ -41,6 +41,8 @@ class SearchIndexObject : public dso::SemanticsObject {
   SearchIndexObject() = default;
 
   Result<Bytes> Invoke(const dso::Invocation& invocation) override;
+  // True for exactly the read methods listed at the top of this file.
+  bool IsReadOnly(std::string_view method) const override;
   Bytes GetState() const override;
   Status SetState(ByteSpan state) override;
   std::unique_ptr<dso::SemanticsObject> CloneEmpty() const override;

@@ -327,7 +327,8 @@ void ObjectServer::TombstoneEndpoint(const gls::ObjectId& oid,
                               " retired (policy migration); rebind");
   };
   for (const char* method :
-       {"dso.invoke", "dso.get_state", "dso.master_endpoint", "dso.lease"}) {
+       {dso::kDsoInvoke.name(), dso::kDsoReader.name(), dso::kDsoGetState.name(),
+        dso::kDsoMasterEndpoint.name(), dso::kDsoLease.name()}) {
     responder->RegisterMethod(method, moved);
   }
   tombstones_[endpoint.port] = std::move(responder);

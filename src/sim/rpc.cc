@@ -127,9 +127,9 @@ void RpcServer::Dispatch(std::string_view method, ByteSpan payload,
                          const RpcContext& context, uint64_t request_id,
                          std::optional<DedupKey> dedup_key) {
   const Endpoint client = context.client;
-  auto respond = [this, client, request_id, dedup_key](const Result<Bytes>& result) {
+  auto respond = [this, client, request_id, dedup_key](Result<Bytes> result) {
     if (dedup_key.has_value()) {
-      CompleteDeduped(*dedup_key, result);
+      CompleteDeduped(*dedup_key, std::move(result));
     } else {
       SendResponse(client, request_id, result);
     }
@@ -139,14 +139,13 @@ void RpcServer::Dispatch(std::string_view method, ByteSpan payload,
     return;
   }
   if (auto it = async_methods_.find(method); it != async_methods_.end()) {
-    it->second(context, payload,
-               [respond](Result<Bytes> result) { respond(result); });
+    it->second(context, payload, respond);
     return;
   }
   respond(NotFound("no such method: " + std::string(method)));
 }
 
-void RpcServer::CompleteDeduped(const DedupKey& key, const Result<Bytes>& result) {
+void RpcServer::CompleteDeduped(const DedupKey& key, Result<Bytes> result) {
   auto it = dedup_.find(key);
   if (it == dedup_.end()) {
     // Unreachable in practice: in-progress entries are never evicted. Dropping
@@ -161,18 +160,20 @@ void RpcServer::CompleteDeduped(const DedupKey& key, const Result<Bytes>& result
   // return UNAVAILABLE only from steps that are repeatable (chains whose
   // sub-calls are themselves deduped or idempotent) or after rolling back.
   // Definitive outcomes — success and application errors — are cached and
-  // replayed verbatim.
+  // replayed verbatim; the table takes the response instead of a copy.
+  const Result<Bytes>* response = &result;
   if (!result.ok() && result.status().code() == StatusCode::kUnavailable) {
     dedup_.erase(it);
   } else {
     DedupEntry& entry = it->second;
     entry.completed = true;
-    entry.response = result;
+    entry.response = std::move(result);
     entry.expires_at = transport_->clock()->Now() + dedup_ttl_;
     dedup_expiry_.emplace_back(entry.expires_at, key);
+    response = &entry.response;
   }
   for (uint64_t attempt : waiting) {
-    SendResponse(key.first, attempt, result);
+    SendResponse(key.first, attempt, *response);
   }
 }
 

@@ -160,7 +160,7 @@ class RpcServer {
   void SendResponse(const Endpoint& client, uint64_t request_id,
                     const Result<Bytes>& result);
   // Records the execution's response and answers every attempt waiting on it.
-  void CompleteDeduped(const DedupKey& key, const Result<Bytes>& result);
+  void CompleteDeduped(const DedupKey& key, Result<Bytes> result);
   void EvictExpiredDedup();
 
   Transport* transport_;
@@ -336,11 +336,12 @@ struct EmptyMessage {
 
 namespace wire_internal {
 
-// Bytes messages pass through verbatim; everything else goes through the codec.
+// Bytes messages pass through verbatim (moved when the caller gives them up);
+// everything else goes through the codec.
 template <typename T>
-Bytes EncodeMessage(const T& value) {
-  if constexpr (std::is_same_v<T, Bytes>) {
-    return value;
+Bytes EncodeMessage(T&& value) {
+  if constexpr (std::is_same_v<std::decay_t<T>, Bytes>) {
+    return std::forward<T>(value);
   } else {
     return wire::Encode(value);
   }
@@ -407,7 +408,7 @@ class TypedMethod {
                                               ByteSpan payload) -> Result<Bytes> {
           ASSIGN_OR_RETURN(Req request, wire_internal::DecodeMessage<Req>(payload));
           ASSIGN_OR_RETURN(Resp response, handler(context, request));
-          return wire_internal::EncodeMessage(response);
+          return wire_internal::EncodeMessage(std::move(response));
         },
         traits_);
   }
@@ -427,7 +428,7 @@ class TypedMethod {
                       respond(result.status());
                       return;
                     }
-                    respond(wire_internal::EncodeMessage(*result));
+                    respond(wire_internal::EncodeMessage(std::move(*result)));
                   });
         },
         traits_);

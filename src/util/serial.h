@@ -49,6 +49,8 @@ class ByteWriter {
 
   // Clears the contents, retaining capacity for reuse.
   void Reset() { buffer_.clear(); }
+  // Makes room for `bytes` more, so a writer that knows its total grows once.
+  void Reserve(size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
 
  private:
   Bytes buffer_;

@@ -74,6 +74,8 @@ class CounterObject : public dso::SemanticsObject {
     return NotFound("no such method: " + invocation.method);
   }
 
+  bool IsReadOnly(std::string_view method) const override { return method == "get"; }
+
   Bytes GetState() const override {
     ByteWriter w;
     w.WriteVarint(counters_.size());

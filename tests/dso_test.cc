@@ -60,6 +60,10 @@ class MapObject : public SemanticsObject {
     return NotFound("no such method: " + invocation.method);
   }
 
+  bool IsReadOnly(std::string_view method) const override {
+    return method == "get" || method == "size";
+  }
+
   Bytes GetState() const override {
     ByteWriter w;
     w.WriteVarint(entries_.size());

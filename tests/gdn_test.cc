@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "src/dso/wire.h"
 #include "src/gdn/package.h"
+#include "src/gdn/search.h"
 #include "src/gdn/services.h"
 #include "src/gdn/world.h"
 #include "src/util/sha256.h"
@@ -113,6 +115,46 @@ TEST_F(PackageObjectTest, CloneEmptyIsEmpty) {
   auto clone = package_.CloneEmpty();
   EXPECT_EQ(clone->type_id(), kPackageTypeId);
   EXPECT_TRUE(clone->Invoke(pkg::ListContents()).ok());
+}
+
+// Replicas route by IsReadOnly, so it must name exactly the read methods: a
+// write it called a read would skip the write guard, and a read it called a
+// write would be forwarded to the master and deduped there.
+TEST(ReadOnlyClassificationTest, TrueForExactlyTheReadMethods) {
+  struct Row {
+    const dso::SemanticsObject* object;
+    std::string_view method;
+    bool read;
+  };
+  PackageObject package;
+  SearchIndexObject index;
+  const Row rows[] = {
+      {&package, "pkg.addFile", false},       {&package, "pkg.removeFile", false},
+      {&package, "pkg.setDescription", false}, {&package, "pkg.listContents", true},
+      {&package, "pkg.getFileContents", true}, {&package, "pkg.getFileInfo", true},
+      {&package, "pkg.getDescription", true},  {&package, "pkg.format_disk", false},
+      {&package, "idx.search", false},         {&package, "", false},
+      {&index, "idx.register", false},         {&index, "idx.unregister", false},
+      {&index, "idx.search", true},            {&index, "idx.size", true},
+      {&index, "pkg.listContents", false},     {&index, "idx.drop", false},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.object->IsReadOnly(row.method), row.read) << row.method;
+  }
+  // The builders' flags, the callers' intent, agree with the classification.
+  for (const dso::Invocation& invocation :
+       {pkg::AddFile("f", {}), pkg::RemoveFile("f"), pkg::SetDescription("d"),
+        pkg::ListContents(), pkg::GetFileContents("f"), pkg::GetFileInfo("f"),
+        pkg::GetDescription()}) {
+    EXPECT_EQ(package.IsReadOnly(invocation.method), invocation.read_only)
+        << invocation.method;
+  }
+  for (const dso::Invocation& invocation :
+       {search::Register("/apps/a", "d"), search::Unregister("/apps/a"),
+        search::Query("q")}) {
+    EXPECT_EQ(index.IsReadOnly(invocation.method), invocation.read_only)
+        << invocation.method;
+  }
 }
 
 // ---------------------------------------------------------------- GdnWorld end-to-end
@@ -585,6 +627,57 @@ TEST_F(SecureGdnWorldTest, UserCannotModifyPackageReplica) {
   // The file is untouched.
   auto content = world_.DownloadFile(world_.user_hosts()[2], "/apps/target", "f");
   ASSERT_TRUE(content.ok());
+  EXPECT_EQ(ToString(*content), "original");
+}
+
+// The read-only flag is the caller's word, and the caller may lie: a write
+// flagged as a read must neither reach the package nor skip the write guard.
+TEST_F(SecureGdnWorldTest, WriteFlaggedReadOnlyIsRefused) {
+  std::map<std::string, Bytes> files = {{"f", ToBytes("original")}};
+  auto oid = world_.PublishPackage("/apps/flagged", files, dso::kProtoMasterSlave, 0);
+  ASSERT_TRUE(oid.ok()) << oid.status();
+  dso::ReplicationObject* master = world_.services().GosOf(0)->FindReplica(*oid);
+  ASSERT_NE(master, nullptr);
+  const uint64_t published_version = master->version();
+
+  // The attacker binds thinly (to the master, the only replica) and sends
+  // pkg.addFile with the read-only flag set.
+  sim::NodeId attacker = world_.user_hosts()[1];
+  dso::RuntimeSystem runtime(world_.transport(), attacker,
+                             world_.services().gls().LeafDirectoryFor(attacker),
+                             &world_.services().repository());
+  std::unique_ptr<dso::BoundObject> bound;
+  runtime.Bind(*oid, {}, [&](Result<std::unique_ptr<dso::BoundObject>> r) {
+    ASSERT_TRUE(r.ok()) << r.status();
+    bound = std::move(*r);
+  });
+  world_.Run();
+  ASSERT_NE(bound, nullptr);
+  ASSERT_FALSE(bound->replication->contact_address().has_value());  // a thin proxy
+
+  dso::Invocation add = pkg::AddFile("f", ToBytes("trojaned"));
+  add.read_only = true;
+  Result<Bytes> flagged = Unavailable("pending");
+  bound->Invoke(add.method, add.args, add.read_only,
+                [&](Result<Bytes> r) { flagged = std::move(r); });
+  world_.Run();
+  EXPECT_EQ(flagged.status().code(), StatusCode::kInvalidArgument) << flagged.status();
+
+  // The same flagged invocation on dso.invoke meets the write guard.
+  sim::Channel channel(world_.transport(), attacker);
+  Status on_invoke = OkStatus();
+  dso::kDsoInvoke.Call(&channel, master->contact_address()->endpoint, add,
+                       [&](Result<Bytes> r) { on_invoke = r.status(); });
+  world_.Run();
+  EXPECT_EQ(on_invoke.code(), StatusCode::kPermissionDenied) << on_invoke;
+
+  // The master still serves the published bytes at the published version.
+  EXPECT_EQ(master->version(), published_version);
+  Result<Bytes> served = master->semantics()->Invoke(pkg::GetFileContents("f"));
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(ToString(*served), "original");
+  auto content = world_.DownloadFile(world_.user_hosts()[2], "/apps/flagged", "f");
+  ASSERT_TRUE(content.ok()) << content.status();
   EXPECT_EQ(ToString(*content), "original");
 }
 

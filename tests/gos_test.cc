@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/dso/wire.h"
 #include "src/gdn/world.h"
 #include "src/gls/deploy.h"
 #include "src/gos/object_server.h"
@@ -377,6 +378,16 @@ TEST_F(GosTest, SwitchProtocolTombstonesTheRetiredEndpoint) {
   sim::SimTime before = simulator_.Now();
   simulator_.Run();
   EXPECT_EQ(call_status.code(), StatusCode::kFailedPrecondition) << call_status;
+  EXPECT_LT(simulator_.Now() - before, sim::kSecond);
+
+  // A stale thin proxy's read, too: NotFound would end a download with a 404
+  // where FailedPrecondition makes the HTTPD rebind.
+  Status read_status = OkStatus();
+  dso::kDsoReader.Call(&stale, old_address.endpoint, KvGet("apache"),
+                       [&](Result<Bytes> result) { read_status = result.status(); });
+  before = simulator_.Now();
+  simulator_.Run();
+  EXPECT_EQ(read_status.code(), StatusCode::kFailedPrecondition) << read_status;
   EXPECT_LT(simulator_.Now() - before, sim::kSecond);
 }
 

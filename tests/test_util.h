@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/dso/subobjects.h"
 
@@ -39,6 +40,8 @@ class KvObject : public dso::SemanticsObject {
     }
     return NotFound("no such method: " + invocation.method);
   }
+
+  bool IsReadOnly(std::string_view method) const override { return method == "get"; }
 
   Bytes GetState() const override {
     ByteWriter w;
