@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
+#include <vector>
 
 namespace globe::gls {
 
@@ -133,13 +134,13 @@ void GlsDeployment::SplitDirectoryNode(sim::DomainId domain, int new_subnode_cou
     return;  // splitting only grows a node
   }
 
-  // Drain the node's entire directory state before the hash rule changes.
-  std::vector<std::pair<ObjectId, DirectoryEntry>> entries;
+  // Drain the node's entire directory state before the hash rule changes:
+  // member by member, each in ascending OID order, the entries still
+  // serialized.
+  std::vector<SubnodeStore::SpilledEntry> entries;
   std::vector<std::pair<ObjectId, DirectorySubnode::OwnerRecord>> owners;
   for (DirectorySubnode* member : members) {
-    for (auto& item : member->ExportEntries()) {
-      entries.push_back(std::move(item));
-    }
+    member->DrainEntries(&entries);
     for (auto& item : member->ExportOwners()) {
       owners.push_back(std::move(item));
     }
@@ -159,9 +160,15 @@ void GlsDeployment::SplitDirectoryNode(sim::DomainId domain, int new_subnode_cou
   }
   directories_[domain] = ref;
 
-  // Redistribute by the new hash rule.
-  for (auto& [oid, entry] : entries) {
-    members[ref.SubnodeIndex(oid)]->ImportEntry(oid, std::move(entry));
+  // Redistribute by the new hash rule: each member's slice keeps the drain
+  // order and is placed in one pass.
+  std::vector<std::vector<SubnodeStore::SpilledEntry>> slices(members.size());
+  for (auto& entry : entries) {
+    slices[ref.SubnodeIndex(entry.oid)].push_back(std::move(entry));
+  }
+  entries = {};
+  for (size_t i = 0; i < members.size(); ++i) {
+    members[i]->ImportEntries(slices[i]);
   }
   for (const auto& [oid, record] : owners) {
     members[ref.SubnodeIndex(oid)]->ImportOwner(oid, record);

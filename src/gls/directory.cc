@@ -358,14 +358,6 @@ uint64_t DirectorySubnode::OwnerVersionFloor(const ObjectId& oid) const {
   return it == owners_.end() ? 0 : it->second.version_floor;
 }
 
-size_t DirectorySubnode::TotalEntries() const {
-  size_t total = 0;
-  store_.ForEachSorted([&total](const ObjectId&, const DirectoryEntry& entry) {
-    total += entry.addresses.size() + entry.pointers.size();
-  });
-  return total;
-}
-
 void DirectorySubnode::InvalidateCached(const ObjectId& oid, bool quarantine) {
   if (options_.enable_cache && cache_.Invalidate(oid, clock_->Now(), quarantine)) {
     ++stats_.cache_invalidations;
@@ -867,36 +859,31 @@ Bytes DirectorySubnode::SaveState() const {
   // separate sections. ForEachSorted visits in ascending OID order regardless
   // of hot/cold placement, so the checkpoint bytes are independent of the
   // access pattern that shaped the LRU.
-  ByteWriter w;
+  // One walk fills both sections; each is written behind its OID count.
   uint64_t addr_oids = 0;
   uint64_t ptr_oids = 0;
-  store_.ForEachSorted([&](const ObjectId&, const DirectoryEntry& entry) {
+  ByteWriter addresses;
+  ByteWriter pointers;
+  store_.ForEachSorted([&](const ObjectId& oid, const DirectoryEntry& entry) {
     if (!entry.addresses.empty()) {
       ++addr_oids;
+      wire::Put(&addresses, oid);
+      wire::Put(&addresses, entry.addresses);
     }
     if (!entry.pointers.empty()) {
       ++ptr_oids;
+      wire::Put(&pointers, oid);
+      pointers.WriteVarint(entry.pointers.size());
+      for (sim::DomainId child : entry.pointers) {
+        pointers.WriteU32(child);
+      }
     }
   });
+  ByteWriter w;
   w.WriteVarint(addr_oids);
-  store_.ForEachSorted([&](const ObjectId& oid, const DirectoryEntry& entry) {
-    if (entry.addresses.empty()) {
-      return;
-    }
-    wire::Put(&w, oid);
-    wire::Put(&w, entry.addresses);
-  });
+  w.WriteBytes(addresses.data());
   w.WriteVarint(ptr_oids);
-  store_.ForEachSorted([&](const ObjectId& oid, const DirectoryEntry& entry) {
-    if (entry.pointers.empty()) {
-      return;
-    }
-    wire::Put(&w, oid);
-    w.WriteVarint(entry.pointers.size());
-    for (sim::DomainId child : entry.pointers) {
-      w.WriteU32(child);
-    }
-  });
+  w.WriteBytes(pointers.data());
   cache_.Serialize(&w);
   // Master-ownership records: fail-over arbitration must survive an arbiter
   // reboot, or a rebuilt root would re-grant epoch 1 and unfence stale masters.
@@ -1009,13 +996,6 @@ void DirectorySubnode::ClearDirectoryState() {
   store_.Clear();
   owners_.clear();
   cache_.Clear();
-}
-
-void DirectorySubnode::ImportEntry(const ObjectId& oid, DirectoryEntry entry) {
-  if (entry.Empty()) {
-    return;
-  }
-  store_.Mutable(oid) = std::move(entry);
 }
 
 void DirectorySubnode::ImportOwner(const ObjectId& oid, const OwnerRecord& record) {

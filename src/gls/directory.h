@@ -58,6 +58,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -224,10 +225,11 @@ class DirectorySubnode {
   // probes never disturb the LRU or fault anything in.
   size_t NumAddresses(const ObjectId& oid) const;
   size_t NumPointers(const ObjectId& oid) const;
-  size_t TotalEntries() const;
+  size_t TotalEntries() const { return store_.ItemCount(); }
   // Entries currently resident in memory / spilled to the cold store.
   size_t StoreResidentEntries() const { return store_.ResidentSize(); }
   size_t StoreColdEntries() const { return store_.Size() - store_.ResidentSize(); }
+  std::vector<ObjectId> StoreResidentOids() const { return store_.ResidentOids(); }
   size_t CacheSize() const { return cache_.size(); }
   size_t DedupEntries() const { return server_.dedup_entries(); }
   // The master-ownership epoch this subnode arbitrates for `oid` (0 = no record
@@ -259,14 +261,22 @@ class DirectorySubnode {
     uint64_t version_floor = 0;
   };
 
-  // Subnode splitting support (GlsDeployment::SplitDirectoryNode): drain every
-  // directory entry and ownership record out of this subnode / graft the slice
-  // that hashes here under the new subnode set. Deployment-level machinery —
-  // the refs (self/parent/children) are rewired by the caller.
+  // Every directory entry, decoded, in ascending OID order (for tests and
+  // state hashes; nothing is faulted in).
   std::vector<std::pair<ObjectId, DirectoryEntry>> ExportEntries() const;
+
+  // Subnode splitting support (GlsDeployment::SplitDirectoryNode): drain every
+  // directory entry (serialized, in ascending OID order) and ownership record
+  // out of this subnode / place the slice that hashes here under the new
+  // subnode set. Deployment-level machinery — the refs (self/parent/children)
+  // are rewired by the caller.
+  void DrainEntries(std::vector<SubnodeStore::SpilledEntry>* out) {
+    store_.DrainSorted(out);
+  }
   std::vector<std::pair<ObjectId, OwnerRecord>> ExportOwners() const;
   void ClearDirectoryState();
-  void ImportEntry(const ObjectId& oid, DirectoryEntry entry);
+  // `slice` in import order; see SubnodeStore::Fill.
+  void ImportEntries(std::span<SubnodeStore::SpilledEntry> slice) { store_.Fill(slice); }
   void ImportOwner(const ObjectId& oid, const OwnerRecord& record);
 
  private:

@@ -10,6 +10,18 @@ namespace {
 // Cap for the deserialized pointer count: a corrupt cold blob must not drive
 // unbounded allocation (the address list is bounded by src/util/wire.h).
 constexpr uint64_t kMaxEntryItems = 1000000;
+
+size_t Items(const DirectoryEntry& entry) {
+  return entry.addresses.size() + entry.pointers.size();
+}
+
+// Decodes a blob this store produced: a failure is a programming error, not
+// input corruption.
+DirectoryEntry DecodeSpilled(ByteSpan blob) {
+  Result<DirectoryEntry> decoded = SubnodeStore::DeserializeEntry(blob);
+  assert(decoded.ok() && "corrupt spilled directory entry");
+  return decoded.ok() ? std::move(*decoded) : DirectoryEntry{};
+}
 }  // namespace
 
 Bytes SubnodeStore::SerializeEntry(const DirectoryEntry& entry) {
@@ -58,7 +70,9 @@ void SubnodeStore::EnforceCapacity() {
     if (!it->second.entry.Empty()) {
       Bytes blob = SerializeEntry(it->second.entry);
       spilled_bytes_ += blob.size();
-      cold_[victim] = std::move(blob);
+      size_t items = Items(it->second.entry);
+      cold_items_ += items;
+      cold_.emplace(victim, ColdEntry{std::move(blob), items});
       ++evictions_;
     }
     hot_.erase(it);
@@ -73,13 +87,8 @@ DirectoryEntry& SubnodeStore::Mutable(const ObjectId& oid) {
   }
   DirectoryEntry entry;
   if (auto cold_it = cold_.find(oid); cold_it != cold_.end()) {
-    // Fault-in: the cold blob was produced by SerializeEntry, so a decode
-    // failure is a programming error, not input corruption.
-    Result<DirectoryEntry> decoded = DeserializeEntry(cold_it->second);
-    assert(decoded.ok() && "corrupt spilled directory entry");
-    if (decoded.ok()) {
-      entry = std::move(*decoded);
-    }
+    entry = DecodeSpilled(cold_it->second.blob);
+    cold_items_ -= cold_it->second.items;
     cold_.erase(cold_it);
     ++fault_ins_;
   }
@@ -109,12 +118,7 @@ const DirectoryEntry* SubnodeStore::Peek(const ObjectId& oid,
     return &it->second.entry;
   }
   if (auto cold_it = cold_.find(oid); cold_it != cold_.end()) {
-    Result<DirectoryEntry> decoded = DeserializeEntry(cold_it->second);
-    assert(decoded.ok() && "corrupt spilled directory entry");
-    if (!decoded.ok()) {
-      return nullptr;
-    }
-    *scratch = std::move(*decoded);
+    *scratch = DecodeSpilled(cold_it->second.blob);
     return scratch;
   }
   return nullptr;
@@ -126,44 +130,95 @@ void SubnodeStore::Erase(const ObjectId& oid) {
     hot_.erase(it);
     return;
   }
-  cold_.erase(oid);
+  if (auto cold_it = cold_.find(oid); cold_it != cold_.end()) {
+    cold_items_ -= cold_it->second.items;
+    cold_.erase(cold_it);
+  }
+}
+
+size_t SubnodeStore::ItemCount() const {
+  size_t total = cold_items_;
+  for (const auto& [oid, hot] : hot_) {
+    total += Items(hot.entry);
+  }
+  return total;
 }
 
 void SubnodeStore::ForEachSorted(
     const std::function<void(const ObjectId&, const DirectoryEntry&)>& fn) const {
-  // Merge a sorted view of the hot keys with the (already sorted) cold map.
-  std::vector<const ObjectId*> hot_keys;
-  hot_keys.reserve(hot_.size());
-  for (const auto& [oid, unused] : hot_) {
-    hot_keys.push_back(&oid);
+  // Neither tier is ordered: sort one view of both, each key pointing at its
+  // resident entry or its blob.
+  struct Slot {
+    const ObjectId* oid;
+    const DirectoryEntry* hot;
+    const Bytes* blob;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(Size());
+  for (const auto& [oid, hot] : hot_) {
+    slots.push_back({&oid, &hot.entry, nullptr});
   }
-  std::sort(hot_keys.begin(), hot_keys.end(),
-            [](const ObjectId* a, const ObjectId* b) { return *a < *b; });
-
-  auto cold_it = cold_.begin();
-  size_t hot_idx = 0;
-  while (hot_idx < hot_keys.size() || cold_it != cold_.end()) {
-    bool take_hot =
-        cold_it == cold_.end() ||
-        (hot_idx < hot_keys.size() && *hot_keys[hot_idx] < cold_it->first);
-    if (take_hot) {
-      const ObjectId& oid = *hot_keys[hot_idx++];
-      fn(oid, hot_.at(oid).entry);
+  for (const auto& [oid, cold] : cold_) {
+    slots.push_back({&oid, nullptr, &cold.blob});
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const Slot& a, const Slot& b) { return *a.oid < *b.oid; });
+  for (const Slot& slot : slots) {
+    if (slot.hot != nullptr) {
+      fn(*slot.oid, *slot.hot);
     } else {
-      Result<DirectoryEntry> decoded = DeserializeEntry(cold_it->second);
-      assert(decoded.ok() && "corrupt spilled directory entry");
-      if (decoded.ok()) {
-        fn(cold_it->first, *decoded);
-      }
-      ++cold_it;
+      fn(*slot.oid, DecodeSpilled(*slot.blob));
     }
   }
+}
+
+void SubnodeStore::DrainSorted(std::vector<SpilledEntry>* out) {
+  size_t first = out->size();
+  out->reserve(first + Size());
+  for (const auto& [oid, hot] : hot_) {
+    out->push_back({oid, SerializeEntry(hot.entry), Items(hot.entry)});
+  }
+  for (auto& [oid, cold] : cold_) {
+    out->push_back({oid, std::move(cold.blob), cold.items});
+  }
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end(),
+            [](const SpilledEntry& a, const SpilledEntry& b) { return a.oid < b.oid; });
+  Clear();
+}
+
+void SubnodeStore::Fill(std::span<SpilledEntry> entries) {
+  assert(Size() == 0 && "Fill needs an empty store");
+  // Mutable-assigning the non-empty entries in turn (empty ones are dropped,
+  // as EnforceCapacity drops them) evicts the LRU tail, the earliest entry,
+  // once per entry past the capacity; so exactly the first `to_spill` of them
+  // end cold, each serialized once, and the rest end resident.
+  size_t non_empty = static_cast<size_t>(std::count_if(
+      entries.begin(), entries.end(), [](const SpilledEntry& e) { return e.items > 0; }));
+  size_t to_spill = capacity_ == 0 || non_empty <= capacity_ ? 0 : non_empty - capacity_;
+  hot_.reserve(non_empty - to_spill);
+  cold_.reserve(to_spill);
+  for (SpilledEntry& spilled : entries) {
+    if (spilled.items == 0) {
+      continue;
+    }
+    if (to_spill > 0) {
+      --to_spill;
+      spilled_bytes_ += spilled.blob.size();
+      ++evictions_;
+      cold_items_ += spilled.items;
+      cold_.emplace(spilled.oid, ColdEntry{std::move(spilled.blob), spilled.items});
+    } else {
+      InsertHot(spilled.oid, DecodeSpilled(spilled.blob));
+    }
+  }
+  peak_resident_ = std::max(peak_resident_, hot_.size());
 }
 
 void SubnodeStore::Clear() {
   hot_.clear();
   lru_.clear();
   cold_.clear();
+  cold_items_ = 0;
 }
 
 }  // namespace globe::gls

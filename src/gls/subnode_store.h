@@ -9,14 +9,20 @@
 // back in (and may evict another). Nothing is ever lost to eviction: an entry
 // leaves the store only through explicit Erase.
 //
+// The cold tier is hashed like the hot one and keeps each blob's item count
+// (addresses plus pointers), so counting the store's items decodes nothing. A
+// directory split moves entries between stores in that serialized form
+// (DrainSorted / Fill) instead of decoding and re-encoding every one.
+//
 // One entry merges what DirectorySubnode historically kept in two parallel
 // maps: the contact addresses registered at this node and the forwarding
 // pointers to child domains. Merging them halves the hash lookups on the
 // mutation path and makes spill/fault-in atomic per OID.
 //
-// Iteration order guarantee: ForEachSorted visits entries in ascending OID
-// order regardless of hot/cold placement, so serialized subnode state (and its
-// hash) is independent of the access pattern that shaped the LRU — the
+// Iteration order guarantee: ForEachSorted and DrainSorted visit entries in
+// ascending OID order regardless of hot/cold placement (neither tier is
+// ordered; both sort their keys per walk), so serialized subnode state (and
+// its hash) is independent of the access pattern that shaped the LRU — the
 // determinism suite relies on this.
 
 #ifndef SRC_GLS_SUBNODE_STORE_H_
@@ -24,10 +30,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <list>
-#include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -37,8 +44,22 @@
 
 namespace globe::gls {
 
+// Bucket hash for the hashed maps keyed by OID (the store's two tiers, the
+// ownership records). ObjectId::Hash stays the partitioning hash; this one
+// mixes the identifier's two 64-bit halves in a few instructions, cheap
+// enough to recompute that, being noexcept, libstdc++ stores no hash code in
+// each node.
 struct OidHash {
-  size_t operator()(const ObjectId& oid) const { return oid.Hash(); }
+  size_t operator()(const ObjectId& oid) const noexcept {
+    uint64_t words[2];
+    static_assert(sizeof(words) == sizeof(ObjectId));
+    std::memcpy(words, &oid, sizeof(words));
+    uint64_t h = words[0] ^ (words[1] * 0x9E3779B97F4A7C15ULL);
+    h ^= h >> 32;
+    h *= 0xD6E8FEB86659FD93ULL;
+    h ^= h >> 32;
+    return h;
+  }
 };
 
 // Everything a directory subnode knows about one OID (ownership records are
@@ -52,6 +73,14 @@ struct DirectoryEntry {
 
 class SubnodeStore {
  public:
+  // One entry in its serialized form, as a directory split carries it from
+  // store to store: the SerializeEntry blob and the entry's item count.
+  struct SpilledEntry {
+    ObjectId oid;
+    Bytes blob;
+    size_t items = 0;  // addresses + pointers
+  };
+
   // `capacity` bounds the number of resident (hot) entries; 0 = unbounded,
   // which preserves the historical everything-in-memory behaviour.
   explicit SubnodeStore(size_t capacity = 0) : capacity_(capacity) {
@@ -84,12 +113,30 @@ class SubnodeStore {
 
   size_t Size() const { return hot_.size() + cold_.size(); }
   size_t ResidentSize() const { return hot_.size(); }
+  // The resident OIDs in LRU order, most recently used first.
+  std::vector<ObjectId> ResidentOids() const { return {lru_.begin(), lru_.end()}; }
   size_t capacity() const { return capacity_; }
+
+  // Addresses plus pointers over every entry: the resident entries are summed,
+  // the cold tier's count is kept as entries spill and fault in.
+  size_t ItemCount() const;
 
   // Visits every entry in ascending OID order, independent of placement; cold
   // entries are materialized transiently without being faulted in.
   void ForEachSorted(
       const std::function<void(const ObjectId&, const DirectoryEntry&)>& fn) const;
+
+  // Empties the store, appending every entry to `out` in ascending OID order:
+  // resident entries are serialized, spilled blobs move as they are. The
+  // counters are kept, as Clear keeps them.
+  void DrainSorted(std::vector<SpilledEntry>* out);
+
+  // Fills an empty store with `entries`, moving their blobs out, and leaves it
+  // (entries, resident set, LRU order, counters) exactly as Mutable-assigning
+  // each non-empty entry in turn would: the last `capacity` of them decoded
+  // and resident, the latest at the LRU front, and every earlier one spilled
+  // once, counted as an eviction and its blob's bytes.
+  void Fill(std::span<SpilledEntry> entries);
 
   void Clear();
 
@@ -115,12 +162,18 @@ class SubnodeStore {
   // Evicts LRU-tail entries until the resident count is within capacity.
   void EnforceCapacity();
 
+  struct ColdEntry {
+    Bytes blob;
+    size_t items = 0;  // addresses + pointers in the blob
+  };
+
   size_t capacity_;
   std::unordered_map<ObjectId, HotEntry, OidHash> hot_;
   std::list<ObjectId> lru_;
-  // The cold store: serialized entries, the stand-in for per-subnode disk.
-  // Ordered so ForEachSorted can merge with a sorted view of the hot set.
-  std::map<ObjectId, Bytes> cold_;
+  // The cold store: serialized entries, the stand-in for per-subnode disk,
+  // and the sum of their item counts.
+  std::unordered_map<ObjectId, ColdEntry, OidHash> cold_;
+  size_t cold_items_ = 0;
 
   uint64_t evictions_ = 0;
   uint64_t fault_ins_ = 0;

@@ -1,9 +1,13 @@
 // Tests for the Globe Location Service: object identifiers, contact addresses, the
 // directory-node tree (insert / lookup / delete with forwarding pointers), locality of
-// lookups, subnode partitioning, authorization, persistence and crash recovery.
+// lookups, subnode partitioning and live splits, the memory-bounded subnode store
+// against a reference model, authorization, persistence and crash recovery.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
 #include <set>
 
 #include "src/gls/deploy.h"
@@ -1409,6 +1413,345 @@ TEST(GlsBoundedStoreTest, EvictedEntrySurvivesLookupMutationAndCheckpoint) {
     EXPECT_EQ(result->addresses.size(), 1u);
   }
 }
+
+// ---------------------------------------------------------------- SubnodeStore model
+
+bool SameEntry(const DirectoryEntry& a, const DirectoryEntry& b) {
+  return a.addresses == b.addresses && a.pointers == b.pointers;
+}
+
+// The store's documented behaviour, spelled out on plain containers: every
+// entry in an ordered map, the resident OIDs in an LRU list (front = most
+// recently used), and the four counters.
+class StoreModel {
+ public:
+  explicit StoreModel(size_t capacity) : capacity_(capacity) {}
+
+  // Mutable (`create`) or Find: promote a resident entry; fault in a spilled
+  // one or create a new one at the LRU front, then evict past the capacity.
+  DirectoryEntry* Access(const ObjectId& oid, bool create) {
+    bool known = entries_.count(oid) > 0;
+    if (!known && !create) {
+      return nullptr;
+    }
+    if (auto pos = std::find(lru_.begin(), lru_.end(), oid); pos != lru_.end()) {
+      lru_.splice(lru_.begin(), lru_, pos);
+      return &entries_[oid];
+    }
+    if (known) {
+      ++fault_ins;
+    }
+    entries_[oid];
+    lru_.push_front(oid);
+    while (capacity_ > 0 && lru_.size() > capacity_) {
+      const ObjectId victim = lru_.back();
+      lru_.pop_back();
+      if (entries_[victim].Empty()) {
+        entries_.erase(victim);  // empty entries are dropped, not spilled
+      } else {
+        ++evictions;
+        spilled_bytes += SubnodeStore::SerializeEntry(entries_[victim]).size();
+      }
+    }
+    peak_resident = std::max(peak_resident, lru_.size());
+    return &entries_[oid];
+  }
+
+  const DirectoryEntry* Peek(const ObjectId& oid) const {
+    auto it = entries_.find(oid);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+
+  void Erase(const ObjectId& oid) {
+    entries_.erase(oid);
+    lru_.remove(oid);
+  }
+
+  const std::map<ObjectId, DirectoryEntry>& entries() const { return entries_; }
+  size_t resident() const { return lru_.size(); }
+  size_t items() const {
+    size_t total = 0;
+    for (const auto& [oid, entry] : entries_) {
+      total += entry.addresses.size() + entry.pointers.size();
+    }
+    return total;
+  }
+
+  uint64_t evictions = 0;
+  uint64_t fault_ins = 0;
+  uint64_t spilled_bytes = 0;
+  size_t peak_resident = 0;
+
+ private:
+  size_t capacity_;
+  std::map<ObjectId, DirectoryEntry> entries_;
+  std::list<ObjectId> lru_;
+};
+
+// Random Mutable/Find/Peek/Erase sequences against the model: after every
+// step the store's sorted contents, item count, resident count and counters
+// must be the model's. Which entries are resident, and in which LRU order,
+// shows in the counters: a wrong victim or a missed promotion changes a later
+// step's evictions or fault-ins.
+TEST(SubnodeStoreModelTest, MatchesReferenceAtEveryStep) {
+  for (size_t capacity : {0, 1, 2, 7}) {
+    for (uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed * 1000 + capacity);
+      // Twice the capacity and more, so that entries spill and fault back in.
+      std::vector<ObjectId> pool;
+      for (size_t i = 0; i < 8 + 2 * capacity; ++i) {
+        pool.push_back(ObjectId::Generate(&rng));
+      }
+      SubnodeStore store(capacity);
+      StoreModel model(capacity);
+
+      // One random edit, applied to the store's entry and the model's alike.
+      auto mutate = [&](DirectoryEntry* a, DirectoryEntry* b) {
+        uint64_t kind = rng.UniformInt(5);
+        auto node = static_cast<sim::NodeId>(rng.UniformInt(4));
+        auto domain = static_cast<sim::DomainId>(rng.UniformInt(4));
+        for (DirectoryEntry* entry : {a, b}) {
+          switch (kind) {
+            case 0: {
+              ContactAddress address{{node, sim::kPortGos}, 1, ReplicaRole::kMaster};
+              if (std::find(entry->addresses.begin(), entry->addresses.end(),
+                            address) == entry->addresses.end()) {
+                entry->addresses.push_back(address);
+              }
+              break;
+            }
+            case 1:
+              entry->pointers.insert(domain);
+              break;
+            case 2:
+              entry->pointers.erase(domain);
+              break;
+            case 3:
+              entry->addresses.clear();
+              break;
+            default:
+              break;  // leave it as it is (a new entry stays empty)
+          }
+        }
+      };
+
+      for (int step = 0; step < 500; ++step) {
+        const ObjectId& oid = pool[rng.UniformInt(pool.size())];
+        uint64_t op = rng.UniformInt(20);  // Mutable 8, Find 6, Peek 3, Erase 3
+        switch (op < 8 ? 0 : op < 14 ? 1 : op < 17 ? 2 : 3) {
+          case 0: {  // Mutable, edit, and (mostly) erase what ends empty
+            DirectoryEntry& entry = store.Mutable(oid);
+            DirectoryEntry* expected = model.Access(oid, /*create=*/true);
+            ASSERT_TRUE(SameEntry(entry, *expected)) << "step " << step;
+            mutate(&entry, expected);
+            if (entry.Empty() && rng.UniformInt(4) != 0) {
+              store.Erase(oid);
+              model.Erase(oid);
+            }
+            break;
+          }
+          case 1: {  // Find, then sometimes edit through it
+            DirectoryEntry* entry = store.Find(oid);
+            DirectoryEntry* expected = model.Access(oid, /*create=*/false);
+            ASSERT_EQ(entry == nullptr, expected == nullptr) << "step " << step;
+            if (entry != nullptr) {
+              ASSERT_TRUE(SameEntry(*entry, *expected)) << "step " << step;
+              if (rng.UniformInt(2) == 0) {
+                mutate(entry, expected);
+              }
+            }
+            break;
+          }
+          case 2: {  // Peek
+            DirectoryEntry scratch;
+            const DirectoryEntry* entry = store.Peek(oid, &scratch);
+            const DirectoryEntry* expected = model.Peek(oid);
+            ASSERT_EQ(entry == nullptr, expected == nullptr) << "step " << step;
+            if (entry != nullptr) {
+              ASSERT_TRUE(SameEntry(*entry, *expected)) << "step " << step;
+            }
+            break;
+          }
+          default:
+            store.Erase(oid);
+            model.Erase(oid);
+            break;
+        }
+
+        std::vector<std::pair<ObjectId, DirectoryEntry>> visited;
+        store.ForEachSorted([&](const ObjectId& key, const DirectoryEntry& entry) {
+          visited.emplace_back(key, entry);
+        });
+        ASSERT_EQ(visited.size(), model.entries().size()) << "step " << step;
+        auto expected = model.entries().begin();
+        for (const auto& [key, entry] : visited) {
+          ASSERT_EQ(key, expected->first) << "step " << step;
+          ASSERT_TRUE(SameEntry(entry, expected->second)) << "step " << step;
+          ++expected;
+        }
+        ASSERT_EQ(store.ItemCount(), model.items()) << "step " << step;
+        ASSERT_EQ(store.Size(), model.entries().size()) << "step " << step;
+        ASSERT_EQ(store.ResidentSize(), model.resident()) << "step " << step;
+        if (capacity > 0) {
+          ASSERT_LE(store.ResidentSize(), capacity) << "step " << step;
+        }
+        ASSERT_EQ(store.evictions(), model.evictions) << "step " << step;
+        ASSERT_EQ(store.fault_ins(), model.fault_ins) << "step " << step;
+        ASSERT_EQ(store.spilled_bytes(), model.spilled_bytes) << "step " << step;
+        ASSERT_EQ(store.peak_resident(), model.peak_resident) << "step " << step;
+      }
+      if (capacity > 0) {
+        EXPECT_GT(store.evictions(), 0u);
+        EXPECT_GT(store.fault_ins(), 0u);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------- Live splits
+
+// Splits a bounded root directory node live, 1 -> 2 -> 4 subnodes, on one
+// shard and on four. Nothing registered moves or goes missing, every subnode
+// stays within its capacity, and each subnode's store ends exactly as a fresh
+// store fed its slice entry by entry would: the slice in import order (the
+// old subnodes in ref order, each in ascending OID order), the last
+// `capacity` entries resident, the latest first, the rest spilled.
+class GlsSplitTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(GlsSplitTest, LiveSplitKeepsEntriesAndPlacesSlicesAsImportedOneByOne) {
+  constexpr size_t kCapacity = 4;
+  const size_t shards = GetParam();
+  UniformWorld world = BuildUniformWorld({2, 2}, 2);
+  sim::NetworkOptions net_options;
+  sim::Simulator simulator(shards,
+                           static_cast<sim::SimTime>(net_options.profile.LatencyAt(1)));
+  // Continent homing, before any service registers a port (split hosts too).
+  auto assign_node = [&](NodeId node) {
+    DomainId d = world.topology.NodeDomain(node);
+    while (world.topology.DomainDepth(d) > 1) {
+      d = world.topology.DomainParent(d);
+    }
+    simulator.AssignNode(node, world.topology.DomainDepth(d) == 0
+                                   ? 0
+                                   : static_cast<size_t>(d - 1) % shards);
+  };
+  for (NodeId node = 0; node < world.topology.num_nodes(); ++node) {
+    assign_node(node);
+  }
+  sim::Network network(&simulator, &world.topology, net_options);
+  sim::PlainTransport transport(&network);
+  GlsDeploymentOptions options;
+  options.node_options.store_capacity = kCapacity;
+  GlsDeployment deployment(&transport, &world.topology, nullptr, options, assign_node);
+
+  // Hosts 0-3 sit on one continent, 4-7 on the other. 48 OIDs register on the
+  // first and 16 on the second, so the root (64 pointers) is the only node
+  // above 48 entries.
+  Rng rng(404);
+  std::vector<ObjectId> oids;
+  std::vector<NodeId> registrar;
+  for (int i = 0; i < 64; ++i) {
+    oids.push_back(ObjectId::Generate(&rng));
+    registrar.push_back(world.hosts[i < 48 ? i % 4 : 4 + i % 4]);
+    auto client = deployment.MakeClient(registrar.back());
+    Status status = Unavailable("pending");
+    client->Insert(oids.back(),
+                   ContactAddress{{registrar.back(), sim::kPortGos}, 1,
+                                  ReplicaRole::kMaster},
+                   [&](Status s) { status = s; });
+    simulator.Run();
+    ASSERT_TRUE(status.ok()) << status;
+  }
+
+  auto root_entries = [&] {
+    std::vector<std::pair<ObjectId, DirectoryEntry>> all;
+    size_t items = 0;
+    for (const DirectorySubnode* subnode : deployment.SubnodesOf(0)) {
+      for (auto& item : subnode->ExportEntries()) {
+        all.push_back(std::move(item));
+      }
+      items += subnode->TotalEntries();
+    }
+    std::sort(all.begin(), all.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return std::make_pair(all, items);
+  };
+  const auto [before, before_items] = root_entries();
+  ASSERT_EQ(before.size(), 64u);
+  ASSERT_EQ(before_items, 64u);
+
+  for (size_t count : {2, 4}) {
+    SCOPED_TRACE("split to " + std::to_string(count));
+    // What each old subnode holds and has counted, in ref order.
+    std::vector<const DirectorySubnode*> old_members = deployment.SubnodesOf(0);
+    std::vector<std::vector<std::pair<ObjectId, DirectoryEntry>>> drained;
+    std::vector<SubnodeStats> old_stats;
+    for (const DirectorySubnode* member : old_members) {
+      drained.push_back(member->ExportEntries());
+      old_stats.push_back(member->stats());
+    }
+
+    if (count == 2) {
+      ASSERT_EQ(deployment.SplitOverloadedNodes(48), 1);
+    } else {
+      deployment.SplitDirectoryNode(0, 4);
+    }
+    std::vector<const DirectorySubnode*> members = deployment.SubnodesOf(0);
+    ASSERT_EQ(members.size(), count);
+    const DirectoryRef& ref = deployment.DirectoryFor(0);
+
+    const auto [after, after_items] = root_entries();
+    EXPECT_EQ(after_items, before_items);
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].first, before[i].first);
+      EXPECT_TRUE(SameEntry(after[i].second, before[i].second));
+    }
+
+    for (size_t i = 0; i < members.size(); ++i) {
+      SCOPED_TRACE("root subnode " + std::to_string(i));
+      SubnodeStore fresh(kCapacity);
+      for (const auto& slice : drained) {
+        for (const auto& [oid, entry] : slice) {
+          if (ref.SubnodeIndex(oid) == i) {
+            fresh.Mutable(oid) = entry;
+          }
+        }
+      }
+      // An old subnode keeps counting from where it was.
+      SubnodeStats base = i < old_stats.size() ? old_stats[i] : SubnodeStats{};
+      const SubnodeStats& stats = members[i]->stats();
+      EXPECT_EQ(stats.store_evictions, base.store_evictions + fresh.evictions());
+      EXPECT_EQ(stats.store_fault_ins, base.store_fault_ins + fresh.fault_ins());
+      EXPECT_EQ(stats.store_spilled_bytes,
+                base.store_spilled_bytes + fresh.spilled_bytes());
+      EXPECT_EQ(stats.store_peak_resident,
+                std::max<uint64_t>(base.store_peak_resident, fresh.peak_resident()));
+      EXPECT_EQ(members[i]->StoreResidentOids(), fresh.ResidentOids());
+      EXPECT_EQ(members[i]->TotalEntries(), fresh.ItemCount());
+    }
+    for (const auto& subnode : deployment.subnodes()) {
+      EXPECT_LE(subnode->StoreResidentEntries(), kCapacity);
+      EXPECT_LE(subnode->stats().store_peak_resident, kCapacity);
+    }
+
+    // Every OID still resolves, to its registrar, from the other continent.
+    for (size_t i = 0; i < oids.size(); ++i) {
+      NodeId far = world.hosts[i < 48 ? 7 : 0];
+      auto client = deployment.MakeClient(far);
+      Result<LookupResult> out = Unavailable("pending");
+      client->Lookup(oids[i], [&](Result<LookupResult> r) { out = std::move(r); });
+      simulator.Run();
+      ASSERT_TRUE(out.ok()) << out.status();
+      ASSERT_EQ(out->addresses.size(), 1u);
+      EXPECT_EQ(out->addresses[0].endpoint.node, registrar[i]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, GlsSplitTest, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace globe::gls
