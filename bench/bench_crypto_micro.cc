@@ -56,7 +56,7 @@ void BM_SerializeInvocation(benchmark::State& state) {
   Rng rng(4);
   Bytes content = rng.RandomBytes(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    dso::Invocation invocation = gdn::pkg::AddFile("bin/tool", content);
+    dso::Invocation invocation = gdn::pkg::kAddFile.Marshal({"bin/tool", content});
     Bytes encoded = wire::Encode(invocation);
     benchmark::DoNotOptimize(encoded);
   }
@@ -67,7 +67,7 @@ BENCHMARK(BM_SerializeInvocation)->Arg(1024)->Arg(65536);
 void BM_DeserializeInvocation(benchmark::State& state) {
   Rng rng(5);
   Bytes content = rng.RandomBytes(static_cast<size_t>(state.range(0)));
-  Bytes encoded = wire::Encode(gdn::pkg::AddFile("bin/tool", content));
+  Bytes encoded = wire::Encode(gdn::pkg::kAddFile.Marshal({"bin/tool", content}));
   for (auto _ : state) {
     auto invocation = wire::Decode<dso::Invocation>(encoded);
     benchmark::DoNotOptimize(invocation);
@@ -80,8 +80,9 @@ void BM_PackageStateRoundTrip(benchmark::State& state) {
   Rng rng(6);
   gdn::PackageObject package;
   for (int i = 0; i < 8; ++i) {
-    auto add = gdn::pkg::AddFile("file" + std::to_string(i),
-                                 rng.RandomBytes(static_cast<size_t>(state.range(0)) / 8));
+    auto add = gdn::pkg::kAddFile.Marshal(
+        {"file" + std::to_string(i),
+         rng.RandomBytes(static_cast<size_t>(state.range(0)) / 8)});
     (void)package.Invoke(add);
   }
   for (auto _ : state) {

@@ -47,7 +47,7 @@ MixResult RunMix(gls::ProtocolId protocol, double write_fraction) {
 
   auto make_package = [] {
     auto package = std::make_unique<gdn::PackageObject>();
-    auto init = gdn::pkg::AddFile("base", Bytes(kBaseStateBytes, 0x11));
+    auto init = gdn::pkg::kAddFile.Marshal({"base", Bytes(kBaseStateBytes, 0x11)});
     (void)package->Invoke(init);
     return package;
   };
@@ -109,8 +109,9 @@ MixResult RunMix(gls::ProtocolId protocol, double write_fraction) {
     auto& proxy = proxies[rng.UniformInt(proxies.size())];
     bool is_write = rng.Bernoulli(write_fraction);
     dso::Invocation invocation =
-        is_write ? gdn::pkg::AddFile("delta" + std::to_string(op % 8), Bytes(512, 0x22))
-                 : gdn::pkg::GetFileInfo("base");
+        is_write ? gdn::pkg::kAddFile.Marshal(
+                       {"delta" + std::to_string(op % 8), Bytes(512, 0x22)})
+                 : gdn::pkg::kGetFileInfo.Marshal({"base"});
     sim::SimTime started = simulator.Now();
     sim::SimTime finished = started;
     bool ok = false;

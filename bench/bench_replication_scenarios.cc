@@ -366,22 +366,25 @@ ViralResult RunViral(ViralMode mode) {
 
 // Minimal KV semantics for the fail-over runs: presence of a key proves the
 // write survived the election.
+struct KvEntry {
+  std::string key;
+  std::string value;
+
+  static constexpr auto kWireFields = std::tuple(&KvEntry::key, &KvEntry::value);
+};
+
+constexpr dso::Method<KvEntry, sim::EmptyMessage> kKvPut{"put", dso::Access::kWrite};
+
 class KvObject : public dso::SemanticsObject {
  public:
   static constexpr uint16_t kTypeId = 31;
 
-  Result<Bytes> Invoke(const dso::Invocation& invocation) override {
-    ByteReader r(invocation.args);
-    if (invocation.method == "put") {
-      ASSIGN_OR_RETURN(std::string key, r.ReadString());
-      ASSIGN_OR_RETURN(std::string value, r.ReadString());
-      entries_[key] = value;
-      return Bytes{};
-    }
-    return NotFound("no such method: " + invocation.method);
+  KvObject() {
+    Handle(kKvPut, [this](KvEntry entry) -> Status {
+      entries_[entry.key] = std::move(entry.value);
+      return OkStatus();
+    });
   }
-
-  bool IsReadOnly(std::string_view) const override { return false; }
 
   Bytes GetState() const override {
     ByteWriter w;
@@ -492,14 +495,10 @@ FailoverResult RunFailover(sim::SimTime lease_interval, sim::SimTime lease_timeo
   double total_write_ms = 0;
   for (int i = 0; i < 20; ++i) {
     std::string key = Fmt("w%d", i);
-    ByteWriter args;
-    args.WriteString(key);
-    args.WriteString("v");
     bool ok = false;
     sim::SimTime started = simulator.Now();
     sim::SimTime acked_at = started;
-    dso::kDsoInvoke.Call(&client, master_address.endpoint,
-                         dso::Invocation{"put", args.Take(), /*read_only=*/false},
+    dso::kDsoInvoke.Call(&client, master_address.endpoint, kKvPut.Marshal({key, "v"}),
                          [&](Result<Bytes> r) {
                            ok = r.ok();
                            acked_at = simulator.Now();
@@ -539,11 +538,7 @@ FailoverResult RunFailover(sim::SimTime lease_interval, sim::SimTime lease_timeo
   }
 
   // The elected master serves writes.
-  ByteWriter args;
-  args.WriteString("post");
-  args.WriteString("v");
-  dso::kDsoInvoke.Call(&client, slave_address.endpoint,
-                       dso::Invocation{"put", args.Take(), /*read_only=*/false},
+  dso::kDsoInvoke.Call(&client, slave_address.endpoint, kKvPut.Marshal({"post", "v"}),
                        [&](Result<Bytes> r) { result.post_failover_write_ok = r.ok(); },
                        sim::WriteCallOptions());
   run_for(5 * sim::kSecond);

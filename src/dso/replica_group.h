@@ -102,8 +102,6 @@ struct FailoverConfig {
   // Member patience: claim mastership after this long without a renewal. Also
   // the ownership lease duration recorded at the GLS arbiter.
   sim::SimTime lease_timeout = 5 * sim::kSecond;
-  // Member check cadence (staggered per endpoint to split simultaneous claims).
-  sim::SimTime watch_interval = 1 * sim::kSecond;
   // Quorum-acknowledged writes: a write is acked iff a strict majority of the
   // group (master + members + evicted members) durably holds it, the commit
   // floor is published to the arbiter before the ack, and an under-replicated

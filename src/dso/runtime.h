@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "src/dns/gns.h"
 #include "src/dso/control.h"
@@ -40,8 +41,15 @@ struct BoundObject {
   std::unique_ptr<ReplicationObject> replication;
   std::unique_ptr<ControlObject> control;
 
-  void Invoke(std::string method, Bytes args, bool read_only, InvokeCallback done) {
-    control->Invoke(std::move(method), std::move(args), read_only, std::move(done));
+  // Invokes a declared method (see dso::Method) through the control subobject.
+  template <typename Args, typename Res>
+  void Call(const Method<Args, Res>& method, const std::type_identity_t<Args>& args,
+            typename Method<Args, Res>::Callback done) {
+    control->Call(method, args, std::move(done));
+  }
+
+  void Invoke(const Invocation& invocation, InvokeCallback done) {
+    control->Invoke(invocation, std::move(done));
   }
 };
 

@@ -18,6 +18,8 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "src/dso/invocation.h"
 #include "src/gls/oid.h"
@@ -45,20 +47,37 @@ using AccessHook = std::function<void(const AccessSample&)>;
 
 // User-defined primitive object implementing the DSO's methods. A package DSO's
 // semantics subobject implements addFile / listContents / getFileContents etc.
-// (src/gdn/package.h). Implementations must be deterministic: the active replication
-// protocol applies the same invocation at every replica.
+// (src/gdn/package.h). A subclass registers one handler per declared method
+// (see dso::Method) from its constructor; the table of those handlers is the
+// object's interface: Invoke dispatches through it and IsReadOnly answers from
+// it. Implementations must be deterministic: the active replication protocol
+// applies the same invocation at every replica.
 class SemanticsObject {
  public:
   virtual ~SemanticsObject() = default;
+  // Handlers capture `this`.
+  SemanticsObject(const SemanticsObject&) = delete;
+  SemanticsObject& operator=(const SemanticsObject&) = delete;
 
-  // Executes one marshalled invocation against local state.
-  virtual Result<Bytes> Invoke(const Invocation& invocation) = 0;
+  // Executes one marshalled invocation against local state: arguments that do
+  // not decode as the method's declared type are refused before its handler
+  // runs, and a method without a handler is NotFound.
+  Result<Bytes> Invoke(const Invocation& invocation) {
+    const Handler* handler = Find(invocation.method);
+    if (handler == nullptr) {
+      return NotFound("no such method: " + invocation.method);
+    }
+    return handler->run(invocation.args);
+  }
 
-  // Whether `method` leaves the state unchanged. Replicas classify every
-  // invocation with this, never with the caller's Invocation::read_only: a
-  // read is served where it lands, anything else — unknown methods included —
-  // takes the write guard and the write path.
-  virtual bool IsReadOnly(std::string_view method) const = 0;
+  // Whether `method` leaves the state unchanged, as its declaration says.
+  // Replicas classify every invocation with this, never with the caller's
+  // Invocation::read_only: a read is served where it lands, anything else —
+  // unknown methods included — takes the write guard and the write path.
+  bool IsReadOnly(std::string_view method) const {
+    const Handler* handler = Find(method);
+    return handler != nullptr && handler->read_only;
+  }
 
   // Full-state marshalling: used to initialize new replicas, to push state in the
   // master/slave protocol, and by the GOS persistence machinery.
@@ -71,6 +90,46 @@ class SemanticsObject {
 
   // Type identifier resolved through the implementation repository when binding.
   virtual uint16_t type_id() const = 0;
+
+ protected:
+  SemanticsObject() = default;
+
+  // Registers the handler of `method`. It takes the decoded arguments and
+  // returns Result<Res>, or a Status for a method whose result is
+  // sim::EmptyMessage.
+  template <typename Args, typename Res, typename Fn>
+  void Handle(const Method<Args, Res>& method, Fn fn) {
+    handlers_.push_back(Handler{
+        method.name(), method.read_only(),
+        [fn = std::move(fn)](ByteSpan data) -> Result<Bytes> {
+          ASSIGN_OR_RETURN(Args args, wire::Decode<Args>(data));
+          if constexpr (std::is_same_v<Res, sim::EmptyMessage>) {
+            RETURN_IF_ERROR(fn(std::move(args)));
+            return Bytes{};
+          } else {
+            ASSIGN_OR_RETURN(Res result, fn(std::move(args)));
+            return sim::wire_internal::EncodeMessage(std::move(result));
+          }
+        }});
+  }
+
+ private:
+  struct Handler {
+    std::string_view method;
+    bool read_only = false;
+    std::function<Result<Bytes>(ByteSpan)> run;
+  };
+
+  const Handler* Find(std::string_view method) const {
+    for (const Handler& handler : handlers_) {
+      if (handler.method == method) {
+        return &handler;
+      }
+    }
+    return nullptr;
+  }
+
+  std::vector<Handler> handlers_;
 };
 
 using InvokeCallback = std::function<void(Result<Bytes>)>;

@@ -40,7 +40,9 @@ GdnHttpd::GdnHttpd(sim::Transport* transport, sim::NodeId node, std::string zone
       gns_(transport, node, std::move(zone), naming_authority, resolver),
       runtime_(transport, node, std::move(leaf_directory), repository, &gns_),
       options_(options) {
-  runtime_.gls()->set_allow_cached(options_.allow_cached_gls_lookups);
+  // Binds may be answered from directory subnode caches (TTL-bounded
+  // staleness for fewer hops); a subnode without a cache ignores the flag.
+  runtime_.gls()->set_allow_cached(true);
   transport_->RegisterPort(node_, sim::kPortHttp,
                            [this](const sim::TransportDelivery& d) { OnRequest(d); });
 }
@@ -129,14 +131,14 @@ void GdnHttpd::ServeFrontPage(const sim::Endpoint& client) {
   Reply(client, response);
 }
 
-void GdnHttpd::WithPackage(const std::string& globe_name, UseProxy use) {
+void GdnHttpd::WithPackage(const std::string& globe_name, UsePackage use) {
   auto it = bound_.find(globe_name);
   if (it != bound_.end()) {
     ++stats_.bind_reuses;
     use(it->second.get());
     return;
   }
-  std::vector<UseProxy>& waiting = binds_in_flight_[globe_name];
+  std::vector<UsePackage>& waiting = binds_in_flight_[globe_name];
   waiting.push_back(std::move(use));
   if (waiting.size() > 1) {
     return;
@@ -153,16 +155,15 @@ void GdnHttpd::WithPackage(const std::string& globe_name, UseProxy use) {
       globe_name, options,
       [this, globe_name](Result<std::unique_ptr<dso::BoundObject>> bound) {
         auto node = binds_in_flight_.extract(globe_name);
-        std::vector<UseProxy> waiting = std::move(node.mapped());
+        std::vector<UsePackage> waiting = std::move(node.mapped());
         if (!bound.ok()) {
-          for (UseProxy& use : waiting) {
+          for (UsePackage& use : waiting) {
             use(bound.status());
           }
           return;
         }
-        auto proxy = std::make_unique<PackageProxy>(std::move(*bound));
-        PackageProxy* raw = proxy.get();
-        bound_[globe_name] = std::move(proxy);
+        dso::BoundObject* raw = bound->get();
+        bound_[globe_name] = std::move(*bound);
         waiting.front()(raw);
         // The rest go through the binding table: the first request may already
         // have dropped the binding again.
@@ -180,12 +181,8 @@ void GdnHttpd::DropBinding(const std::string& globe_name,
     return;
   }
   auto pending =
-      std::make_shared<std::unique_ptr<dso::BoundObject>>(it->second->TakeBound());
+      std::make_shared<std::unique_ptr<dso::BoundObject>>(std::move(it->second));
   bound_.erase(it);
-  if (*pending == nullptr) {
-    if (done) done();
-    return;
-  }
   transport_->clock()->ScheduleAfter(0, [this, pending, done = std::move(done)] {
     runtime_.Unbind(std::move(*pending), [done = std::move(done)](Status s) {
       if (!s.ok()) {
@@ -199,17 +196,17 @@ void GdnHttpd::DropBinding(const std::string& globe_name,
 void GdnHttpd::ServeListing(const std::string& globe_name, const sim::Endpoint& client,
                             bool retried) {
   WithPackage(globe_name, [this, globe_name, client,
-                           retried](Result<PackageProxy*> proxy) {
-    if (!proxy.ok()) {
+                           retried](Result<dso::BoundObject*> bound) {
+    if (!bound.ok()) {
       ++stats_.errors;
-      int code = proxy.status().code() == StatusCode::kNotFound ? 404 : 502;
+      int code = bound.status().code() == StatusCode::kNotFound ? 404 : 502;
       Reply(client, http::MakeErrorResponse(code, std::string(http::ReasonPhrase(code)),
-                                            proxy.status().ToString()));
+                                            bound.status().ToString()));
       return;
     }
-    (*proxy)->ListContents([this, globe_name, client,
-                            retried](Result<std::vector<FileInfo>> files) {
-      if (!files.ok()) {
+    (*bound)->Call(pkg::kListContents, {}, [this, globe_name, client,
+                                            retried](Result<pkg::Listing> listing) {
+      if (!listing.ok()) {
         if (!retried) {
           // The bound representative may be a stale incarnation (its object
           // migrated protocols, or its master moved): drop it, rebind through
@@ -222,14 +219,14 @@ void GdnHttpd::ServeListing(const std::string& globe_name, const sim::Endpoint& 
         }
         ++stats_.errors;
         Reply(client,
-              http::MakeErrorResponse(502, "Bad Gateway", files.status().ToString()));
+              http::MakeErrorResponse(502, "Bad Gateway", listing.status().ToString()));
         return;
       }
       std::string html = "<html><head><title>" + HtmlEscape(globe_name) +
                          "</title></head><body><h1>Package " + HtmlEscape(globe_name) +
                          "</h1><table border=1><tr><th>File</th><th>Size</th>"
                          "<th>SHA-256</th></tr>";
-      for (const FileInfo& file : *files) {
+      for (const FileInfo& file : listing->files) {
         std::string href =
             http::UrlEncode(std::string(kPackagesPrefix) + globe_name + kFilesSeparator +
                             file.path);
@@ -250,16 +247,16 @@ void GdnHttpd::ServeListing(const std::string& globe_name, const sim::Endpoint& 
 void GdnHttpd::ServeFile(const std::string& globe_name, const std::string& file_path,
                          const sim::Endpoint& client, bool retried) {
   WithPackage(globe_name, [this, globe_name, file_path, client,
-                           retried](Result<PackageProxy*> proxy) {
-    if (!proxy.ok()) {
+                           retried](Result<dso::BoundObject*> bound) {
+    if (!bound.ok()) {
       ++stats_.errors;
-      int code = proxy.status().code() == StatusCode::kNotFound ? 404 : 502;
+      int code = bound.status().code() == StatusCode::kNotFound ? 404 : 502;
       Reply(client, http::MakeErrorResponse(code, std::string(http::ReasonPhrase(code)),
-                                            proxy.status().ToString()));
+                                            bound.status().ToString()));
       return;
     }
-    (*proxy)->GetFileContents(file_path, [this, globe_name, file_path, client,
-                                          retried](Result<Bytes> content) {
+    (*bound)->Call(pkg::kGetFileContents, {file_path},
+                   [this, globe_name, file_path, client, retried](Result<Bytes> content) {
       if (!content.ok()) {
         // NotFound is an answer (the file is not in the package); anything
         // else smells like a stale binding — rebind and retry once.
@@ -293,8 +290,8 @@ void GdnHttpd::ServeSearch(const std::string& query, const sim::Endpoint& client
     return;
   }
   auto run_search = [this, query, client] {
-    search_proxy_->Search(query, [this, query,
-                                  client](Result<std::vector<SearchMatch>> r) {
+    search_index_->Call(search::kSearch, {query}, [this, query,
+                                                   client](Result<search::Matches> r) {
       if (!r.ok()) {
         ++stats_.errors;
         Reply(client, http::MakeErrorResponse(502, "Bad Gateway", r.status().ToString()));
@@ -303,20 +300,21 @@ void GdnHttpd::ServeSearch(const std::string& query, const sim::Endpoint& client
       std::string html =
           "<html><head><title>GDN search</title></head><body><h1>Search: " +
                          HtmlEscape(query) + "</h1><ul>";
-      for (const SearchMatch& match : *r) {
+      for (const SearchMatch& match : r->matches) {
         html += "<li><a href=\"" +
                 http::UrlEncode(std::string(kPackagesPrefix) + match.globe_name) + "\">" +
                 HtmlEscape(match.globe_name) + "</a> &mdash; " +
                 HtmlEscape(match.description) + "</li>";
       }
-      html += "</ul><p>" + std::to_string(r->size()) + " match(es)</p></body></html>\n";
+      html += "</ul><p>" + std::to_string(r->matches.size()) +
+              " match(es)</p></body></html>\n";
       http::HttpResponse response;
       response.SetHtml(std::move(html));
       Reply(client, response);
     });
   };
 
-  if (search_proxy_ != nullptr) {
+  if (search_index_ != nullptr) {
     run_search();
     return;
   }
@@ -326,7 +324,7 @@ void GdnHttpd::ServeSearch(const std::string& query, const sim::Endpoint& client
                   if (!bound.ok()) {
                     return;  // next request retries the bind
                   }
-                  search_proxy_ = std::make_unique<SearchProxy>(std::move(*bound));
+                  search_index_ = std::move(*bound);
                   run_search();
                 });
 }

@@ -39,9 +39,6 @@ struct HttpdOptions {
   // Join DSOs as a replica (cache/slave per protocol), published in the GLS,
   // instead of a thin proxy.
   bool bind_as_replica = true;
-  // Let this HTTPD's GLS lookups be answered from directory subnode caches
-  // (TTL-bounded staleness in exchange for fewer directory hops per bind).
-  bool allow_cached_gls_lookups = false;
 };
 
 struct HttpdStats {
@@ -52,7 +49,7 @@ struct HttpdStats {
   uint64_t errors = 0;
   uint64_t binds = 0;
   uint64_t bind_reuses = 0;
-  // Bindings dropped and re-established after a proxy invoke failed — the
+  // Bindings dropped and re-established after an invoke on them failed — the
   // bound representative was a stale incarnation (its object migrated to
   // another protocol, or its master moved).
   uint64_t rebinds = 0;
@@ -79,17 +76,17 @@ class GdnHttpd {
   void ServeRequest(const http::HttpRequest& request, const sim::Endpoint& client);
   void Reply(const sim::Endpoint& client, const http::HttpResponse& response);
 
-  // Binds (or reuses a binding) and hands the proxy to `use`. Single flight:
+  // Binds (or reuses a binding) and hands the package to `use`. Single flight:
   // requests arriving while the package's bind is running wait for that bind.
-  using UseProxy = std::function<void(Result<PackageProxy*>)>;
-  void WithPackage(const std::string& globe_name, UseProxy use);
+  using UsePackage = std::function<void(Result<dso::BoundObject*>)>;
+  void WithPackage(const std::string& globe_name, UsePackage use);
 
   // Drops a stale binding properly: the bound representative goes back through
   // RuntimeSystem::Unbind (protocol shutdown + GLS deregistration) instead of
   // being silently destroyed — a replica installed via bind_as_replica would
   // otherwise leak its GLS registration and keep routing clients to a retired
   // incarnation. The unbind is deferred one event because the drop runs on the
-  // stale proxy's own callback stack. `done` fires once the teardown finished:
+  // stale binding's own callback stack. `done` fires once the teardown finished:
   // a rebind issued earlier could resolve the stale registration itself.
   void DropBinding(const std::string& globe_name, std::function<void()> done);
 
@@ -108,13 +105,13 @@ class GdnHttpd {
   dso::RuntimeSystem runtime_;
   HttpdOptions options_;
   // One bound local representative per package name, reused across requests.
-  std::map<std::string, std::unique_ptr<PackageProxy>> bound_;
+  std::map<std::string, std::unique_ptr<dso::BoundObject>> bound_;
   // Requests waiting on the bind in flight for a package name; the first one
   // started it. A second concurrent bind would overwrite bound_[name],
-  // destroying the first proxy and leaking its GLS registration.
-  std::map<std::string, std::vector<UseProxy>> binds_in_flight_;
+  // destroying the first binding and leaking its GLS registration.
+  std::map<std::string, std::vector<UsePackage>> binds_in_flight_;
   gls::ObjectId search_oid_;
-  std::unique_ptr<SearchProxy> search_proxy_;
+  std::unique_ptr<dso::BoundObject> search_index_;
   HttpdStats stats_;
 };
 

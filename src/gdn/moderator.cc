@@ -97,69 +97,54 @@ void ModeratorTool::RegisterName(const gls::ObjectId& oid, const std::string& gl
   });
 }
 
-void ModeratorTool::OpenPackage(std::string_view globe_name, ProxyCallback done) {
+void ModeratorTool::OpenPackage(std::string_view globe_name, BindCallback done) {
   auto it = catalog_.find(globe_name);
   if (it != catalog_.end()) {
     // Skip the GNS round trip for our own packages.
-    runtime_.Bind(it->second.oid, {},
-                  [done = std::move(done)](
-                      Result<std::unique_ptr<dso::BoundObject>> bound) {
-                    if (!bound.ok()) {
-                      done(bound.status());
-                      return;
-                    }
-                    done(std::make_unique<PackageProxy>(std::move(*bound)));
-                  });
+    runtime_.Bind(it->second.oid, {}, std::move(done));
     return;
   }
-  runtime_.BindByName(globe_name, {},
-                      [done = std::move(done)](
-                          Result<std::unique_ptr<dso::BoundObject>> bound) {
-                        if (!bound.ok()) {
-                          done(bound.status());
-                          return;
-                        }
-                        done(std::make_unique<PackageProxy>(std::move(*bound)));
-                      });
+  runtime_.BindByName(globe_name, {}, std::move(done));
 }
 
 void ModeratorTool::AddFile(std::string_view globe_name, std::string_view path,
                             Bytes content, DoneCallback done) {
   OpenPackage(globe_name, [this, path = std::string(path), content = std::move(content),
                            done = std::move(done)](
-                              Result<std::unique_ptr<PackageProxy>> proxy) mutable {
-    if (!proxy.ok()) {
+                              Result<std::unique_ptr<dso::BoundObject>> bound) mutable {
+    if (!bound.ok()) {
       ++stats_.failures;
-      done(proxy.status());
+      done(bound.status());
       return;
     }
-    auto shared_proxy = std::shared_ptr<PackageProxy>(std::move(*proxy));
-    shared_proxy->AddFile(path, content,
-                          [this, shared_proxy, done = std::move(done)](Status status) {
-                            if (status.ok()) {
-                              ++stats_.files_added;
-                            } else {
-                              ++stats_.failures;
-                            }
-                            done(status);
-                          });
+    // The binding lives until the write completes; its callback holds it.
+    auto shared = std::shared_ptr<dso::BoundObject>(std::move(*bound));
+    shared->Call(pkg::kAddFile, {std::move(path), std::move(content)},
+                 [this, shared, done = std::move(done)](Result<sim::EmptyMessage> r) {
+                   if (r.ok()) {
+                     ++stats_.files_added;
+                   } else {
+                     ++stats_.failures;
+                   }
+                   done(r.status());
+                 });
   });
 }
 
 void ModeratorTool::SetDescription(std::string_view globe_name, std::string_view text,
                                    DoneCallback done) {
   OpenPackage(globe_name, [this, text = std::string(text), done = std::move(done)](
-                              Result<std::unique_ptr<PackageProxy>> proxy) mutable {
-    if (!proxy.ok()) {
+                              Result<std::unique_ptr<dso::BoundObject>> bound) mutable {
+    if (!bound.ok()) {
       ++stats_.failures;
-      done(proxy.status());
+      done(bound.status());
       return;
     }
-    auto shared_proxy = std::shared_ptr<PackageProxy>(std::move(*proxy));
-    shared_proxy->SetDescription(text,
-                                 [shared_proxy, done = std::move(done)](Status status) {
-                                   done(status);
-                                 });
+    auto shared = std::shared_ptr<dso::BoundObject>(std::move(*bound));
+    shared->Call(pkg::kSetDescription, {std::move(text)},
+                 [shared, done = std::move(done)](Result<sim::EmptyMessage> r) {
+                   done(r.status());
+                 });
   });
 }
 

@@ -56,7 +56,7 @@ class ModeratorTool {
 
   using OidCallback = std::function<void(Result<gls::ObjectId>)>;
   using DoneCallback = std::function<void(Status)>;
-  using ProxyCallback = std::function<void(Result<std::unique_ptr<PackageProxy>>)>;
+  using BindCallback = dso::RuntimeSystem::BindCallback;
 
   // Steps 1-4 above. `done` fires once the package exists, is replicated per the
   // scenario and is named in the GNS.
@@ -72,8 +72,8 @@ class ModeratorTool {
   // Removes every replica listed in the catalog, then the GNS name.
   void RemovePackage(std::string_view globe_name, DoneCallback done);
 
-  // Opens a typed proxy to a package for arbitrary use.
-  void OpenPackage(std::string_view globe_name, ProxyCallback done);
+  // Binds to a package for arbitrary use.
+  void OpenPackage(std::string_view globe_name, BindCallback done);
 
   const ModeratorStats& stats() const { return stats_; }
 

@@ -4,79 +4,53 @@
 
 namespace globe::gdn {
 
-Result<Bytes> PackageObject::Invoke(const dso::Invocation& invocation) {
-  ByteReader r(invocation.args);
-
-  if (invocation.method == "pkg.addFile") {
-    ASSIGN_OR_RETURN(std::string path, r.ReadString());
-    ASSIGN_OR_RETURN(ByteSpan content, r.ReadLengthPrefixedView());
-    if (path.empty()) {
+PackageObject::PackageObject() {
+  Handle(pkg::kAddFile, [this](pkg::FileArgs args) -> Status {
+    if (args.path.empty()) {
       return InvalidArgument("file path may not be empty");
     }
-    // Digest over the view; the one copy is the content entering the package.
-    std::string digest = Sha256::HexDigest(content);
-    files_[path] = FileEntry{ToBytes(content), std::move(digest)};
-    return Bytes{};
-  }
-
-  if (invocation.method == "pkg.removeFile") {
-    ASSIGN_OR_RETURN(std::string path, r.ReadString());
-    if (files_.erase(path) == 0) {
-      return NotFound("no such file in package: " + path);
+    std::string digest = Sha256::HexDigest(args.content);
+    files_[args.path] = FileEntry{std::move(args.content), std::move(digest)};
+    return OkStatus();
+  });
+  Handle(pkg::kRemoveFile, [this](const pkg::PathArgs& args) -> Status {
+    if (files_.erase(args.path) == 0) {
+      return NotFound("no such file in package: " + args.path);
     }
-    return Bytes{};
-  }
-
-  if (invocation.method == "pkg.setDescription") {
-    ASSIGN_OR_RETURN(description_, r.ReadString());
-    return Bytes{};
-  }
-
-  if (invocation.method == "pkg.listContents") {
-    ByteWriter w;
-    w.WriteVarint(files_.size());
+    return OkStatus();
+  });
+  Handle(pkg::kSetDescription, [this](pkg::Text args) -> Status {
+    description_ = std::move(args.text);
+    return OkStatus();
+  });
+  Handle(pkg::kListContents, [this](const sim::EmptyMessage&) -> Result<pkg::Listing> {
+    pkg::Listing listing;
+    listing.files.reserve(files_.size());
     for (const auto& [path, entry] : files_) {
-      w.WriteString(path);
-      w.WriteU64(entry.content.size());
-      w.WriteString(entry.sha256_hex);
+      listing.files.push_back({path, entry.content.size(), entry.sha256_hex});
     }
-    return w.Take();
-  }
-
-  if (invocation.method == "pkg.getFileContents") {
-    ASSIGN_OR_RETURN(std::string path, r.ReadString());
-    auto it = files_.find(path);
-    if (it == files_.end()) {
-      return NotFound("no such file in package: " + path);
-    }
-    return it->second.content;
-  }
-
-  if (invocation.method == "pkg.getFileInfo") {
-    ASSIGN_OR_RETURN(std::string path, r.ReadString());
-    auto it = files_.find(path);
-    if (it == files_.end()) {
-      return NotFound("no such file in package: " + path);
-    }
-    ByteWriter w;
-    w.WriteString(path);
-    w.WriteU64(it->second.content.size());
-    w.WriteString(it->second.sha256_hex);
-    return w.Take();
-  }
-
-  if (invocation.method == "pkg.getDescription") {
-    ByteWriter w;
-    w.WriteString(description_);
-    return w.Take();
-  }
-
-  return NotFound("package DSO has no method " + invocation.method);
+    return listing;
+  });
+  Handle(pkg::kGetFileContents, [this](const pkg::PathArgs& args) -> Result<Bytes> {
+    ASSIGN_OR_RETURN(const FileEntry* entry, FindFile(args.path));
+    return entry->content;
+  });
+  Handle(pkg::kGetFileInfo, [this](pkg::PathArgs args) -> Result<FileInfo> {
+    ASSIGN_OR_RETURN(const FileEntry* entry, FindFile(args.path));
+    return FileInfo{std::move(args.path), entry->content.size(), entry->sha256_hex};
+  });
+  Handle(pkg::kGetDescription, [this](const sim::EmptyMessage&) -> Result<pkg::Text> {
+    return pkg::Text{description_};
+  });
 }
 
-bool PackageObject::IsReadOnly(std::string_view method) const {
-  return method == "pkg.listContents" || method == "pkg.getFileContents" ||
-         method == "pkg.getFileInfo" || method == "pkg.getDescription";
+Result<const PackageObject::FileEntry*> PackageObject::FindFile(
+    const std::string& path) const {
+  auto it = files_.find(path);
+  if (it == files_.end()) {
+    return NotFound("no such file in package: " + path);
+  }
+  return &it->second;
 }
 
 Bytes PackageObject::GetState() const {
@@ -134,123 +108,6 @@ uint64_t PackageObject::total_bytes() const {
     total += entry.content.size();
   }
   return total;
-}
-
-namespace pkg {
-
-dso::Invocation AddFile(std::string_view path, ByteSpan content) {
-  ByteWriter w;
-  w.WriteString(path);
-  w.WriteLengthPrefixed(content);
-  return dso::Invocation{"pkg.addFile", w.Take(), /*read_only=*/false};
-}
-
-dso::Invocation RemoveFile(std::string_view path) {
-  ByteWriter w;
-  w.WriteString(path);
-  return dso::Invocation{"pkg.removeFile", w.Take(), /*read_only=*/false};
-}
-
-dso::Invocation SetDescription(std::string_view text) {
-  ByteWriter w;
-  w.WriteString(text);
-  return dso::Invocation{"pkg.setDescription", w.Take(), /*read_only=*/false};
-}
-
-dso::Invocation ListContents() {
-  return dso::Invocation{"pkg.listContents", {}, /*read_only=*/true};
-}
-
-dso::Invocation GetFileContents(std::string_view path) {
-  ByteWriter w;
-  w.WriteString(path);
-  return dso::Invocation{"pkg.getFileContents", w.Take(), /*read_only=*/true};
-}
-
-dso::Invocation GetFileInfo(std::string_view path) {
-  ByteWriter w;
-  w.WriteString(path);
-  return dso::Invocation{"pkg.getFileInfo", w.Take(), /*read_only=*/true};
-}
-
-dso::Invocation GetDescription() {
-  return dso::Invocation{"pkg.getDescription", {}, /*read_only=*/true};
-}
-
-Result<std::vector<FileInfo>> ParseListContents(ByteSpan data) {
-  ByteReader r(data);
-  ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-  std::vector<FileInfo> files;
-  files.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    FileInfo info;
-    ASSIGN_OR_RETURN(info.path, r.ReadString());
-    ASSIGN_OR_RETURN(info.size, r.ReadU64());
-    ASSIGN_OR_RETURN(info.sha256_hex, r.ReadString());
-    files.push_back(std::move(info));
-  }
-  return files;
-}
-
-Result<FileInfo> ParseFileInfo(ByteSpan data) {
-  ByteReader r(data);
-  FileInfo info;
-  ASSIGN_OR_RETURN(info.path, r.ReadString());
-  ASSIGN_OR_RETURN(info.size, r.ReadU64());
-  ASSIGN_OR_RETURN(info.sha256_hex, r.ReadString());
-  return info;
-}
-
-}  // namespace pkg
-
-void PackageProxy::InvokeStatus(dso::Invocation invocation, StatusCallback done) {
-  bound_->Invoke(std::move(invocation.method), std::move(invocation.args),
-                 invocation.read_only, [done = std::move(done)](Result<Bytes> result) {
-                   done(result.ok() ? OkStatus() : result.status());
-                 });
-}
-
-void PackageProxy::AddFile(std::string_view path, ByteSpan content, StatusCallback done) {
-  InvokeStatus(pkg::AddFile(path, content), std::move(done));
-}
-
-void PackageProxy::RemoveFile(std::string_view path, StatusCallback done) {
-  InvokeStatus(pkg::RemoveFile(path), std::move(done));
-}
-
-void PackageProxy::SetDescription(std::string_view text, StatusCallback done) {
-  InvokeStatus(pkg::SetDescription(text), std::move(done));
-}
-
-void PackageProxy::ListContents(ListCallback done) {
-  dso::Invocation invocation = pkg::ListContents();
-  bound_->Invoke(std::move(invocation.method), std::move(invocation.args), true,
-                 [done = std::move(done)](Result<Bytes> result) {
-                   if (!result.ok()) {
-                     done(result.status());
-                     return;
-                   }
-                   done(pkg::ParseListContents(*result));
-                 });
-}
-
-void PackageProxy::GetFileContents(std::string_view path, ContentCallback done) {
-  dso::Invocation invocation = pkg::GetFileContents(path);
-  bound_->Invoke(std::move(invocation.method), std::move(invocation.args), true,
-                 [done = std::move(done)](Result<Bytes> result) { done(std::move(result)); });
-}
-
-void PackageProxy::GetDescription(TextCallback done) {
-  dso::Invocation invocation = pkg::GetDescription();
-  bound_->Invoke(std::move(invocation.method), std::move(invocation.args), true,
-                 [done = std::move(done)](Result<Bytes> result) {
-                   if (!result.ok()) {
-                     done(result.status());
-                     return;
-                   }
-                   ByteReader r(*result);
-                   done(r.ReadString());
-                 });
 }
 
 }  // namespace globe::gdn

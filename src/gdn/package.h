@@ -4,9 +4,8 @@
 // PackageObject is the semantics subobject: it implements the methods the paper
 // names (addFile, listContents, getFileContents, §3.3/§4) on local state, with a
 // SHA-256 digest per file so the integrity of distributed software is checkable
-// end-to-end (§6.1). PackageProxy is the typed client-side wrapper over a bound
-// local representative — the control subobject bridging typed calls to marshalled
-// invocations.
+// end-to-end (§6.1). The methods are declared once, in namespace pkg below;
+// clients invoke them on a bound package with dso::BoundObject::Call.
 
 #ifndef SRC_GDN_PACKAGE_H_
 #define SRC_GDN_PACKAGE_H_
@@ -14,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/dso/runtime.h"
@@ -29,23 +29,59 @@ struct FileInfo {
   std::string sha256_hex;
 
   bool operator==(const FileInfo&) const = default;
+
+  static constexpr auto kWireFields =
+      std::tuple(&FileInfo::path, &FileInfo::size, &FileInfo::sha256_hex);
 };
+
+namespace pkg {
+
+struct FileArgs {
+  std::string path;
+  Bytes content;
+
+  static constexpr auto kWireFields = std::tuple(&FileArgs::path, &FileArgs::content);
+};
+
+struct PathArgs {
+  std::string path;
+
+  static constexpr auto kWireFields = std::tuple(&PathArgs::path);
+};
+
+// The package's description.
+struct Text {
+  std::string text;
+
+  static constexpr auto kWireFields = std::tuple(&Text::text);
+};
+
+struct Listing {
+  std::vector<FileInfo> files;
+
+  static constexpr auto kWireFields = std::tuple(&Listing::files);
+};
+
+inline constexpr dso::Method<FileArgs, sim::EmptyMessage> kAddFile{
+    "pkg.addFile", dso::Access::kWrite};
+inline constexpr dso::Method<PathArgs, sim::EmptyMessage> kRemoveFile{
+    "pkg.removeFile", dso::Access::kWrite};
+inline constexpr dso::Method<Text, sim::EmptyMessage> kSetDescription{
+    "pkg.setDescription", dso::Access::kWrite};
+inline constexpr dso::Method<sim::EmptyMessage, Listing> kListContents{
+    "pkg.listContents", dso::Access::kRead};
+inline constexpr dso::Method<PathArgs, Bytes> kGetFileContents{"pkg.getFileContents",
+                                                               dso::Access::kRead};
+inline constexpr dso::Method<PathArgs, FileInfo> kGetFileInfo{"pkg.getFileInfo",
+                                                              dso::Access::kRead};
+inline constexpr dso::Method<sim::EmptyMessage, Text> kGetDescription{
+    "pkg.getDescription", dso::Access::kRead};
+
+}  // namespace pkg
 
 class PackageObject : public dso::SemanticsObject {
  public:
-  PackageObject() = default;
-
-  // Marshalled methods:
-  //   pkg.addFile         {path, content}         write
-  //   pkg.removeFile      {path}                  write
-  //   pkg.setDescription  {text}                  write
-  //   pkg.listContents    {} -> vector<FileInfo>  read
-  //   pkg.getFileContents {path} -> bytes         read
-  //   pkg.getFileInfo     {path} -> FileInfo      read
-  //   pkg.getDescription  {} -> text              read
-  Result<Bytes> Invoke(const dso::Invocation& invocation) override;
-  // True for exactly the four read methods above.
-  bool IsReadOnly(std::string_view method) const override;
+  PackageObject();
 
   Bytes GetState() const override;
   Status SetState(ByteSpan state) override;
@@ -61,49 +97,10 @@ class PackageObject : public dso::SemanticsObject {
     std::string sha256_hex;
   };
 
+  Result<const FileEntry*> FindFile(const std::string& path) const;
+
   std::string description_;
   std::map<std::string, FileEntry> files_;
-};
-
-// Invocation builders and result parsers — shared by PackageProxy, the moderator
-// tool and the GDN-HTTPD.
-namespace pkg {
-dso::Invocation AddFile(std::string_view path, ByteSpan content);
-dso::Invocation RemoveFile(std::string_view path);
-dso::Invocation SetDescription(std::string_view text);
-dso::Invocation ListContents();
-dso::Invocation GetFileContents(std::string_view path);
-dso::Invocation GetFileInfo(std::string_view path);
-dso::Invocation GetDescription();
-
-Result<std::vector<FileInfo>> ParseListContents(ByteSpan data);
-Result<FileInfo> ParseFileInfo(ByteSpan data);
-}  // namespace pkg
-
-// Typed asynchronous wrapper over a bound package object.
-class PackageProxy {
- public:
-  explicit PackageProxy(std::unique_ptr<dso::BoundObject> bound) : bound_(std::move(bound)) {}
-
-  using StatusCallback = std::function<void(Status)>;
-  using ListCallback = std::function<void(Result<std::vector<FileInfo>>)>;
-  using ContentCallback = std::function<void(Result<Bytes>)>;
-  using TextCallback = std::function<void(Result<std::string>)>;
-
-  void AddFile(std::string_view path, ByteSpan content, StatusCallback done);
-  void RemoveFile(std::string_view path, StatusCallback done);
-  void SetDescription(std::string_view text, StatusCallback done);
-  void ListContents(ListCallback done);
-  void GetFileContents(std::string_view path, ContentCallback done);
-  void GetDescription(TextCallback done);
-
-  dso::BoundObject* bound() { return bound_.get(); }
-  std::unique_ptr<dso::BoundObject> TakeBound() { return std::move(bound_); }
-
- private:
-  void InvokeStatus(dso::Invocation invocation, StatusCallback done);
-
-  std::unique_ptr<dso::BoundObject> bound_;
 };
 
 }  // namespace globe::gdn

@@ -44,31 +44,22 @@ void SearchIndexObject::UnindexEntry(const std::string& globe_name) {
   }
 }
 
-Result<Bytes> SearchIndexObject::Invoke(const dso::Invocation& invocation) {
-  ByteReader r(invocation.args);
-
-  if (invocation.method == "idx.register") {
-    ASSIGN_OR_RETURN(std::string globe_name, r.ReadString());
-    ASSIGN_OR_RETURN(std::string description, r.ReadString());
-    if (globe_name.empty()) {
+SearchIndexObject::SearchIndexObject() {
+  Handle(search::kRegister, [this](const SearchMatch& entry) -> Status {
+    if (entry.globe_name.empty()) {
       return InvalidArgument("empty package name");
     }
-    IndexEntry(globe_name, description);
-    return Bytes{};
-  }
-
-  if (invocation.method == "idx.unregister") {
-    ASSIGN_OR_RETURN(std::string globe_name, r.ReadString());
-    UnindexEntry(globe_name);
-    return Bytes{};
-  }
-
-  if (invocation.method == "idx.search") {
-    ASSIGN_OR_RETURN(std::string query, r.ReadString());
-    std::vector<std::string> terms = Tokenize(query);
+    IndexEntry(entry.globe_name, entry.description);
+    return OkStatus();
+  });
+  Handle(search::kUnregister, [this](const search::NameArgs& args) -> Status {
+    UnindexEntry(args.globe_name);
+    return OkStatus();
+  });
+  Handle(search::kSearch, [this](search::QueryArgs args) -> Result<search::Matches> {
     std::set<std::string> matches;
     bool first = true;
-    for (const std::string& term : terms) {
+    for (const std::string& term : Tokenize(args.query)) {
       auto it = keywords_.find(term);
       std::set<std::string> hits =
           it == keywords_.end() ? std::set<std::string>{} : it->second;
@@ -86,26 +77,12 @@ Result<Bytes> SearchIndexObject::Invoke(const dso::Invocation& invocation) {
         break;
       }
     }
-    ByteWriter w;
-    w.WriteVarint(matches.size());
+    search::Matches result;
     for (const std::string& name : matches) {
-      w.WriteString(name);
-      w.WriteString(descriptions_.at(name));
+      result.matches.push_back({name, descriptions_.at(name)});
     }
-    return w.Take();
-  }
-
-  if (invocation.method == "idx.size") {
-    ByteWriter w;
-    w.WriteU64(descriptions_.size());
-    return w.Take();
-  }
-
-  return NotFound("search index has no method " + invocation.method);
-}
-
-bool SearchIndexObject::IsReadOnly(std::string_view method) const {
-  return method == "idx.search" || method == "idx.size";
+    return result;
+  });
 }
 
 Bytes SearchIndexObject::GetState() const {
@@ -137,72 +114,6 @@ Status SearchIndexObject::SetState(ByteSpan state) {
 
 std::unique_ptr<dso::SemanticsObject> SearchIndexObject::CloneEmpty() const {
   return std::make_unique<SearchIndexObject>();
-}
-
-namespace search {
-
-dso::Invocation Register(std::string_view globe_name, std::string_view description) {
-  ByteWriter w;
-  w.WriteString(globe_name);
-  w.WriteString(description);
-  return dso::Invocation{"idx.register", w.Take(), /*read_only=*/false};
-}
-
-dso::Invocation Unregister(std::string_view globe_name) {
-  ByteWriter w;
-  w.WriteString(globe_name);
-  return dso::Invocation{"idx.unregister", w.Take(), /*read_only=*/false};
-}
-
-dso::Invocation Query(std::string_view query) {
-  ByteWriter w;
-  w.WriteString(query);
-  return dso::Invocation{"idx.search", w.Take(), /*read_only=*/true};
-}
-
-Result<std::vector<SearchMatch>> ParseMatches(ByteSpan data) {
-  ByteReader r(data);
-  ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-  std::vector<SearchMatch> matches;
-  matches.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    SearchMatch match;
-    ASSIGN_OR_RETURN(match.globe_name, r.ReadString());
-    ASSIGN_OR_RETURN(match.description, r.ReadString());
-    matches.push_back(std::move(match));
-  }
-  return matches;
-}
-
-}  // namespace search
-
-void SearchProxy::Register(std::string_view globe_name, std::string_view description,
-                           StatusCallback done) {
-  dso::Invocation invocation = search::Register(globe_name, description);
-  bound_->Invoke(std::move(invocation.method), std::move(invocation.args), false,
-                 [done = std::move(done)](Result<Bytes> result) {
-                   done(result.ok() ? OkStatus() : result.status());
-                 });
-}
-
-void SearchProxy::Unregister(std::string_view globe_name, StatusCallback done) {
-  dso::Invocation invocation = search::Unregister(globe_name);
-  bound_->Invoke(std::move(invocation.method), std::move(invocation.args), false,
-                 [done = std::move(done)](Result<Bytes> result) {
-                   done(result.ok() ? OkStatus() : result.status());
-                 });
-}
-
-void SearchProxy::Search(std::string_view query, MatchCallback done) {
-  dso::Invocation invocation = search::Query(query);
-  bound_->Invoke(std::move(invocation.method), std::move(invocation.args), true,
-                 [done = std::move(done)](Result<Bytes> result) {
-                   if (!result.ok()) {
-                     done(result.status());
-                     return;
-                   }
-                   done(search::ParseMatches(*result));
-                 });
 }
 
 }  // namespace globe::gdn

@@ -8,11 +8,10 @@
 // queries locally. This is exactly the middleware-reuse story the object model
 // promises: no new distribution code was written for this feature.
 //
-// Marshalled methods:
+// Its methods are declared in namespace search below:
 //   idx.register   {globe_name, description}  write  (tokenizes into keywords)
 //   idx.unregister {globe_name}               write
 //   idx.search     {query} -> matches         read   (AND over query terms)
-//   idx.size       {} -> u64                  read
 
 #ifndef SRC_GDN_SEARCH_H_
 #define SRC_GDN_SEARCH_H_
@@ -20,6 +19,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/dso/runtime.h"
@@ -29,20 +29,50 @@ namespace globe::gdn {
 
 constexpr uint16_t kSearchIndexTypeId = 101;
 
+// One indexed package: what idx.register stores and idx.search returns.
 struct SearchMatch {
   std::string globe_name;
   std::string description;
 
   bool operator==(const SearchMatch&) const = default;
+
+  static constexpr auto kWireFields =
+      std::tuple(&SearchMatch::globe_name, &SearchMatch::description);
 };
+
+namespace search {
+
+struct NameArgs {
+  std::string globe_name;
+
+  static constexpr auto kWireFields = std::tuple(&NameArgs::globe_name);
+};
+
+struct QueryArgs {
+  std::string query;
+
+  static constexpr auto kWireFields = std::tuple(&QueryArgs::query);
+};
+
+struct Matches {
+  std::vector<SearchMatch> matches;
+
+  static constexpr auto kWireFields = std::tuple(&Matches::matches);
+};
+
+inline constexpr dso::Method<SearchMatch, sim::EmptyMessage> kRegister{
+    "idx.register", dso::Access::kWrite};
+inline constexpr dso::Method<NameArgs, sim::EmptyMessage> kUnregister{
+    "idx.unregister", dso::Access::kWrite};
+inline constexpr dso::Method<QueryArgs, Matches> kSearch{"idx.search",
+                                                         dso::Access::kRead};
+
+}  // namespace search
 
 class SearchIndexObject : public dso::SemanticsObject {
  public:
-  SearchIndexObject() = default;
+  SearchIndexObject();
 
-  Result<Bytes> Invoke(const dso::Invocation& invocation) override;
-  // True for exactly the read methods listed at the top of this file.
-  bool IsReadOnly(std::string_view method) const override;
   Bytes GetState() const override;
   Status SetState(ByteSpan state) override;
   std::unique_ptr<dso::SemanticsObject> CloneEmpty() const override;
@@ -59,33 +89,6 @@ class SearchIndexObject : public dso::SemanticsObject {
 
   std::map<std::string, std::string> descriptions_;        // name -> description
   std::map<std::string, std::set<std::string>> keywords_;  // token -> names
-};
-
-// Invocation builders / parsers.
-namespace search {
-dso::Invocation Register(std::string_view globe_name, std::string_view description);
-dso::Invocation Unregister(std::string_view globe_name);
-dso::Invocation Query(std::string_view query);
-Result<std::vector<SearchMatch>> ParseMatches(ByteSpan data);
-}  // namespace search
-
-// Typed client over a bound search-index object.
-class SearchProxy {
- public:
-  explicit SearchProxy(std::unique_ptr<dso::BoundObject> bound) : bound_(std::move(bound)) {}
-
-  using MatchCallback = std::function<void(Result<std::vector<SearchMatch>>)>;
-  using StatusCallback = std::function<void(Status)>;
-
-  void Register(std::string_view globe_name, std::string_view description,
-                StatusCallback done);
-  void Unregister(std::string_view globe_name, StatusCallback done);
-  void Search(std::string_view query, MatchCallback done);
-
-  dso::BoundObject* bound() { return bound_.get(); }
-
- private:
-  std::unique_ptr<dso::BoundObject> bound_;
 };
 
 }  // namespace globe::gdn

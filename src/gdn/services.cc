@@ -81,18 +81,13 @@ GdnServices::GdnServices(sim::Transport* transport, sim::Topology* topology,
         registry,
         {sec::Role::kModerator, sec::Role::kAdministrator, sec::Role::kGdnHost});
   }
-  HttpdOptions httpd_options = options.httpd;
-  // The HTTPDs carry the GDN's read traffic: cached services let their binds use
-  // the GLS caches (an explicitly set httpd option is preserved, though without
-  // gls_cache no subnode has a cache to answer from).
-  httpd_options.allow_cached_gls_lookups |= options.gls_cache;
   for (size_t i = 0; i < countries_.size(); ++i) {
     const gls::DirectoryRef& leaf = gls_->LeafDirectoryFor(gos_hosts[i]);
     goses_.push_back(std::make_unique<gos::ObjectServer>(
         transport, gos_hosts[i], &repository_, leaf, registry, gos_options));
     httpds_.push_back(std::make_unique<GdnHttpd>(
         transport, gos_hosts[i], kGdnZone, naming_authority_->endpoint(),
-        resolvers_[i]->endpoint(), leaf, &repository_, httpd_options));
+        resolvers_[i]->endpoint(), leaf, &repository_, options.httpd));
   }
 
   // ---- The moderator machine and tool. ----

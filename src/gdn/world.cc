@@ -89,17 +89,13 @@ void GdnWorld::SetupSearchIndex() {
   sim::NodeId host = services_.moderator_host();
   search_admin_runtime_ = std::make_unique<dso::RuntimeSystem>(
       transport_, host, services_.gls().LeafDirectoryFor(host), &services_.repository());
-  std::unique_ptr<dso::BoundObject> bound;
   search_admin_runtime_->Bind(search_oid_, {},
                               [&](Result<std::unique_ptr<dso::BoundObject>> r) {
                                 if (r.ok()) {
-                                  bound = std::move(*r);
+                                  search_admin_ = std::move(*r);
                                 }
                               });
   Run();
-  if (bound != nullptr) {
-    search_admin_ = std::make_unique<SearchProxy>(std::move(bound));
-  }
 }
 
 Status GdnWorld::RegisterInSearchIndex(const std::string& globe_name,
@@ -108,7 +104,8 @@ Status GdnWorld::RegisterInSearchIndex(const std::string& globe_name,
     return FailedPrecondition("no search index available");
   }
   Status status = Unavailable("pending");
-  search_admin_->Register(globe_name, description, [&](Status s) { status = s; });
+  search_admin_->Call(search::kRegister, {globe_name, description},
+                      [&](Result<sim::EmptyMessage> r) { status = r.status(); });
   Run();
   return status;
 }
@@ -118,7 +115,8 @@ Status GdnWorld::UnregisterFromSearchIndex(const std::string& globe_name) {
     return FailedPrecondition("no search index available");
   }
   Status status = Unavailable("pending");
-  search_admin_->Unregister(globe_name, [&](Status s) { status = s; });
+  search_admin_->Call(search::kUnregister, {globe_name},
+                      [&](Result<sim::EmptyMessage> r) { status = r.status(); });
   Run();
   return status;
 }

@@ -160,7 +160,7 @@ class GdnWorld {
 
   gls::ObjectId search_oid_;
   std::unique_ptr<dso::RuntimeSystem> search_admin_runtime_;
-  std::unique_ptr<SearchProxy> search_admin_;
+  std::unique_ptr<dso::BoundObject> search_admin_;
 
   std::unique_ptr<ctl::MetricsRegistry> world_metrics_;
   std::unique_ptr<ctl::PolicyActuator> actuator_;

@@ -37,9 +37,9 @@ const sim::TypedMethod<sim::EmptyMessage, OidMessage> kGlsAllocOid{
     "gls.alloc_oid", sim::kNonIdempotent};
 // A duplicate-delivered claim must replay the first arbitration instead of
 // granting a second epoch; renewals only refresh a timestamp and skip the table.
-const sim::TypedMethod<ClaimWireRequest, ClaimWireResponse> kGlsClaimMaster{
+const sim::TypedMethod<MasterClaim, ClaimOutcome> kGlsClaimMaster{
     "gls.claim_master", sim::kNonIdempotent};
-const sim::TypedMethod<ClaimWireRequest, ClaimWireResponse> kGlsRenewLease{
+const sim::TypedMethod<MasterClaim, ClaimOutcome> kGlsRenewLease{
     "gls.renew_lease"};
 
 using EmptyCallback = std::function<void(Result<sim::EmptyMessage>)>;
@@ -285,8 +285,8 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
   // Ownership (fail-over) arbitration: claims and renewals are mutations of
   // serving state and carry the same authorization as the other write methods.
   kGlsClaimMaster.RegisterAsync(
-      &server_, [this](const sim::RpcContext& context, ClaimWireRequest request,
-                       std::function<void(Result<ClaimWireResponse>)> respond) {
+      &server_, [this](const sim::RpcContext& context, MasterClaim request,
+                       std::function<void(Result<ClaimOutcome>)> respond) {
         if (Status s = CheckAuthorized(context); !s.ok()) {
           ++stats_.denied;
           respond(s);
@@ -295,8 +295,8 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
         ResolveOwnership(/*is_claim=*/true, request, std::move(respond));
       });
   kGlsRenewLease.RegisterAsync(
-      &server_, [this](const sim::RpcContext& context, ClaimWireRequest request,
-                       std::function<void(Result<ClaimWireResponse>)> respond) {
+      &server_, [this](const sim::RpcContext& context, MasterClaim request,
+                       std::function<void(Result<ClaimOutcome>)> respond) {
         if (Status s = CheckAuthorized(context); !s.ok()) {
           ++stats_.denied;
           respond(s);
@@ -593,8 +593,8 @@ void DirectorySubnode::ResolveLookupAll(LookupWireRequest req,
 }
 
 void DirectorySubnode::ResolveOwnership(
-    bool is_claim, const ClaimWireRequest& request,
-    std::function<void(Result<ClaimWireResponse>)> respond) {
+    bool is_claim, const MasterClaim& request,
+    std::function<void(Result<ClaimOutcome>)> respond) {
   // Below the root: forward strictly by hash (never power-of-two — the record
   // must live at exactly one subnode) and relay the arbiter's answer.
   if (!parent_.empty()) {
@@ -610,7 +610,7 @@ void DirectorySubnode::ResolveOwnership(
     auto it = owners_.find(request.oid);
     if (it == owners_.end()) {
       if (request.known_epoch == 0) {
-        respond(ClaimWireResponse{false, 0, ContactAddress{}});
+        respond(ClaimOutcome{false, 0, ContactAddress{}});
         return;
       }
       // The arbiter lost its record (restored from an older checkpoint):
@@ -634,10 +634,10 @@ void DirectorySubnode::ResolveOwnership(
       // what makes the floor an acked-write invariant rather than a lagging
       // (up-to-one-lease_interval-stale) hint.
       rec.version_floor = std::max(rec.version_floor, request.version);
-      respond(ClaimWireResponse{true, rec.epoch, rec.master, rec.version_floor});
+      respond(ClaimOutcome{true, rec.epoch, rec.master, rec.version_floor});
       return;
     }
-    respond(ClaimWireResponse{false, rec.epoch, rec.master, rec.version_floor});
+    respond(ClaimOutcome{false, rec.epoch, rec.master, rec.version_floor});
     return;
   }
 
@@ -696,13 +696,13 @@ void DirectorySubnode::ResolveOwnership(
       ++stats_.stale_scrubs;
       ScrubAddress(request.oid, deposed, [](Result<sim::EmptyMessage>) {});
     }
-    ClaimWireResponse response{true, rec.epoch, rec.master, rec.version_floor};
+    ClaimOutcome response{true, rec.epoch, rec.master, rec.version_floor};
     PropagateInvalUp(request.oid, /*include_siblings=*/true, /*quarantine=*/true,
                      [respond = std::move(respond),
                       response](Result<sim::EmptyMessage>) { respond(response); });
     return;
   }
-  respond(ClaimWireResponse{false, rec.epoch, rec.master, rec.version_floor});
+  respond(ClaimOutcome{false, rec.epoch, rec.master, rec.version_floor});
 }
 
 void DirectorySubnode::ApplyDelete(const ObjectId& oid, const ContactAddress& address,
@@ -1091,27 +1091,16 @@ void GlsClient::DeleteBatch(
 namespace {
 
 // Shared by ClaimMaster and RenewMasterLease: route by hash to the leaf home
-// subnode (which forwards to the root arbiter) and unwrap the wire response.
+// subnode, which forwards to the root arbiter.
 void CallOwnership(sim::Channel* rpc, const DirectoryRef& leaf,
-                   const sim::TypedMethod<ClaimWireRequest, ClaimWireResponse>& method,
+                   const sim::TypedMethod<MasterClaim, ClaimOutcome>& method,
                    const MasterClaim& claim, GlsClient::ClaimCallback done) {
   auto target = leaf.TryRoute(claim.oid);
   if (!target.ok()) {
     done(target.status());
     return;
   }
-  ClaimWireRequest request{claim.oid,     claim.claimant,       claim.known_epoch,
-                           claim.version, claim.lease_duration, claim.strict_floor};
-  method.Call(rpc, *target, request,
-              [done = std::move(done)](Result<ClaimWireResponse> result) {
-                if (!result.ok()) {
-                  done(result.status());
-                  return;
-                }
-                done(ClaimOutcome{result->granted, result->epoch,
-                                  result->master, result->version_floor});
-              },
-              sim::WriteCallOptions());
+  method.Call(rpc, *target, claim, std::move(done), sim::WriteCallOptions());
 }
 
 }  // namespace

@@ -302,8 +302,8 @@ class DirectorySubnode {
 
   // gls.claim_master / gls.renew_lease core: forwarded strictly by hash towards
   // the root, arbitrated against the OwnerRecord there.
-  void ResolveOwnership(bool is_claim, const ClaimWireRequest& request,
-                        std::function<void(Result<ClaimWireResponse>)> respond);
+  void ResolveOwnership(bool is_claim, const MasterClaim& request,
+                        std::function<void(Result<ClaimOutcome>)> respond);
 
   // True when this subnode is not the hash home for `oid` on its own node (i.e. a
   // power-of-two alternate received the lookup).
@@ -368,39 +368,6 @@ class DirectorySubnode {
   LookupCache cache_;
   // stats() refreshes the store_* fields on read, hence mutable.
   mutable SubnodeStats stats_;
-};
-
-// One attempt to take (gls.claim_master) or keep (gls.renew_lease) mastership
-// of an object's replica group. `known_epoch` is the epoch the caller believes
-// is current: a claim is granted only if the record has not moved past it AND
-// the incumbent's lease has lapsed (or the caller is the incumbent), which is
-// the conditional update that makes concurrent claimants race safely.
-struct MasterClaim {
-  ObjectId oid;
-  ContactAddress claimant;
-  uint64_t known_epoch = 0;
-  // The claimant's applied write version. Renewals raise the record's
-  // version floor with it; claims below the floor are refused (the claimant
-  // is provably missing acknowledged writes), except from the incumbent —
-  // whose checkpoint restore is the one sanctioned rollback.
-  uint64_t version = 0;
-  sim::SimTime lease_duration = 5 * sim::kSecond;
-  // Quorum-ack mode: the floor is exact (every version at or below it was
-  // acked to a client), so it must be monotone and binding for everyone — the
-  // incumbent exemption above is disabled and a renewal can only raise it.
-  // Appended last so positional aggregate initialization stays compatible.
-  bool strict_floor = false;
-};
-
-// The arbiter's answer. Rejections carry the current record so losers (and
-// deposed masters) can adopt the winner. `version_floor` reports the record's
-// acked-write floor: an elected quorum master applies its staged writes up to
-// exactly this floor and discards anything above it.
-struct ClaimOutcome {
-  bool granted = false;
-  uint64_t epoch = 0;
-  ContactAddress master;
-  uint64_t version_floor = 0;
 };
 
 // Client-side stub: the run-time-system piece that talks to the leaf directory node

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/gls/oid.h"
+#include "src/sim/clock.h"
 #include "src/sim/topology.h"
 
 namespace globe::gls {
@@ -77,32 +78,46 @@ struct LookupWireRequest {
                  &LookupWireRequest::allow_cached);
 };
 
-// gls.claim_master / gls.renew_lease: one conditional ownership update (or
-// lease extension) racing towards the OID's root home subnode.
-struct ClaimWireRequest {
+// gls.claim_master / gls.renew_lease: one attempt to take or keep mastership
+// of an object's replica group, racing towards the OID's root home subnode.
+// `known_epoch` is the epoch the caller believes is current: a claim is granted
+// only if the record has not moved past it AND the incumbent's lease has lapsed
+// (or the caller is the incumbent), which is the conditional update that makes
+// concurrent claimants race safely.
+struct MasterClaim {
   ObjectId oid;
   ContactAddress claimant;
   uint64_t known_epoch = 0;
-  uint64_t version = 0;         // claimant's applied write version (the floor)
-  uint64_t lease_duration = 0;  // microseconds of ownership per grant/renewal
-  bool strict_floor = false;    // quorum mode: monotone floor, no incumbent
-                                // exemption (see MasterClaim::strict_floor)
+  // The claimant's applied write version. Renewals raise the record's
+  // version floor with it; claims below the floor are refused (the claimant
+  // is provably missing acknowledged writes), except from the incumbent —
+  // whose checkpoint restore is the one sanctioned rollback.
+  uint64_t version = 0;
+  sim::SimTime lease_duration = 5 * sim::kSecond;
+  // Quorum-ack mode: the floor is exact (every version at or below it was
+  // acked to a client), so it must be monotone and binding for everyone — the
+  // incumbent exemption above is disabled and a renewal can only raise it.
+  bool strict_floor = false;
 
   static constexpr auto kWireFields =
-      std::tuple(&ClaimWireRequest::oid, &ClaimWireRequest::claimant,
-                 &ClaimWireRequest::known_epoch, &ClaimWireRequest::version,
-                 &ClaimWireRequest::lease_duration, &ClaimWireRequest::strict_floor);
+      std::tuple(&MasterClaim::oid, &MasterClaim::claimant, &MasterClaim::known_epoch,
+                 &MasterClaim::version, &MasterClaim::lease_duration,
+                 &MasterClaim::strict_floor);
 };
 
-struct ClaimWireResponse {
+// The arbiter's answer. Rejections carry the current record so losers (and
+// deposed masters) can adopt the winner. `version_floor` reports the record's
+// acked-write floor at answer time: an elected quorum master applies its staged
+// writes up to exactly this floor and discards anything above it.
+struct ClaimOutcome {
   bool granted = false;
   uint64_t epoch = 0;
   ContactAddress master;
-  uint64_t version_floor = 0;  // the record's acked-write floor at answer time
+  uint64_t version_floor = 0;
 
   static constexpr auto kWireFields =
-      std::tuple(&ClaimWireResponse::granted, &ClaimWireResponse::epoch,
-                 &ClaimWireResponse::master, &ClaimWireResponse::version_floor);
+      std::tuple(&ClaimOutcome::granted, &ClaimOutcome::epoch, &ClaimOutcome::master,
+                 &ClaimOutcome::version_floor);
 };
 
 }  // namespace globe::gls

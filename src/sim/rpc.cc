@@ -168,7 +168,7 @@ void RpcServer::CompleteDeduped(const DedupKey& key, Result<Bytes> result) {
     DedupEntry& entry = it->second;
     entry.completed = true;
     entry.response = std::move(result);
-    entry.expires_at = transport_->clock()->Now() + dedup_ttl_;
+    entry.expires_at = transport_->clock()->Now() + kDedupTtl;
     dedup_expiry_.emplace_back(entry.expires_at, key);
     response = &entry.response;
   }

@@ -79,7 +79,7 @@ inline constexpr MethodTraits kNonIdempotent{/*idempotent=*/false};
 // maximum retry horizon of any client policy in the tree: with the default 30 s
 // per-attempt deadline and 3-attempt write budgets (geometric backoff from
 // 200 ms), the last duplicate can trail the first execution by ~95 s.
-inline constexpr SimTime kDefaultDedupTtl = 120 * kSecond;
+inline constexpr SimTime kDedupTtl = 120 * kSecond;
 // At most this many completed dedup entries per server; beyond it the oldest go
 // first.
 inline constexpr size_t kDedupMaxEntries = 65536;
@@ -105,12 +105,9 @@ class RpcServer {
   void RegisterAsyncMethod(std::string method, AsyncHandler handler,
                            MethodTraits traits = {});
 
-  // At-most-once bookkeeping for non-idempotent methods. The TTL must cover the
-  // longest retry horizon of any client calling this server; entries also evict
-  // oldest-first beyond kDedupMaxEntries. Both only bound completed calls — a
+  // At-most-once bookkeeping for non-idempotent methods: completed entries are
+  // kept for kDedupTtl and evict oldest-first beyond kDedupMaxEntries. A
   // call whose handler is still running is never forgotten.
-  void set_dedup_ttl(SimTime ttl) { dedup_ttl_ = ttl; }
-  SimTime dedup_ttl() const { return dedup_ttl_; }
   // Duplicate deliveries answered from the dedup table (replayed or joined to
   // the in-flight execution) instead of re-running the handler.
   uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
@@ -180,7 +177,6 @@ class RpcServer {
   SimTime busy_until_ = 0;  // when the virtual CPU frees up
   std::map<DedupKey, DedupEntry> dedup_;
   std::deque<std::pair<SimTime, DedupKey>> dedup_expiry_;  // completion order
-  SimTime dedup_ttl_ = kDefaultDedupTtl;
   uint64_t duplicates_suppressed_ = 0;
   // Guards scheduled dispatches against a server destroyed while they queue.
   std::shared_ptr<bool> alive_;

@@ -51,30 +51,31 @@ std::vector<uint64_t> ChaosSeeds() {
 // A deliberately non-idempotent semantics object: add(key, delta) increments.
 // A KV put would mask duplicate execution (setting twice equals setting once);
 // a counter makes every double-execution visible in the final state.
+struct CounterDelta {
+  std::string key;
+  uint64_t delta = 0;
+
+  static constexpr auto kWireFields =
+      std::tuple(&CounterDelta::key, &CounterDelta::delta);
+};
+
+struct CounterValue {
+  uint64_t value = 0;
+
+  static constexpr auto kWireFields = std::tuple(&CounterValue::value);
+};
+
+constexpr dso::Method<CounterDelta, CounterValue> kCounterAdd{"add", dso::Access::kWrite};
+
 class CounterObject : public dso::SemanticsObject {
  public:
   static constexpr uint16_t kTypeId = 21;
 
-  Result<Bytes> Invoke(const dso::Invocation& invocation) override {
-    ByteReader r(invocation.args);
-    if (invocation.method == "add") {
-      ASSIGN_OR_RETURN(std::string key, r.ReadString());
-      ASSIGN_OR_RETURN(uint64_t delta, r.ReadU64());
-      counters_[key] += delta;
-      ByteWriter w;
-      w.WriteU64(counters_[key]);
-      return w.Take();
-    }
-    if (invocation.method == "get") {
-      ASSIGN_OR_RETURN(std::string key, r.ReadString());
-      ByteWriter w;
-      w.WriteU64(counters_.count(key) > 0 ? counters_.at(key) : 0);
-      return w.Take();
-    }
-    return NotFound("no such method: " + invocation.method);
+  CounterObject() {
+    Handle(kCounterAdd, [this](const CounterDelta& args) -> Result<CounterValue> {
+      return CounterValue{counters_[args.key] += args.delta};
+    });
   }
-
-  bool IsReadOnly(std::string_view method) const override { return method == "get"; }
 
   Bytes GetState() const override {
     ByteWriter w;
@@ -111,10 +112,7 @@ class CounterObject : public dso::SemanticsObject {
 };
 
 dso::Invocation CounterAdd(const std::string& key, uint64_t delta) {
-  ByteWriter w;
-  w.WriteString(key);
-  w.WriteU64(delta);
-  return dso::Invocation{"add", w.Take(), /*read_only=*/false};
+  return kCounterAdd.Marshal({key, delta});
 }
 
 std::map<std::string, uint64_t> ParseCounterState(ByteSpan state) {

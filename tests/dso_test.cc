@@ -18,6 +18,7 @@
 #include "src/dso/runtime.h"
 #include "src/gls/deploy.h"
 #include "src/sim/backend.h"
+#include "tests/test_util.h"
 
 namespace globe::dso {
 namespace {
@@ -26,95 +27,14 @@ using sim::BuildUniformWorld;
 using sim::NodeId;
 using sim::UniformWorld;
 
-// A small key->string map object: the test stand-in for the package DSO. Methods:
-//   put(key, value)      write
-//   get(key) -> value    read-only
-//   size() -> u64        read-only
-class MapObject : public SemanticsObject {
- public:
-  static constexpr uint16_t kTypeId = 7;
-
-  Result<Bytes> Invoke(const Invocation& invocation) override {
-    ByteReader r(invocation.args);
-    if (invocation.method == "put") {
-      ASSIGN_OR_RETURN(std::string key, r.ReadString());
-      ASSIGN_OR_RETURN(std::string value, r.ReadString());
-      entries_[key] = value;
-      return Bytes{};
-    }
-    if (invocation.method == "get") {
-      ASSIGN_OR_RETURN(std::string key, r.ReadString());
-      auto it = entries_.find(key);
-      if (it == entries_.end()) {
-        return NotFound("no such key: " + key);
-      }
-      ByteWriter w;
-      w.WriteString(it->second);
-      return w.Take();
-    }
-    if (invocation.method == "size") {
-      ByteWriter w;
-      w.WriteU64(entries_.size());
-      return w.Take();
-    }
-    return NotFound("no such method: " + invocation.method);
-  }
-
-  bool IsReadOnly(std::string_view method) const override {
-    return method == "get" || method == "size";
-  }
-
-  Bytes GetState() const override {
-    ByteWriter w;
-    w.WriteVarint(entries_.size());
-    for (const auto& [key, value] : entries_) {
-      w.WriteString(key);
-      w.WriteString(value);
-    }
-    return w.Take();
-  }
-
-  Status SetState(ByteSpan state) override {
-    ByteReader r(state);
-    std::map<std::string, std::string> entries;
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSIGN_OR_RETURN(std::string key, r.ReadString());
-      ASSIGN_OR_RETURN(std::string value, r.ReadString());
-      entries[key] = value;
-    }
-    entries_ = std::move(entries);
-    return OkStatus();
-  }
-
-  std::unique_ptr<SemanticsObject> CloneEmpty() const override {
-    return std::make_unique<MapObject>();
-  }
-  uint16_t type_id() const override { return kTypeId; }
-
-  const std::map<std::string, std::string>& entries() const { return entries_; }
-
- private:
-  std::map<std::string, std::string> entries_;
-};
-
-Invocation Put(const std::string& key, const std::string& value) {
-  ByteWriter w;
-  w.WriteString(key);
-  w.WriteString(value);
-  return Invocation{"put", w.Take(), /*read_only=*/false};
-}
-
-Invocation Get(const std::string& key) {
-  ByteWriter w;
-  w.WriteString(key);
-  return Invocation{"get", w.Take(), /*read_only=*/true};
-}
+using testutil::KvGet;
+using testutil::KvObject;
+using testutil::KvPut;
 
 // ---------------------------------------------------------------- Invocation
 
 TEST(InvocationTest, SerializationRoundTrip) {
-  Invocation invocation = Put("gimp", "1.1.29");
+  Invocation invocation = KvPut("gimp", "1.1.29");
   auto restored = wire::Decode<Invocation>(wire::Encode(invocation));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->method, "put");
@@ -152,7 +72,7 @@ class ProtocolTest : public ::testing::Test {
   }
 
   std::string GetSync(ReplicationObject* replication, const std::string& key) {
-    auto result = InvokeSync(replication, Get(key));
+    auto result = InvokeSync(replication, KvGet(key));
     if (!result.ok()) {
       return "<error: " + result.status().ToString() + ">";
     }
@@ -168,7 +88,7 @@ class ProtocolTest : public ::testing::Test {
     ReplicaSetup setup;
     setup.transport = &transport_;
     setup.host = host;
-    setup.semantics = std::make_unique<MapObject>();
+    setup.semantics = std::make_unique<KvObject>();
     setup.role = role;
     setup.peers = std::move(peers);
     setup.access_hook = std::move(hook);
@@ -186,38 +106,38 @@ class ProtocolTest : public ::testing::Test {
 // ---------------------------------------------------------------- Client/server
 
 TEST_F(ProtocolTest, ClientServerBasicFlow) {
-  ClientServerServer server(&transport_, world_.hosts[0], std::make_unique<MapObject>());
+  ClientServerServer server(&transport_, world_.hosts[0], std::make_unique<KvObject>());
   RemoteProxy proxy(&transport_, world_.hosts[5], *server.contact_address());
 
-  ASSERT_TRUE(InvokeSync(&proxy, Put("gimp", "1.1.29")).ok());
+  ASSERT_TRUE(InvokeSync(&proxy, KvPut("gimp", "1.1.29")).ok());
   EXPECT_EQ(GetSync(&proxy, "gimp"), "1.1.29");
   EXPECT_EQ(server.version(), 1u);
   EXPECT_EQ(GetSync(&server, "gimp"), "1.1.29");  // local invoke on the server side
 }
 
 TEST_F(ProtocolTest, ClientServerErrorsPropagate) {
-  ClientServerServer server(&transport_, world_.hosts[0], std::make_unique<MapObject>());
+  ClientServerServer server(&transport_, world_.hosts[0], std::make_unique<KvObject>());
   RemoteProxy proxy(&transport_, world_.hosts[5], *server.contact_address());
-  auto result = InvokeSync(&proxy, Get("missing"));
+  auto result = InvokeSync(&proxy, KvGet("missing"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(ProtocolTest, ClientServerReadsDoNotBumpVersion) {
-  ClientServerServer server(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  InvokeSync(&server, Put("a", "1"));
+  ClientServerServer server(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  InvokeSync(&server, KvPut("a", "1"));
   uint64_t v = server.version();
-  InvokeSync(&server, Get("a"));
+  InvokeSync(&server, KvGet("a"));
   EXPECT_EQ(server.version(), v);
 }
 
 // ---------------------------------------------------------------- Master/slave
 
 TEST_F(ProtocolTest, MasterSlaveReplicationFlow) {
-  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  ASSERT_TRUE(InvokeSync(&master, Put("tetex", "1.0")).ok());
+  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  ASSERT_TRUE(InvokeSync(&master, KvPut("tetex", "1.0")).ok());
 
-  MasterSlaveSlave slave(&transport_, world_.hosts[4], std::make_unique<MapObject>(),
+  MasterSlaveSlave slave(&transport_, world_.hosts[4], std::make_unique<KvObject>(),
                          master.contact_address()->endpoint);
   StartSync(&slave);
   // Snapshot transferred at registration.
@@ -226,7 +146,7 @@ TEST_F(ProtocolTest, MasterSlaveReplicationFlow) {
   EXPECT_EQ(master.num_slaves(), 1u);
 
   // A write through the slave reaches the master and is pushed back.
-  ASSERT_TRUE(InvokeSync(&slave, Put("gimp", "1.1")).ok());
+  ASSERT_TRUE(InvokeSync(&slave, KvPut("gimp", "1.1")).ok());
   EXPECT_EQ(master.version(), 2u);
   EXPECT_EQ(slave.version(), 2u);
   EXPECT_EQ(GetSync(&slave, "gimp"), "1.1");
@@ -241,15 +161,15 @@ TEST_F(ProtocolTest, MasterSlaveReplicationFlow) {
 }
 
 TEST_F(ProtocolTest, MasterSlavePushReachesAllSlaves) {
-  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  MasterSlaveSlave slave1(&transport_, world_.hosts[2], std::make_unique<MapObject>(),
+  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  MasterSlaveSlave slave1(&transport_, world_.hosts[2], std::make_unique<KvObject>(),
                           master.contact_address()->endpoint);
-  MasterSlaveSlave slave2(&transport_, world_.hosts[6], std::make_unique<MapObject>(),
+  MasterSlaveSlave slave2(&transport_, world_.hosts[6], std::make_unique<KvObject>(),
                           master.contact_address()->endpoint);
   StartSync(&slave1);
   StartSync(&slave2);
 
-  ASSERT_TRUE(InvokeSync(&master, Put("linux", "2.2.14")).ok());
+  ASSERT_TRUE(InvokeSync(&master, KvPut("linux", "2.2.14")).ok());
   EXPECT_EQ(slave1.version(), 1u);
   EXPECT_EQ(slave2.version(), 1u);
   EXPECT_EQ(GetSync(&slave1, "linux"), "2.2.14");
@@ -257,21 +177,21 @@ TEST_F(ProtocolTest, MasterSlavePushReachesAllSlaves) {
 }
 
 TEST_F(ProtocolTest, MasterSlaveSurvivesDeadSlave) {
-  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  MasterSlaveSlave slave(&transport_, world_.hosts[2], std::make_unique<MapObject>(),
+  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  MasterSlaveSlave slave(&transport_, world_.hosts[2], std::make_unique<KvObject>(),
                          master.contact_address()->endpoint);
   StartSync(&slave);
   network_.SetNodeUp(world_.hosts[2], false);
 
   // The write must still complete (after the push times out).
-  auto result = InvokeSync(&master, Put("k", "v"));
+  auto result = InvokeSync(&master, KvPut("k", "v"));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(master.version(), 1u);
 }
 
 TEST_F(ProtocolTest, MasterSlaveUnregisterStopsPushes) {
-  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  MasterSlaveSlave slave(&transport_, world_.hosts[2], std::make_unique<MapObject>(),
+  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  MasterSlaveSlave slave(&transport_, world_.hosts[2], std::make_unique<KvObject>(),
                          master.contact_address()->endpoint);
   StartSync(&slave);
   Status status = InvalidArgument("pending");
@@ -280,13 +200,13 @@ TEST_F(ProtocolTest, MasterSlaveUnregisterStopsPushes) {
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(master.num_slaves(), 0u);
 
-  InvokeSync(&master, Put("k", "v"));
+  InvokeSync(&master, KvPut("k", "v"));
   EXPECT_EQ(slave.version(), 0u);  // no longer updated
 }
 
 TEST_F(ProtocolTest, StaleEpochPushIsFencedAndWriteNotAcked) {
-  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  MasterSlaveSlave slave(&transport_, world_.hosts[2], std::make_unique<MapObject>(),
+  MasterSlaveMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  MasterSlaveSlave slave(&transport_, world_.hosts[2], std::make_unique<KvObject>(),
                          master.contact_address()->endpoint);
   StartSync(&slave);
 
@@ -294,7 +214,7 @@ TEST_F(ProtocolTest, StaleEpochPushIsFencedAndWriteNotAcked) {
   // elected master): the old master's push must be refused and — since an
   // unreplicated write must not be acknowledged — the write fails.
   slave.set_epoch(7);
-  auto result = InvokeSync(&master, Put("k", "v"));
+  auto result = InvokeSync(&master, KvPut("k", "v"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(slave.version(), 0u);  // the fenced push was never applied
@@ -314,18 +234,18 @@ TEST_F(ProtocolTest, RoleTransitionTableIsEnforced) {
 // ---------------------------------------------------------------- Active replication
 
 TEST_F(ProtocolTest, ActiveReplicationAppliesWritesEverywhere) {
-  ActiveReplMember sequencer(&transport_, world_.hosts[0], std::make_unique<MapObject>(),
+  ActiveReplMember sequencer(&transport_, world_.hosts[0], std::make_unique<KvObject>(),
                              sim::Endpoint{sim::kNoNode, 0});
-  ActiveReplMember member1(&transport_, world_.hosts[2], std::make_unique<MapObject>(),
+  ActiveReplMember member1(&transport_, world_.hosts[2], std::make_unique<KvObject>(),
                            sequencer.contact_address()->endpoint);
-  ActiveReplMember member2(&transport_, world_.hosts[6], std::make_unique<MapObject>(),
+  ActiveReplMember member2(&transport_, world_.hosts[6], std::make_unique<KvObject>(),
                            sequencer.contact_address()->endpoint);
   StartSync(&member1);
   StartSync(&member2);
   EXPECT_EQ(sequencer.num_members(), 2u);
 
   // Write through a non-sequencer member.
-  ASSERT_TRUE(InvokeSync(&member1, Put("gcc", "2.95")).ok());
+  ASSERT_TRUE(InvokeSync(&member1, KvPut("gcc", "2.95")).ok());
   EXPECT_EQ(sequencer.version(), 1u);
   EXPECT_EQ(member1.version(), 1u);
   EXPECT_EQ(member2.version(), 1u);
@@ -333,19 +253,19 @@ TEST_F(ProtocolTest, ActiveReplicationAppliesWritesEverywhere) {
 }
 
 TEST_F(ProtocolTest, ActiveReplicationOrdersConcurrentWrites) {
-  ActiveReplMember sequencer(&transport_, world_.hosts[0], std::make_unique<MapObject>(),
+  ActiveReplMember sequencer(&transport_, world_.hosts[0], std::make_unique<KvObject>(),
                              sim::Endpoint{sim::kNoNode, 0});
-  ActiveReplMember member1(&transport_, world_.hosts[2], std::make_unique<MapObject>(),
+  ActiveReplMember member1(&transport_, world_.hosts[2], std::make_unique<KvObject>(),
                            sequencer.contact_address()->endpoint);
-  ActiveReplMember member2(&transport_, world_.hosts[6], std::make_unique<MapObject>(),
+  ActiveReplMember member2(&transport_, world_.hosts[6], std::make_unique<KvObject>(),
                            sequencer.contact_address()->endpoint);
   StartSync(&member1);
   StartSync(&member2);
 
   // Two concurrent writes to the same key from different members: all replicas must
   // converge on the same final value.
-  member1.Invoke(Put("k", "from1"), [](Result<Bytes>) {});
-  member2.Invoke(Put("k", "from2"), [](Result<Bytes>) {});
+  member1.Invoke(KvPut("k", "from1"), [](Result<Bytes>) {});
+  member2.Invoke(KvPut("k", "from2"), [](Result<Bytes>) {});
   simulator_.Run();
 
   EXPECT_EQ(sequencer.version(), 2u);
@@ -357,12 +277,12 @@ TEST_F(ProtocolTest, ActiveReplicationOrdersConcurrentWrites) {
 }
 
 TEST_F(ProtocolTest, ActiveReplicationLateJoinerGetsSnapshot) {
-  ActiveReplMember sequencer(&transport_, world_.hosts[0], std::make_unique<MapObject>(),
+  ActiveReplMember sequencer(&transport_, world_.hosts[0], std::make_unique<KvObject>(),
                              sim::Endpoint{sim::kNoNode, 0});
-  InvokeSync(&sequencer, Put("a", "1"));
-  InvokeSync(&sequencer, Put("b", "2"));
+  InvokeSync(&sequencer, KvPut("a", "1"));
+  InvokeSync(&sequencer, KvPut("b", "2"));
 
-  ActiveReplMember late(&transport_, world_.hosts[7], std::make_unique<MapObject>(),
+  ActiveReplMember late(&transport_, world_.hosts[7], std::make_unique<KvObject>(),
                         sequencer.contact_address()->endpoint);
   StartSync(&late);
   EXPECT_EQ(late.version(), 2u);
@@ -370,14 +290,14 @@ TEST_F(ProtocolTest, ActiveReplicationLateJoinerGetsSnapshot) {
 }
 
 TEST_F(ProtocolTest, StaleEpochApplyIsFencedAtActiveMembers) {
-  ActiveReplMember sequencer(&transport_, world_.hosts[0], std::make_unique<MapObject>(),
+  ActiveReplMember sequencer(&transport_, world_.hosts[0], std::make_unique<KvObject>(),
                              sim::Endpoint{sim::kNoNode, 0});
-  ActiveReplMember member(&transport_, world_.hosts[2], std::make_unique<MapObject>(),
+  ActiveReplMember member(&transport_, world_.hosts[2], std::make_unique<KvObject>(),
                           sequencer.contact_address()->endpoint);
   StartSync(&member);
 
   member.set_epoch(3);
-  auto result = InvokeSync(&sequencer, Put("k", "v"));
+  auto result = InvokeSync(&sequencer, KvPut("k", "v"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(member.version(), 0u);
@@ -387,10 +307,10 @@ TEST_F(ProtocolTest, StaleEpochApplyIsFencedAtActiveMembers) {
 // ---------------------------------------------------------------- Cache/invalidate
 
 TEST_F(ProtocolTest, CacheFetchesLazilyAndServesReads) {
-  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  InvokeSync(&master, Put("gimp", "1.0"));
+  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  InvokeSync(&master, KvPut("gimp", "1.0"));
 
-  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<MapObject>(),
+  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<KvObject>(),
                         master.contact_address()->endpoint);
   StartSync(&cache);
   EXPECT_FALSE(cache.valid());  // registration transfers no state
@@ -405,35 +325,35 @@ TEST_F(ProtocolTest, CacheFetchesLazilyAndServesReads) {
 }
 
 TEST_F(ProtocolTest, WriteInvalidatesCaches) {
-  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<MapObject>(),
+  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<KvObject>(),
                         master.contact_address()->endpoint);
   StartSync(&cache);
-  InvokeSync(&master, Put("gimp", "1.0"));
+  InvokeSync(&master, KvPut("gimp", "1.0"));
   EXPECT_EQ(GetSync(&cache, "gimp"), "1.0");
   ASSERT_TRUE(cache.valid());
 
   // A write through the master invalidates; the next read re-fetches the new value.
-  InvokeSync(&master, Put("gimp", "1.1"));
+  InvokeSync(&master, KvPut("gimp", "1.1"));
   EXPECT_FALSE(cache.valid());
   EXPECT_EQ(GetSync(&cache, "gimp"), "1.1");
   EXPECT_EQ(cache.fetches(), 2u);
 }
 
 TEST_F(ProtocolTest, CacheForwardsWritesToMaster) {
-  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<MapObject>(),
+  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<KvObject>(),
                         master.contact_address()->endpoint);
   StartSync(&cache);
 
-  ASSERT_TRUE(InvokeSync(&cache, Put("k", "v")).ok());
+  ASSERT_TRUE(InvokeSync(&cache, KvPut("k", "v")).ok());
   EXPECT_EQ(master.version(), 1u);
   EXPECT_EQ(GetSync(&master, "k"), "v");
 }
 
 TEST_F(ProtocolTest, CacheUnregisterStopsInvalidations) {
-  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<MapObject>(),
+  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<KvObject>(),
                         master.contact_address()->endpoint);
   StartSync(&cache);
   GetSync(&cache, "nokey");  // faults in (empty) state
@@ -447,21 +367,21 @@ TEST_F(ProtocolTest, CacheUnregisterStopsInvalidations) {
 // cache must then stay invalid at the fetched version: the read that issued
 // the fetch may use it, the next read must fetch again.
 TEST_F(ProtocolTest, InvalidationOvertakingAFetchLeavesTheCacheInvalid) {
-  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<MapObject>());
-  InvokeSync(&master, Put("bulk", std::string(200 * 1024, 'x')));
-  InvokeSync(&master, Put("k", "old"));
-  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<MapObject>(),
+  CacheInvalMaster master(&transport_, world_.hosts[0], std::make_unique<KvObject>());
+  InvokeSync(&master, KvPut("bulk", std::string(200 * 1024, 'x')));
+  InvokeSync(&master, KvPut("k", "old"));
+  CacheInvalCache cache(&transport_, world_.hosts[6], std::make_unique<KvObject>(),
                         master.contact_address()->endpoint);
   StartSync(&cache);
 
   Result<Bytes> first = Unavailable("pending");
-  cache.Invoke(Get("k"), [&](Result<Bytes> r) { first = std::move(r); });
+  cache.Invoke(KvGet("k"), [&](Result<Bytes> r) { first = std::move(r); });
   while (master.fetches_served() == 0 && simulator_.Step()) {
   }
   ASSERT_EQ(master.fetches_served(), 1u);
   // The fetch answer (version 2, ~200 KB) is on the wire; this write's
   // invalidation (version 3) overtakes it.
-  ASSERT_TRUE(InvokeSync(&master, Put("k", "new")).ok());
+  ASSERT_TRUE(InvokeSync(&master, KvPut("k", "new")).ok());
   ASSERT_TRUE(first.ok()) << first.status();
 
   EXPECT_EQ(GetSync(&cache, "k"), "new");
@@ -490,7 +410,7 @@ TEST_P(FollowerProtocolTest, ShutdownMemberHasLeftThePrimary) {
   sim::SimTime issued = simulator_.Now();
   sim::SimTime acked_at = 0;
   Result<Bytes> result = Unavailable("pending");
-  primary->Invoke(Put("k", "v"), [&](Result<Bytes> r) {
+  primary->Invoke(KvPut("k", "v"), [&](Result<Bytes> r) {
     result = std::move(r);
     acked_at = simulator_.Now();
   });
@@ -509,7 +429,7 @@ TEST_F(ProtocolTest, MakeReplicaRejectsUnknownProtocol) {
   ReplicaSetup setup;
   setup.transport = &transport_;
   setup.host = world_.hosts[0];
-  setup.semantics = std::make_unique<MapObject>();
+  setup.semantics = std::make_unique<KvObject>();
   auto result = MakeReplica(99, std::move(setup));
   EXPECT_FALSE(result.ok());
 }
@@ -526,7 +446,7 @@ TEST_F(ProtocolTest, SlaveSetupRequiresKnownMaster) {
   ReplicaSetup setup;
   setup.transport = &transport_;
   setup.host = world_.hosts[0];
-  setup.semantics = std::make_unique<MapObject>();
+  setup.semantics = std::make_unique<KvObject>();
   setup.role = gls::ReplicaRole::kSlave;
   auto result = MakeReplica(kProtoMasterSlave, std::move(setup));
   ASSERT_FALSE(result.ok());
@@ -547,11 +467,11 @@ TEST_F(ProtocolTest, NearestAddressPicksClosest) {
 
 TEST(RepositoryTest, RegisterAndInstantiate) {
   ImplementationRepository repository;
-  repository.RegisterSemantics(std::make_unique<MapObject>());
-  ASSERT_TRUE(repository.Has(MapObject::kTypeId));
-  auto instance = repository.Instantiate(MapObject::kTypeId);
+  repository.RegisterSemantics(std::make_unique<KvObject>());
+  ASSERT_TRUE(repository.Has(KvObject::kTypeId));
+  auto instance = repository.Instantiate(KvObject::kTypeId);
   ASSERT_TRUE(instance.ok());
-  EXPECT_EQ((*instance)->type_id(), MapObject::kTypeId);
+  EXPECT_EQ((*instance)->type_id(), KvObject::kTypeId);
 }
 
 TEST(RepositoryTest, UnknownTypeFails) {
@@ -564,7 +484,7 @@ TEST(RepositoryTest, UnknownTypeFails) {
 class RuntimeTest : public ProtocolTest {
  protected:
   RuntimeTest() : deployment_(&transport_, &world_.topology, nullptr) {
-    repository_.RegisterSemantics(std::make_unique<MapObject>());
+    repository_.RegisterSemantics(std::make_unique<KvObject>());
   }
 
   // Creates a master replica on `host`, registers it in the GLS, returns its OID.
@@ -572,7 +492,7 @@ class RuntimeTest : public ProtocolTest {
     ReplicaSetup setup;
     setup.transport = &transport_;
     setup.host = host;
-    setup.semantics = std::make_unique<MapObject>();
+    setup.semantics = std::make_unique<KvObject>();
     setup.role = gls::ReplicaRole::kMaster;
     auto replica = MakeReplica(protocol, std::move(setup));
     EXPECT_TRUE(replica.ok());
@@ -621,8 +541,7 @@ TEST_F(RuntimeTest, BindProxyAndInvoke) {
   ASSERT_NE(bound, nullptr);
 
   Result<Bytes> result = Unavailable("pending");
-  bound->Invoke("put", Put("a", "1").args, false,
-                [&](Result<Bytes> r) { result = std::move(r); });
+  bound->Invoke(KvPut("a", "1"), [&](Result<Bytes> r) { result = std::move(r); });
   simulator_.Run();
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(runtime.stats().binds, 1u);
@@ -649,7 +568,7 @@ TEST_F(RuntimeTest, BindAsCacheReplicaRegistersInGls) {
                       deployment_.LeafDirectoryFor(world_.hosts[6]), &repository_);
   BindOptions options;
   options.as_replica = gls::ReplicaRole::kCache;
-  options.semantics_type = MapObject::kTypeId;
+  options.semantics_type = KvObject::kTypeId;
   auto bound = BindSync(&httpd, oid, options);
   ASSERT_NE(bound, nullptr);
   EXPECT_EQ(httpd.stats().replicas_installed, 1u);
@@ -716,21 +635,18 @@ TEST_P(AllProtocolsTest, ProxyReadYourWrites) {
   auto bound = BindSync(&runtime, oid);
   ASSERT_NE(bound, nullptr);
 
-  Invocation put = Put("key", "value");
-  Result<Bytes> write_result = Unavailable("pending");
-  bound->Invoke(put.method, put.args, put.read_only,
-                [&](Result<Bytes> r) { write_result = std::move(r); });
+  Status write_status = Unavailable("pending");
+  bound->Call(testutil::kKvPut, {"key", "value"},
+              [&](Result<sim::EmptyMessage> r) { write_status = r.status(); });
   simulator_.Run();
-  ASSERT_TRUE(write_result.ok()) << write_result.status();
+  ASSERT_TRUE(write_status.ok()) << write_status;
 
-  Invocation get = Get("key");
-  Result<Bytes> read_result = Unavailable("pending");
-  bound->Invoke(get.method, get.args, get.read_only,
-                [&](Result<Bytes> r) { read_result = std::move(r); });
+  Result<testutil::KvValue> read_result = Unavailable("pending");
+  bound->Call(testutil::kKvGet, {"key"},
+              [&](Result<testutil::KvValue> r) { read_result = std::move(r); });
   simulator_.Run();
   ASSERT_TRUE(read_result.ok()) << read_result.status();
-  ByteReader r(*read_result);
-  EXPECT_EQ(r.ReadString().value(), "value");
+  EXPECT_EQ(read_result->value, "value");
 }
 
 // Every protocol's primary: a write the semantics rejects is not a write. The

@@ -7,11 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "src/dso/client_server.h"
 #include "src/dso/wire.h"
 #include "src/gdn/package.h"
 #include "src/gdn/search.h"
 #include "src/gdn/services.h"
 #include "src/gdn/world.h"
+#include "src/sim/backend.h"
 #include "src/util/sha256.h"
 
 namespace globe::gdn {
@@ -29,52 +31,56 @@ class PackageObjectTest : public ::testing::Test {
 
 TEST_F(PackageObjectTest, AddListGetRemove) {
   Bytes content = ToBytes("#!/bin/sh\necho gimp\n");
-  ASSERT_TRUE(Invoke(pkg::AddFile("bin/gimp", content)).ok());
+  ASSERT_TRUE(Invoke(pkg::kAddFile.Marshal({"bin/gimp", content})).ok());
   EXPECT_EQ(package_.num_files(), 1u);
 
-  auto listing = Invoke(pkg::ListContents());
+  auto listing = pkg::kListContents.Unmarshal(Invoke(pkg::kListContents.Marshal({})));
   ASSERT_TRUE(listing.ok());
-  auto files = pkg::ParseListContents(*listing);
-  ASSERT_TRUE(files.ok());
-  ASSERT_EQ(files->size(), 1u);
-  EXPECT_EQ((*files)[0].path, "bin/gimp");
-  EXPECT_EQ((*files)[0].size, content.size());
-  EXPECT_EQ((*files)[0].sha256_hex, Sha256::HexDigest(content));
+  ASSERT_EQ(listing->files.size(), 1u);
+  EXPECT_EQ(listing->files[0].path, "bin/gimp");
+  EXPECT_EQ(listing->files[0].size, content.size());
+  EXPECT_EQ(listing->files[0].sha256_hex, Sha256::HexDigest(content));
 
-  auto fetched = Invoke(pkg::GetFileContents("bin/gimp"));
+  auto info =
+      pkg::kGetFileInfo.Unmarshal(Invoke(pkg::kGetFileInfo.Marshal({"bin/gimp"})));
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(*info, listing->files[0]);
+
+  auto fetched = Invoke(pkg::kGetFileContents.Marshal({"bin/gimp"}));
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(*fetched, content);
 
-  ASSERT_TRUE(Invoke(pkg::RemoveFile("bin/gimp")).ok());
+  ASSERT_TRUE(Invoke(pkg::kRemoveFile.Marshal({"bin/gimp"})).ok());
   EXPECT_EQ(package_.num_files(), 0u);
-  EXPECT_FALSE(Invoke(pkg::GetFileContents("bin/gimp")).ok());
+  EXPECT_FALSE(Invoke(pkg::kGetFileContents.Marshal({"bin/gimp"})).ok());
 }
 
 TEST_F(PackageObjectTest, AddFileOverwrites) {
-  ASSERT_TRUE(Invoke(pkg::AddFile("README", ToBytes("v1"))).ok());
-  ASSERT_TRUE(Invoke(pkg::AddFile("README", ToBytes("v2-longer"))).ok());
+  ASSERT_TRUE(Invoke(pkg::kAddFile.Marshal({"README", ToBytes("v1")})).ok());
+  ASSERT_TRUE(Invoke(pkg::kAddFile.Marshal({"README", ToBytes("v2-longer")})).ok());
   EXPECT_EQ(package_.num_files(), 1u);
-  auto fetched = Invoke(pkg::GetFileContents("README"));
+  auto fetched = Invoke(pkg::kGetFileContents.Marshal({"README"}));
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(ToString(*fetched), "v2-longer");
 }
 
 TEST_F(PackageObjectTest, EmptyPathRejected) {
-  EXPECT_FALSE(Invoke(pkg::AddFile("", ToBytes("x"))).ok());
+  EXPECT_FALSE(Invoke(pkg::kAddFile.Marshal({"", ToBytes("x")})).ok());
 }
 
 TEST_F(PackageObjectTest, RemoveMissingFileFails) {
-  auto result = Invoke(pkg::RemoveFile("nope"));
+  auto result = Invoke(pkg::kRemoveFile.Marshal({"nope"}));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(PackageObjectTest, DescriptionRoundTrip) {
-  ASSERT_TRUE(Invoke(pkg::SetDescription("GNU Image Manipulation Program")).ok());
-  auto description = Invoke(pkg::GetDescription());
+  ASSERT_TRUE(
+      Invoke(pkg::kSetDescription.Marshal({"GNU Image Manipulation Program"})).ok());
+  auto description =
+      pkg::kGetDescription.Unmarshal(Invoke(pkg::kGetDescription.Marshal({})));
   ASSERT_TRUE(description.ok());
-  ByteReader r(*description);
-  EXPECT_EQ(r.ReadString().value(), "GNU Image Manipulation Program");
+  EXPECT_EQ(description->text, "GNU Image Manipulation Program");
 }
 
 TEST_F(PackageObjectTest, UnknownMethodFails) {
@@ -83,21 +89,21 @@ TEST_F(PackageObjectTest, UnknownMethodFails) {
 }
 
 TEST_F(PackageObjectTest, StateRoundTrip) {
-  ASSERT_TRUE(Invoke(pkg::AddFile("a", ToBytes("alpha"))).ok());
-  ASSERT_TRUE(Invoke(pkg::AddFile("b", ToBytes("beta"))).ok());
-  ASSERT_TRUE(Invoke(pkg::SetDescription("two files")).ok());
+  ASSERT_TRUE(Invoke(pkg::kAddFile.Marshal({"a", ToBytes("alpha")})).ok());
+  ASSERT_TRUE(Invoke(pkg::kAddFile.Marshal({"b", ToBytes("beta")})).ok());
+  ASSERT_TRUE(Invoke(pkg::kSetDescription.Marshal({"two files"})).ok());
 
   PackageObject restored;
   ASSERT_TRUE(restored.SetState(package_.GetState()).ok());
   EXPECT_EQ(restored.num_files(), 2u);
   EXPECT_EQ(restored.total_bytes(), package_.total_bytes());
-  auto fetched = restored.Invoke(pkg::GetFileContents("b"));
+  auto fetched = restored.Invoke(pkg::kGetFileContents.Marshal({"b"}));
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(ToString(*fetched), "beta");
 }
 
 TEST_F(PackageObjectTest, TamperedStateIsRejected) {
-  ASSERT_TRUE(Invoke(pkg::AddFile("binary", ToBytes("legit content"))).ok());
+  ASSERT_TRUE(Invoke(pkg::kAddFile.Marshal({"binary", ToBytes("legit content")})).ok());
   Bytes state = package_.GetState();
   // Flip a byte inside the file content region; the per-file digest must catch it.
   auto needle = ToBytes("legit");
@@ -111,15 +117,19 @@ TEST_F(PackageObjectTest, TamperedStateIsRejected) {
 }
 
 TEST_F(PackageObjectTest, CloneEmptyIsEmpty) {
-  ASSERT_TRUE(Invoke(pkg::AddFile("a", ToBytes("x"))).ok());
+  ASSERT_TRUE(Invoke(pkg::kAddFile.Marshal({"a", ToBytes("x")})).ok());
   auto clone = package_.CloneEmpty();
   EXPECT_EQ(clone->type_id(), kPackageTypeId);
-  EXPECT_TRUE(clone->Invoke(pkg::ListContents()).ok());
+  auto listing =
+      pkg::kListContents.Unmarshal(clone->Invoke(pkg::kListContents.Marshal({})));
+  ASSERT_TRUE(listing.ok());
+  EXPECT_TRUE(listing->files.empty());
 }
 
 // Replicas route by IsReadOnly, so it must name exactly the read methods: a
 // write it called a read would skip the write guard, and a read it called a
-// write would be forwarded to the master and deduped there.
+// write would be forwarded to the master and deduped there. Callers' flags come
+// from the same declarations, so they cannot disagree.
 TEST(ReadOnlyClassificationTest, TrueForExactlyTheReadMethods) {
   struct Row {
     const dso::SemanticsObject* object;
@@ -135,26 +145,96 @@ TEST(ReadOnlyClassificationTest, TrueForExactlyTheReadMethods) {
       {&package, "pkg.getDescription", true},  {&package, "pkg.format_disk", false},
       {&package, "idx.search", false},         {&package, "", false},
       {&index, "idx.register", false},         {&index, "idx.unregister", false},
-      {&index, "idx.search", true},            {&index, "idx.size", true},
+      {&index, "idx.search", true},            {&index, "idx.size", false},
       {&index, "pkg.listContents", false},     {&index, "idx.drop", false},
   };
   for (const Row& row : rows) {
     EXPECT_EQ(row.object->IsReadOnly(row.method), row.read) << row.method;
   }
-  // The builders' flags, the callers' intent, agree with the classification.
-  for (const dso::Invocation& invocation :
-       {pkg::AddFile("f", {}), pkg::RemoveFile("f"), pkg::SetDescription("d"),
-        pkg::ListContents(), pkg::GetFileContents("f"), pkg::GetFileInfo("f"),
-        pkg::GetDescription()}) {
-    EXPECT_EQ(package.IsReadOnly(invocation.method), invocation.read_only)
-        << invocation.method;
-  }
-  for (const dso::Invocation& invocation :
-       {search::Register("/apps/a", "d"), search::Unregister("/apps/a"),
-        search::Query("q")}) {
-    EXPECT_EQ(index.IsReadOnly(invocation.method), invocation.read_only)
-        << invocation.method;
-  }
+}
+
+// ---------------------------------------------------------------- Hostile replicas
+
+// A replica's answer is peer input. A pkg.listContents or idx.search result of
+// six bytes claiming 2^40 entries is refused with InvalidArgument; it is never
+// allocated for.
+const Bytes kTwoToTheFortyItems = {0x80, 0x80, 0x80, 0x80, 0x80, 0x20};
+
+void AnswerEveryReadWith(sim::RpcServer* server, Bytes answer) {
+  dso::kDsoReader.Register(
+      server, [answer](const sim::RpcContext&, const dso::Invocation&) -> Result<Bytes> {
+        return answer;
+      });
+}
+
+TEST(HostileReplicaTest, ResultCountBeyondThePayloadIsRefused) {
+  sim::Simulator simulator;
+  sim::UniformWorld world = sim::BuildUniformWorld({2}, 2);
+  sim::Network network(&simulator, &world.topology);
+  sim::PlainTransport transport(&network);
+  sim::RpcServer replica(&transport, world.hosts[0], 700);
+  AnswerEveryReadWith(&replica, kTwoToTheFortyItems);
+  dso::BoundObject bound;
+  bound.replication = std::make_unique<dso::RemoteProxy>(
+      &transport, world.hosts[1],
+      gls::ContactAddress{replica.endpoint(), dso::kProtoClientServer,
+                          gls::ReplicaRole::kMaster});
+  bound.control = std::make_unique<dso::ControlObject>(bound.replication.get());
+
+  Status listing = OkStatus();
+  bound.Call(pkg::kListContents, {},
+             [&](Result<pkg::Listing> r) { listing = r.status(); });
+  Status matches = OkStatus();
+  bound.Call(search::kSearch, {"gimp"},
+             [&](Result<search::Matches> r) { matches = r.status(); });
+  simulator.Run();
+  EXPECT_EQ(listing.code(), StatusCode::kInvalidArgument) << listing;
+  EXPECT_EQ(matches.code(), StatusCode::kInvalidArgument) << matches;
+}
+
+// The same answer reaching a GDN-HTTPD through its thin proxy: the listing is
+// a 502, and the HTTPD serves its next request.
+TEST(HostileReplicaTest, HttpdAnswers502AndServesOn) {
+  GdnWorldConfig config;
+  config.httpd.bind_as_replica = false;
+  GdnWorld world(config);
+  ASSERT_TRUE(world.PublishPackage("/apps/honest", {{"README", ToBytes("hello")}},
+                                   dso::kProtoClientServer, 0)
+                  .ok());
+  auto hostile = world.PublishPackage("/apps/hostile", {{"README", ToBytes("x")}},
+                                      dso::kProtoClientServer, world.num_countries() - 1);
+  ASSERT_TRUE(hostile.ok()) << hostile.status();
+
+  // A replica next to the user's HTTPD, registered in the GLS: the HTTPD's
+  // bind finds it first.
+  sim::NodeId user = world.user_hosts()[0];
+  GdnHttpd* httpd = world.NearestHttpd(user);
+  sim::RpcServer replica(world.transport(), httpd->node(), 7000);
+  AnswerEveryReadWith(&replica, kTwoToTheFortyItems);
+  Status registered = Unavailable("pending");
+  auto gls = world.services().gls().MakeClient(httpd->node());
+  gls->Insert(*hostile,
+              {replica.endpoint(), dso::kProtoClientServer, gls::ReplicaRole::kMaster},
+              [&](Status s) { registered = s; });
+  world.Run();
+  ASSERT_TRUE(registered.ok()) << registered;
+
+  auto browser = world.MakeBrowser(user);
+  auto fetch = [&](const std::string& target) {
+    Result<http::HttpResponse> response = Unavailable("pending");
+    browser->Fetch(httpd->node(), target,
+                   [&](Result<http::HttpResponse> r) { response = std::move(r); });
+    world.Run();
+    return response;
+  };
+  auto refused = fetch("/packages/apps/hostile");
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_EQ(refused->status_code, 502);
+  EXPECT_EQ(httpd->stats().rebinds, 1u);  // the refusal was retried on a fresh bind
+  auto next = fetch("/packages/apps/honest");
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->status_code, 200);
+  EXPECT_NE(ToString(next->body).find("README"), std::string::npos);
 }
 
 // ---------------------------------------------------------------- GdnWorld end-to-end
@@ -609,20 +689,17 @@ TEST_F(SecureGdnWorldTest, UserCannotModifyPackageReplica) {
 
   // Reads are allowed...
   Result<Bytes> read = Unavailable("pending");
-  auto get = pkg::GetFileContents("f");
-  bound->Invoke(get.method, get.args, true,
-                [&](Result<Bytes> r) { read = std::move(r); });
+  bound->Call(pkg::kGetFileContents, {"f"},
+              [&](Result<Bytes> r) { read = std::move(r); });
   world_.Run();
   EXPECT_TRUE(read.ok());
 
   // ...but the write is refused by the replica's write guard.
-  Result<Bytes> write = Unavailable("pending");
-  auto add = pkg::AddFile("f", ToBytes("trojaned"));
-  bound->Invoke(add.method, add.args, false,
-                [&](Result<Bytes> r) { write = std::move(r); });
+  Status write = OkStatus();
+  bound->Call(pkg::kAddFile, {"f", ToBytes("trojaned")},
+              [&](Result<sim::EmptyMessage> r) { write = r.status(); });
   world_.Run();
-  ASSERT_FALSE(write.ok());
-  EXPECT_EQ(write.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(write.code(), StatusCode::kPermissionDenied);
 
   // The file is untouched.
   auto content = world_.DownloadFile(world_.user_hosts()[2], "/apps/target", "f");
@@ -655,11 +732,10 @@ TEST_F(SecureGdnWorldTest, WriteFlaggedReadOnlyIsRefused) {
   ASSERT_NE(bound, nullptr);
   ASSERT_FALSE(bound->replication->contact_address().has_value());  // a thin proxy
 
-  dso::Invocation add = pkg::AddFile("f", ToBytes("trojaned"));
+  dso::Invocation add = pkg::kAddFile.Marshal({"f", ToBytes("trojaned")});
   add.read_only = true;
   Result<Bytes> flagged = Unavailable("pending");
-  bound->Invoke(add.method, add.args, add.read_only,
-                [&](Result<Bytes> r) { flagged = std::move(r); });
+  bound->Invoke(add, [&](Result<Bytes> r) { flagged = std::move(r); });
   world_.Run();
   EXPECT_EQ(flagged.status().code(), StatusCode::kInvalidArgument) << flagged.status();
 
@@ -673,7 +749,8 @@ TEST_F(SecureGdnWorldTest, WriteFlaggedReadOnlyIsRefused) {
 
   // The master still serves the published bytes at the published version.
   EXPECT_EQ(master->version(), published_version);
-  Result<Bytes> served = master->semantics()->Invoke(pkg::GetFileContents("f"));
+  Result<Bytes> served =
+      master->semantics()->Invoke(pkg::kGetFileContents.Marshal({"f"}));
   ASSERT_TRUE(served.ok()) << served.status();
   EXPECT_EQ(ToString(*served), "original");
   auto content = world_.DownloadFile(world_.user_hosts()[2], "/apps/flagged", "f");
@@ -708,9 +785,8 @@ TEST_F(SecureGdnWorldTest, MaintainerMayManageOnlyTheirPackage) {
     world_.Run();
     Status status = Unavailable("bind failed");
     if (bound != nullptr) {
-      auto invocation = pkg::AddFile("f", ToBytes("maintained"));
-      bound->Invoke(invocation.method, invocation.args, false,
-                    [&](Result<Bytes> r) { status = r.ok() ? OkStatus() : r.status(); });
+      bound->Call(pkg::kAddFile, {"f", ToBytes("maintained")},
+                  [&](Result<sim::EmptyMessage> r) { status = r.status(); });
       world_.Run();
     }
     return status;
@@ -737,9 +813,8 @@ TEST_F(SecureGdnWorldTest, MaintainerMayManageOnlyTheirPackage) {
   world_.Run();
   ASSERT_NE(bound, nullptr);
   Status user_write = Unavailable("pending");
-  auto invocation = pkg::AddFile("f", ToBytes("trojan"));
-  bound->Invoke(invocation.method, invocation.args, false,
-                [&](Result<Bytes> r) { user_write = r.ok() ? OkStatus() : r.status(); });
+  bound->Call(pkg::kAddFile, {"f", ToBytes("trojan")},
+              [&](Result<sim::EmptyMessage> r) { user_write = r.status(); });
   world_.Run();
   EXPECT_EQ(user_write.code(), StatusCode::kPermissionDenied);
 }

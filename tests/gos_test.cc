@@ -561,7 +561,7 @@ TEST(GosMigrationTest, SwitchProtocolRetiresHttpdSideReplicas) {
   auto* fresh = gos->FindReplica(*oid);
   ASSERT_NE(fresh, nullptr);
   Result<Bytes> wrote = Unavailable("pending");
-  fresh->Invoke(gdn::pkg::AddFile("VERSION", ToBytes("2.0")),
+  fresh->Invoke(gdn::pkg::kAddFile.Marshal({"VERSION", ToBytes("2.0")}),
                 [&](Result<Bytes> r) { wrote = std::move(r); });
   world.Run();
   ASSERT_TRUE(wrote.ok()) << wrote.status();

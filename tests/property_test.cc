@@ -24,6 +24,8 @@
 #include "src/dso/client_server.h"
 #include "src/dso/master_slave.h"
 #include "src/dso/wire.h"
+#include "src/gdn/package.h"
+#include "src/gdn/search.h"
 #include "src/gls/deploy.h"
 #include "src/gls/wire.h"
 #include "src/gos/object_server.h"
@@ -142,12 +144,14 @@ using WireMessages = ::testing::Types<
     dso::VersionedState, dso::EndpointMessage, dso::VersionMessage, dso::PushAck,
     dso::LeaseMessage, dso::Invocation, dso::ApplyMessage, gls::AddressRequest,
     gls::BatchAddressRequest, gls::PointerRequest, gls::BatchPointerRequest,
-    gls::OidMessage, gls::LookupWireRequest, gls::ClaimWireRequest,
-    gls::ClaimWireResponse, gls::LookupResult, gos::CreateFirstReplicaRequest,
+    gls::OidMessage, gls::LookupWireRequest, gls::MasterClaim, gls::ClaimOutcome,
+    gls::LookupResult, gos::CreateFirstReplicaRequest,
     gos::CreateFirstReplicaResponse, gos::CreateReplicaRequest,
     gos::CreateReplicaResponse, gos::RemoveReplicaRequest, gos::ListReplicasResponse,
     dns::GnsAddRequest, dns::GnsRemoveRequest, dns::QueryRequest, dns::QueryResponse,
-    dns::UpdateRequest, dns::ZoneTransfer>;
+    dns::UpdateRequest, dns::ZoneTransfer, gdn::FileInfo, gdn::pkg::FileArgs,
+    gdn::pkg::PathArgs, gdn::pkg::Text, gdn::pkg::Listing, gdn::SearchMatch,
+    gdn::search::NameArgs, gdn::search::QueryArgs, gdn::search::Matches>;
 
 template <typename T>
 class WireMessageTest : public ::testing::Test {};
@@ -192,9 +196,49 @@ TYPED_TEST(WireMessageTest, EveryStrictPrefixFailsToDecode) {
   }
 }
 
+// Every declared method of the GDN's semantics objects, fed random and
+// truncated arguments: each call returns a value or a status, and arguments
+// cut short are refused before a handler runs.
+template <typename Args, typename Res>
+void FeedBadArguments(Rng* rng, dso::SemanticsObject* object,
+                      const dso::Method<Args, Res>& method) {
+  for (int i = 0; i < 100; ++i) {
+    Args args;
+    RandomFill(rng, &args);
+    dso::Invocation invocation = method.Marshal(args);
+    const Bytes whole = invocation.args;
+    for (size_t length = 0; length < whole.size(); ++length) {
+      invocation.args.assign(whole.begin(), whole.begin() + length);
+      EXPECT_FALSE(object->Invoke(invocation).ok())
+          << method.name() << ": prefix of " << length << " bytes ran";
+    }
+    invocation.args = rng->RandomBytes(rng->UniformInt(64));
+    (void)object->Invoke(invocation);
+  }
+}
+
+TEST_P(DecoderFuzzTest, DeclaredMethodsSurviveBadArguments) {
+  Rng rng(GetParam() + 11);
+  gdn::PackageObject package;
+  FeedBadArguments(&rng, &package, gdn::pkg::kAddFile);
+  FeedBadArguments(&rng, &package, gdn::pkg::kRemoveFile);
+  FeedBadArguments(&rng, &package, gdn::pkg::kSetDescription);
+  FeedBadArguments(&rng, &package, gdn::pkg::kListContents);
+  FeedBadArguments(&rng, &package, gdn::pkg::kGetFileContents);
+  FeedBadArguments(&rng, &package, gdn::pkg::kGetFileInfo);
+  FeedBadArguments(&rng, &package, gdn::pkg::kGetDescription);
+  gdn::SearchIndexObject index;
+  FeedBadArguments(&rng, &index, gdn::search::kRegister);
+  FeedBadArguments(&rng, &index, gdn::search::kUnregister);
+  FeedBadArguments(&rng, &index, gdn::search::kSearch);
+}
+
 // One fixed instance of every message type, against hex captured from the
 // per-message encoders that preceded the codec, so the deployed wire format
-// (and with it every TSIG MAC) cannot drift.
+// (and with it every TSIG MAC) cannot drift. The DSO methods' rows hold each
+// method's arguments as marshalled and its result as the semantics object
+// answers it, against hex captured from the hand-written builders and
+// dispatchers their declarations replaced.
 TEST(WireGoldenTest, EveryMessageKeepsItsBytes) {
   const gls::ObjectId oid = *gls::ObjectId::FromHex("00112233445566778899aabbccddeeff");
   const gls::ObjectId oid2 = *gls::ObjectId::FromHex("f0e1d2c3b4a5968778695a4b3c2d1e0f");
@@ -211,8 +255,22 @@ TEST(WireGoldenTest, EveryMessageKeepsItsBytes) {
   dns::TsigSign(&update, ToBytes("secret"));
   dns::ZoneTransfer transfer{{1, 2, 3}, "axfr-key", 5, {}};
   dns::TsigSign(&transfer, ToBytes("secret"));
+  gdn::PackageObject package;
+  gdn::SearchIndexObject index;
+  auto answer = [](dso::SemanticsObject* object, const dso::Invocation& invocation) {
+    Result<Bytes> result = object->Invoke(invocation);
+    EXPECT_TRUE(result.ok()) << invocation.method << ": " << result.status();
+    return result.ok() ? *result : Bytes{};
+  };
+  answer(&package, gdn::pkg::kAddFile.Marshal({"bin/tool", {1, 2, 3}}));
+  answer(&package, gdn::pkg::kSetDescription.Marshal({"demo"}));
+  answer(&index, gdn::search::kRegister.Marshal({"/apps/gimp", "image editor"}));
+  // The digest of {1, 2, 3}, length-prefixed, as a package lists it.
+  const std::string tool_sha256 =
+      "403033393035386336663263306362343932633533336230613464313465663737"
+      "6363306637386162636363656435323837643834613161323031316366623831";
 
-  const std::vector<std::tuple<const char*, Bytes, const char*>> cases = {
+  const std::vector<std::tuple<const char*, Bytes, std::string>> cases = {
       {"dso::VersionedState",
        wire::Encode(
            dso::VersionedState{0x1122334455667788ULL, 2, 3, {0xde, 0xad, 0xbe, 0xef}}),
@@ -255,12 +313,12 @@ TEST(WireGoldenTest, EveryMessageKeepsItsBytes) {
       {"gls::LookupWireRequest",
        wire::Encode(gls::LookupWireRequest{oid, 3, 1, -2, true}),
        "00112233445566778899aabbccddeeff0300000001feffffff01"},
-      {"gls::ClaimWireRequest",
-       wire::Encode(gls::ClaimWireRequest{oid, addr, 4, 5, 6, true}),
+      {"gls::MasterClaim",
+       wire::Encode(gls::MasterClaim{oid, addr, 4, 5, 6, true}),
        "00112233445566778899aabbccddeeff04030201060508070204000000000000"
        "000500000000000000060000000000000001"},
-      {"gls::ClaimWireResponse",
-       wire::Encode(gls::ClaimWireResponse{true, 7, addr2, 8}),
+      {"gls::ClaimOutcome",
+       wire::Encode(gls::ClaimOutcome{true, 7, addr2, 8}),
        "01070000000000000007000000bd020200010800000000000000"},
       {"gls::LookupResult",
        wire::Encode(gls::LookupResult{{addr, addr2}, 9, -1, 2, true}),
@@ -311,8 +369,49 @@ TEST(WireGoldenTest, EveryMessageKeepsItsBytes) {
        wire::Encode(transfer),
        "0301020308617866722d6b6579050000000000000020bcc7123d743292108d9a"
        "31823e6595f66a6c258fdcbb6efcb66143b27a0d2fd3"},
+      {"pkg.addFile args",
+       gdn::pkg::kAddFile.Marshal({"bin/tool", {1, 2, 3}}).args,
+       "0862696e2f746f6f6c03010203"},
+      {"pkg.removeFile args",
+       gdn::pkg::kRemoveFile.Marshal({"bin/tool"}).args,
+       "0862696e2f746f6f6c"},
+      {"pkg.setDescription args",
+       gdn::pkg::kSetDescription.Marshal({"demo"}).args,
+       "0464656d6f"},
+      {"pkg.listContents args", gdn::pkg::kListContents.Marshal({}).args, ""},
+      {"pkg.getFileContents args",
+       gdn::pkg::kGetFileContents.Marshal({"bin/tool"}).args,
+       "0862696e2f746f6f6c"},
+      {"pkg.getFileInfo args",
+       gdn::pkg::kGetFileInfo.Marshal({"bin/tool"}).args,
+       "0862696e2f746f6f6c"},
+      {"pkg.getDescription args", gdn::pkg::kGetDescription.Marshal({}).args, ""},
+      {"idx.register args",
+       gdn::search::kRegister.Marshal({"/apps/gimp", "image editor"}).args,
+       "0a2f617070732f67696d700c696d61676520656469746f72"},
+      {"idx.unregister args",
+       gdn::search::kUnregister.Marshal({"/apps/gimp"}).args,
+       "0a2f617070732f67696d70"},
+      {"idx.search args",
+       gdn::search::kSearch.Marshal({"image"}).args,
+       "05696d616765"},
+      {"pkg.listContents result",
+       answer(&package, gdn::pkg::kListContents.Marshal({})),
+       "010862696e2f746f6f6c0300000000000000" + tool_sha256},
+      {"pkg.getFileContents result",
+       answer(&package, gdn::pkg::kGetFileContents.Marshal({"bin/tool"})),
+       "010203"},
+      {"pkg.getFileInfo result",
+       answer(&package, gdn::pkg::kGetFileInfo.Marshal({"bin/tool"})),
+       "0862696e2f746f6f6c0300000000000000" + tool_sha256},
+      {"pkg.getDescription result",
+       answer(&package, gdn::pkg::kGetDescription.Marshal({})),
+       "0464656d6f"},
+      {"idx.search result",
+       answer(&index, gdn::search::kSearch.Marshal({"image"})),
+       "010a2f617070732f67696d700c696d61676520656469746f72"},
   };
-  ASSERT_EQ(cases.size(), 28u);
+  ASSERT_EQ(cases.size(), 43u);
   for (const auto& [name, encoded, golden_hex] : cases) {
     EXPECT_EQ(HexEncode(encoded), golden_hex) << name;
   }

@@ -26,16 +26,14 @@ TEST(TokenizeTest, SplitsOnNonAlnum) {
 class SearchIndexTest : public ::testing::Test {
  protected:
   Status Register(const std::string& name, const std::string& description) {
-    auto result = index_.Invoke(search::Register(name, description));
-    return result.ok() ? OkStatus() : result.status();
+    return index_.Invoke(search::kRegister.Marshal({name, description})).status();
   }
 
   std::vector<SearchMatch> Query(const std::string& query) {
-    auto result = index_.Invoke(search::Query(query));
-    EXPECT_TRUE(result.ok());
-    auto matches = search::ParseMatches(*result);
-    EXPECT_TRUE(matches.ok());
-    return *matches;
+    auto result =
+        search::kSearch.Unmarshal(index_.Invoke(search::kSearch.Marshal({query})));
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? result->matches : std::vector<SearchMatch>{};
   }
 
   SearchIndexObject index_;
@@ -87,7 +85,7 @@ TEST_F(SearchIndexTest, ReregisterReplacesEntry) {
 
 TEST_F(SearchIndexTest, UnregisterRemovesFromAllKeywords) {
   ASSERT_TRUE(Register("/apps/tool", "alpha beta gamma").ok());
-  ASSERT_TRUE(index_.Invoke(search::Unregister("/apps/tool")).ok());
+  ASSERT_TRUE(index_.Invoke(search::kUnregister.Marshal({"/apps/tool"})).ok());
   EXPECT_TRUE(Query("alpha").empty());
   EXPECT_TRUE(Query("gamma").empty());
   EXPECT_EQ(index_.num_entries(), 0u);
@@ -103,12 +101,11 @@ TEST_F(SearchIndexTest, StateRoundTripPreservesIndex) {
 
   SearchIndexObject restored;
   ASSERT_TRUE(restored.SetState(index_.GetState()).ok());
-  auto result = restored.Invoke(search::Query("second"));
-  ASSERT_TRUE(result.ok());
-  auto matches = search::ParseMatches(*result);
-  ASSERT_TRUE(matches.ok());
-  ASSERT_EQ(matches->size(), 1u);
-  EXPECT_EQ((*matches)[0].globe_name, "/apps/b");
+  auto result =
+      search::kSearch.Unmarshal(restored.Invoke(search::kSearch.Marshal({"second"})));
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->matches.size(), 1u);
+  EXPECT_EQ(result->matches[0].globe_name, "/apps/b");
 }
 
 // ---------------------------------------------------------------- End to end
@@ -157,15 +154,14 @@ TEST(SearchWorldTest, SearchUpdatesPropagateToSlaves) {
   auto* slave =
       world.services().GosOf(world.num_countries() - 1)->FindReplica(world.search_oid());
   ASSERT_NE(slave, nullptr);
-  Result<Bytes> result = Unavailable("pending");
-  auto query = search::Query("freshly");
-  slave->Invoke(query, [&](Result<Bytes> r) { result = std::move(r); });
+  Result<search::Matches> result = Unavailable("pending");
+  slave->Invoke(search::kSearch.Marshal({"freshly"}), [&](Result<Bytes> r) {
+    result = search::kSearch.Unmarshal(std::move(r));
+  });
   world.Run();
-  ASSERT_TRUE(result.ok());
-  auto matches = search::ParseMatches(*result);
-  ASSERT_TRUE(matches.ok());
-  ASSERT_EQ(matches->size(), 1u);
-  EXPECT_EQ((*matches)[0].globe_name, "/apps/late");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->matches.size(), 1u);
+  EXPECT_EQ(result->matches[0].globe_name, "/apps/late");
 }
 
 TEST(SearchWorldTest, UnregisterRemovesFromSearch) {

@@ -1020,14 +1020,13 @@ TEST_F(DedupTest, DuplicateWhileExecutionInProgressJoinsIt) {
 }
 
 TEST_F(DedupTest, DedupEntriesEvictAfterTtl) {
-  server_.set_dedup_ttl(10 * kSecond);
   SendRequest(/*attempt_id=*/1, /*call_id=*/1);
   simulator_.Run();
   EXPECT_EQ(server_.dedup_entries(), 1u);
 
   // A very late duplicate — after the TTL — finds no entry and executes again.
   // The TTL must therefore cover the client's maximum retry horizon.
-  simulator_.ScheduleAfter(11 * kSecond, [] {});
+  simulator_.ScheduleAfter(kDedupTtl + kSecond, [] {});
   simulator_.Run();
   SendRequest(/*attempt_id=*/2, /*call_id=*/1);
   simulator_.Run();

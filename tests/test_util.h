@@ -8,40 +8,53 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "src/dso/subobjects.h"
 
 namespace globe::testutil {
 
 // A key -> string map object; the minimal stand-in for a package DSO.
-//   put(key, value)    write
-//   get(key) -> value  read-only
+struct KvEntry {
+  std::string key;
+  std::string value;
+
+  static constexpr auto kWireFields = std::tuple(&KvEntry::key, &KvEntry::value);
+};
+
+struct KvKey {
+  std::string key;
+
+  static constexpr auto kWireFields = std::tuple(&KvKey::key);
+};
+
+struct KvValue {
+  std::string value;
+
+  static constexpr auto kWireFields = std::tuple(&KvValue::value);
+};
+
+inline constexpr dso::Method<KvEntry, sim::EmptyMessage> kKvPut{"put",
+                                                                dso::Access::kWrite};
+inline constexpr dso::Method<KvKey, KvValue> kKvGet{"get", dso::Access::kRead};
+
 class KvObject : public dso::SemanticsObject {
  public:
   static constexpr uint16_t kTypeId = 7;
 
-  Result<Bytes> Invoke(const dso::Invocation& invocation) override {
-    ByteReader r(invocation.args);
-    if (invocation.method == "put") {
-      ASSIGN_OR_RETURN(std::string key, r.ReadString());
-      ASSIGN_OR_RETURN(std::string value, r.ReadString());
-      entries_[key] = value;
-      return Bytes{};
-    }
-    if (invocation.method == "get") {
-      ASSIGN_OR_RETURN(std::string key, r.ReadString());
-      auto it = entries_.find(key);
+  KvObject() {
+    Handle(kKvPut, [this](KvEntry entry) -> Status {
+      entries_[entry.key] = std::move(entry.value);
+      return OkStatus();
+    });
+    Handle(kKvGet, [this](const KvKey& args) -> Result<KvValue> {
+      auto it = entries_.find(args.key);
       if (it == entries_.end()) {
-        return NotFound("no such key: " + key);
+        return NotFound("no such key: " + args.key);
       }
-      ByteWriter w;
-      w.WriteString(it->second);
-      return w.Take();
-    }
-    return NotFound("no such method: " + invocation.method);
+      return KvValue{it->second};
+    });
   }
-
-  bool IsReadOnly(std::string_view method) const override { return method == "get"; }
 
   Bytes GetState() const override {
     ByteWriter w;
@@ -78,17 +91,10 @@ class KvObject : public dso::SemanticsObject {
 };
 
 inline dso::Invocation KvPut(const std::string& key, const std::string& value) {
-  ByteWriter w;
-  w.WriteString(key);
-  w.WriteString(value);
-  return dso::Invocation{"put", w.Take(), /*read_only=*/false};
+  return kKvPut.Marshal({key, value});
 }
 
-inline dso::Invocation KvGet(const std::string& key) {
-  ByteWriter w;
-  w.WriteString(key);
-  return dso::Invocation{"get", w.Take(), /*read_only=*/true};
-}
+inline dso::Invocation KvGet(const std::string& key) { return kKvGet.Marshal({key}); }
 
 }  // namespace globe::testutil
 

@@ -834,7 +834,7 @@ TEST(SocketTransportEndToEnd, ReadFromNodeOutsideTheTopologyIsServed) {
   for (int i = 0; i < 2; ++i) {
     Result<Bytes> listing = Unavailable("pending");
     bool answered = false;
-    dso::kDsoInvoke.Call(&channel, replica, gdn::pkg::ListContents(),
+    dso::kDsoInvoke.Call(&channel, replica, gdn::pkg::kListContents.Marshal({}),
                          [&](Result<Bytes> r) {
                            listing = std::move(r);
                            answered = true;

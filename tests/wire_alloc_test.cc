@@ -20,6 +20,9 @@
 #include "src/dns/message.h"
 #include "src/dns/zone.h"
 #include "src/dso/client_server.h"
+#include "src/dso/runtime.h"
+#include "src/gdn/package.h"
+#include "src/gdn/search.h"
 #include "src/gls/directory.h"
 #include "src/gos/object_server.h"
 #include "src/sim/backend.h"
@@ -32,12 +35,14 @@ namespace {
 bool g_counting = false;
 size_t g_largest = 0;
 size_t g_allocations = 0;
+size_t g_allocated_bytes = 0;
 // Bytes held by live operator-new allocations, counted always.
 int64_t g_live_bytes = 0;
 
 void* CountedAlloc(size_t size) {
   if (g_counting) {
     ++g_allocations;
+    g_allocated_bytes += size;
     g_largest = size > g_largest ? size : g_largest;
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
@@ -132,6 +137,11 @@ TEST(BoundedDecodingTest, EveryVectorCountIsCheckedBeforeReserving) {
   ExpectBounded<gls::LookupResult>("2^63 addresses", Frame({}, two_to_the_63));
   ExpectBounded<gos::ListReplicasResponse>("one OID too many",
                                            Frame({0x03}, Bytes(32, 0)));
+  // DSO method results: a replica's answer is a peer's count too.
+  const Bytes two_to_the_40 = {0x80, 0x80, 0x80, 0x80, 0x80, 0x20};
+  ExpectBounded<gdn::pkg::Listing>("pkg.listContents files", two_to_the_40);
+  ExpectBounded<gdn::search::Matches>("idx.search matches", two_to_the_40);
+  ExpectBounded<gdn::pkg::Listing>("pkg.listContents at the cap", Frame({}));
 }
 
 // The check rejects only what the payload cannot hold: a frame whose count
@@ -180,6 +190,44 @@ TEST(CallAllocationTest, LongMethodNameCostsNoExtraAllocation) {
   size_t long_name = allocations_of_one_call(kLongName);
   EXPECT_GT(short_name, 0u);
   EXPECT_EQ(long_name, short_name);
+}
+
+// One read of a whole file through a bound replica: marshalling the call,
+// serving it and handing the typed result back. The file is copied once, out
+// of the package, and the result reaches the caller moved. The count bound is
+// what the same read cost through the hand-written package proxy that the
+// method declarations replaced (this path makes five).
+TEST(CallAllocationTest, FileReadThroughABoundReplica) {
+  constexpr size_t kFileBytes = 64 * 1024;
+  sim::Simulator simulator;
+  sim::UniformWorld world = sim::BuildUniformWorld({2}, 2);
+  sim::Network network(&simulator, &world.topology);
+  sim::PlainTransport transport(&network);
+  dso::BoundObject bound;
+  bound.replication = std::make_unique<dso::ClientServerServer>(
+      &transport, world.hosts[0], std::make_unique<gdn::PackageObject>());
+  bound.control = std::make_unique<dso::ControlObject>(bound.replication.get());
+  Status added = Unavailable("pending");
+  bound.Call(gdn::pkg::kAddFile, {"dist.tgz", Bytes(kFileBytes, 0x5a)},
+             [&](Result<sim::EmptyMessage> r) { added = r.status(); });
+  simulator.Run();
+  ASSERT_TRUE(added.ok()) << added;
+
+  size_t served = 0;
+  auto read = [&] {
+    bound.Call(gdn::pkg::kGetFileContents, {"dist.tgz"},
+               [&](Result<Bytes> r) { served += r.ok() ? r->size() : 0; });
+    simulator.Run();
+  };
+  read();  // warm-up
+  g_allocations = 0;
+  g_allocated_bytes = 0;
+  g_counting = true;
+  read();
+  g_counting = false;
+  EXPECT_EQ(served, 2 * kFileBytes);
+  EXPECT_LE(g_allocations, 6u);
+  EXPECT_LT(g_allocated_bytes, 2 * kFileBytes);  // one copy of the file
 }
 
 // A thin proxy's reads leave nothing behind at the replica. Sent on the
