@@ -328,7 +328,7 @@ void Replica::PumpQuorumWrites() {
   pre_write_version_ = version_;
   Result<Bytes> result = Execute(w.invocation, w.client);
   if (!result.ok()) {
-    write_in_flight_ = false;
+    EndQuorumRound();
     w.done(std::move(result));
     PumpQuorumWrites();
     return;
@@ -375,7 +375,7 @@ void Replica::PumpQuorumWrites() {
                 return;
               }
               group_.CountQuorumCommit();
-              write_in_flight_ = false;
+              EndQuorumRound();
               done(std::move(result));
               PumpQuorumWrites();
             });
@@ -388,9 +388,14 @@ void Replica::RollBack(const std::string& why, InvokeCallback done) {
   }
   version_ = pre_write_version_;
   group_.CountQuorumRefusal();
-  write_in_flight_ = false;
+  EndQuorumRound();
   done(FailedPrecondition(why));
   PumpQuorumWrites();
+}
+
+void Replica::EndQuorumRound() {
+  write_in_flight_ = false;
+  pre_write_state_ = Bytes{};
 }
 
 }  // namespace globe::dso

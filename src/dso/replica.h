@@ -163,6 +163,10 @@ class Replica : public ReplicationObject {
   // every message of the failed round settled or exhausted its per-attempt
   // deadline before the fan-out completed.
   void RollBack(const std::string& why, InvokeCallback done);
+  // Closes the in-flight quorum round (committed, rolled back or failed to
+  // execute) and releases its rollback point, a full copy of the state that
+  // only the round itself reads.
+  void EndQuorumRound();
 
   WriteGuard write_guard_;
   AccessHook access_hook_;

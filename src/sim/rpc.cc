@@ -12,6 +12,42 @@ namespace {
 constexpr uint8_t kFrameRequest = 0;
 constexpr uint8_t kFrameResponse = 1;
 constexpr double kEwmaAlpha = 0.2;
+
+// One frame encoded into the calling thread's scratch, which every RpcServer
+// and Channel on the thread shares (see rpc.h). It lives until Transport::Send
+// has returned; debug builds check that no other frame starts meanwhile.
+class OutgoingFrame {
+ public:
+  OutgoingFrame() : scratch_(ThreadScratch()) {
+    assert(!scratch_.in_use && "a frame started while another was being sent");
+    scratch_.in_use = true;
+    scratch_.writer.Reset();
+  }
+  ~OutgoingFrame() {
+    // A frame above kMaxFrameBytes was refused by the transport; its buffer
+    // is not kept for the frames after it.
+    if (scratch_.writer.capacity() > kMaxFrameBytes) {
+      scratch_.writer = ByteWriter();
+    }
+    scratch_.in_use = false;
+  }
+  OutgoingFrame(const OutgoingFrame&) = delete;
+  OutgoingFrame& operator=(const OutgoingFrame&) = delete;
+
+  ByteWriter& writer() { return scratch_.writer; }
+
+ private:
+  struct Scratch {
+    ByteWriter writer;
+    bool in_use = false;
+  };
+  static Scratch& ThreadScratch() {
+    thread_local Scratch scratch;
+    return scratch;
+  }
+
+  Scratch& scratch_;
+};
 }  // namespace
 
 uint16_t AllocateEphemeralPort() {
@@ -256,23 +292,21 @@ Status RpcServer::RestoreDedup(ByteReader* reader) {
 
 void RpcServer::SendResponse(const Endpoint& client, uint64_t request_id,
                              const Result<Bytes>& result) {
-  // The scratch writer keeps its capacity across responses; the transport
-  // consumes the span before Send returns, so reuse is safe even when a
-  // handler's response triggers another synchronous send downstream.
-  send_scratch_.Reset();
-  send_scratch_.WriteU8(kFrameResponse);
-  send_scratch_.WriteU64(request_id);
+  OutgoingFrame frame;
+  ByteWriter& writer = frame.writer();
+  writer.WriteU8(kFrameResponse);
+  writer.WriteU64(request_id);
   if (result.ok()) {
-    send_scratch_.WriteU8(static_cast<uint8_t>(StatusCode::kOk));
-    send_scratch_.WriteString("");
-    send_scratch_.WriteLengthPrefixed(result.value());
+    writer.WriteU8(static_cast<uint8_t>(StatusCode::kOk));
+    writer.WriteString("");
+    writer.WriteLengthPrefixed(result.value());
   } else {
-    send_scratch_.WriteU8(static_cast<uint8_t>(result.status().code()));
-    send_scratch_.WriteString(result.status().message());
-    send_scratch_.WriteLengthPrefixed({});
+    writer.WriteU8(static_cast<uint8_t>(result.status().code()));
+    writer.WriteString(result.status().message());
+    writer.WriteLengthPrefixed({});
   }
   ++responses_sent_;
-  transport_->Send(endpoint(), client, send_scratch_.span());
+  transport_->Send(endpoint(), client, writer.span());
 }
 
 // ---------------------------------------------------------------- Channel
@@ -317,9 +351,6 @@ struct ChannelState {
   std::map<uint64_t, uint64_t> attempt_to_call;
   std::map<Endpoint, PeerEntry> peers;
   ChannelStats stats;
-  // Scratch buffer for request frames, reused across attempts (the transport
-  // consumes the span before Send returns).
-  ByteWriter send_scratch;
 };
 
 namespace {
@@ -428,8 +459,8 @@ void SendAttempt(const std::shared_ptr<ChannelState>& state, uint64_t id) {
   PendingCall& call = it->second;
   call.backoff_timer = Clock::kNoTimer;  // if we got here via backoff, it fired
 
-  ByteWriter& writer = state->send_scratch;
-  writer.Reset();
+  OutgoingFrame frame;
+  ByteWriter& writer = frame.writer();
   writer.WriteU8(kFrameRequest);
   writer.WriteU64(call.current_attempt_id);
   // The stable call id: every retry repeats it, so the server can recognise a

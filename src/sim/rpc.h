@@ -24,6 +24,16 @@
 //     wire message has exactly one description both sides share, and every
 //     payload is bounds-checked by the one codec before a handler sees it.
 //
+// Frames are encoded into one scratch ByteWriter per thread, shared by every
+// RpcServer and Channel that sends on that thread, so an endpoint holds no
+// frame buffer of its own and a world of thousands of replicas retains one
+// buffer per thread, the size of the largest frame that thread sent (at most
+// kMaxFrameBytes: a larger one is refused by every backend). Sharing is
+// safe because Transport::Send consumes the span before it returns and never
+// runs a handler: a frame is written and sent before the next one on the same
+// thread starts (debug builds assert it), and each sharded worker thread has
+// its own scratch.
+//
 // Wire format of an RPC frame (written by hand with src/util/serial.h — the
 // zero-copy hot path):
 //   u8 type (0 = request, 1 = response)
@@ -134,8 +144,6 @@ class RpcServer {
   uint16_t port() const { return port_; }
   Endpoint endpoint() const { return {node_, port_}; }
   uint64_t requests_served() const { return requests_served_; }
-  // Response frames serialized through the reusable scratch writer instead of a
-  // fresh allocation per response.
   uint64_t responses_sent() const { return responses_sent_; }
 
  private:
@@ -170,9 +178,6 @@ class RpcServer {
   std::map<std::string, MethodTraits, std::less<>> method_traits_;
   uint64_t requests_served_ = 0;
   uint64_t responses_sent_ = 0;
-  // Scratch buffer for response frames, reused across responses (Transport::Send
-  // consumes the span before returning).
-  ByteWriter send_scratch_;
   SimTime service_time_ = 0;
   SimTime busy_until_ = 0;  // when the virtual CPU frees up
   std::map<DedupKey, DedupEntry> dedup_;

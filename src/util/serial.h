@@ -46,6 +46,7 @@ class ByteWriter {
   ByteSpan span() const { return buffer_; }
   Bytes Take() { return std::move(buffer_); }
   size_t size() const { return buffer_.size(); }
+  size_t capacity() const { return buffer_.capacity(); }
 
   // Clears the contents, retaining capacity for reuse.
   void Reset() { buffer_.clear(); }

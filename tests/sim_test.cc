@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "src/sim/backend.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rpc.h"
+#include "src/util/rng.h"
 
 namespace globe::sim {
 namespace {
@@ -145,21 +149,122 @@ TEST(EventHeapTest, CancelReportsWhetherEventWasStillPending) {
   EXPECT_FALSE(heap.Cancel(2));  // already ran
 }
 
-TEST(EventHeapTest, TakeAllReturnsLiveEventsAndResetsHeap) {
-  EventHeap heap;
-  for (uint64_t id = 0; id < 20; ++id) {
-    heap.Push(100 + id, id, [] {});
+// EventHeap against an ordered-set model. Seeded pushes carry increasing ids
+// with gaps (as a shard's ids have) at random times. One event far in the
+// future pins the oldest live id while later ids live and die behind it; a
+// tenth of the way in it is cancelled and a second one takes its place, so
+// the bitmap drops its front words, wraps and then grows again. Cancels hit
+// live, cancelled, already-run and never-pushed ids. pending(), IsPending and
+// every return value must match the model at each step.
+TEST(EventHeapTest, MatchesAnOrderedSetModel) {
+  constexpr SimTime kFarFuture = SimTime{1} << 40;
+  constexpr int kSteps = 20000;
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    EventHeap heap;
+    std::set<std::pair<SimTime, uint64_t>> model;  // live (time, id)
+    std::map<uint64_t, SimTime> live;
+    std::vector<uint64_t> cancelled;
+    std::vector<uint64_t> ran;
+    std::vector<uint64_t> never_pushed;  // a sample of the skipped ids
+    uint64_t next_id = 1;
+    SimTime now = 0;
+    auto push = [&](SimTime t) {
+      for (uint64_t skip = rng.UniformInt(4); skip > 0; --skip, ++next_id) {
+        if (never_pushed.size() < 256) {
+          never_pushed.push_back(next_id);
+        } else {
+          never_pushed[rng.UniformInt(never_pushed.size())] = next_id;
+        }
+      }
+      uint64_t id = next_id++;
+      heap.Push(t, id, [] {});
+      model.emplace(t, id);
+      live.emplace(id, t);
+      return id;
+    };
+    auto cancel = [&](uint64_t id) {
+      auto it = live.find(id);
+      bool expected = it != live.end();
+      ASSERT_EQ(heap.IsPending(id), expected) << "id " << id;
+      ASSERT_EQ(heap.Cancel(id), expected) << "id " << id;
+      ASSERT_FALSE(heap.IsPending(id));
+      if (expected) {
+        model.erase({it->second, id});
+        live.erase(it);
+        cancelled.push_back(id);
+      }
+    };
+    uint64_t pin = push(kFarFuture);
+    for (int step = 0; step < kSteps; ++step) {
+      if (step == kSteps / 10) {
+        ASSERT_TRUE(heap.IsPending(pin));
+        cancel(pin);
+        pin = push(kFarFuture);
+      }
+      uint64_t op = rng.UniformInt(100);
+      if (op < 35) {
+        push(now + rng.UniformInt(1000));
+      } else if (op < 70) {
+        uint64_t id = next_id;  // not pushed yet
+        switch (rng.UniformInt(4)) {
+          case 0:
+            if (!live.empty()) {
+              auto it = live.lower_bound(rng.UniformInt(next_id));
+              id = it == live.end() ? live.begin()->first : it->first;
+              id = id == pin ? next_id : id;  // pins fall only as planned
+            }
+            break;
+          case 1:
+            if (!cancelled.empty()) id = cancelled[rng.UniformInt(cancelled.size())];
+            break;
+          case 2:
+            if (!ran.empty()) id = ran[rng.UniformInt(ran.size())];
+            break;
+          default:
+            if (!never_pushed.empty()) {
+              id = never_pushed[rng.UniformInt(never_pushed.size())];
+            }
+            break;
+        }
+        cancel(id);
+      } else {
+        const TimedEvent* top = heap.Peek();
+        if (model.empty()) {
+          ASSERT_EQ(top, nullptr);
+          continue;
+        }
+        auto [time, id] = *model.begin();
+        ASSERT_NE(top, nullptr);
+        ASSERT_EQ(top->time, time);
+        ASSERT_EQ(top->id, id);
+        if (id == pin) {
+          continue;  // only the pin is left: it runs in the drain
+        }
+        TimedEvent event = heap.PopTop();
+        ASSERT_EQ(event.id, id);
+        ASSERT_FALSE(heap.IsPending(id));
+        now = event.time;
+        model.erase(model.begin());
+        live.erase(id);
+        ran.push_back(id);
+      }
+      ASSERT_EQ(heap.pending(), model.size());
+    }
+    // Drain: every survivor, in (time, id) order.
+    for (auto [time, id] : model) {
+      const TimedEvent* top = heap.Peek();
+      ASSERT_NE(top, nullptr);
+      ASSERT_EQ(top->time, time);
+      ASSERT_EQ(heap.PopTop().id, id);
+    }
+    EXPECT_EQ(heap.Peek(), nullptr);
+    EXPECT_EQ(heap.pending(), 0u);
+    EXPECT_FALSE(heap.IsPending(pin));
+    EXPECT_GT(ran.size(), 1000u);
+    EXPECT_GT(cancelled.size(), 1000u);
   }
-  for (uint64_t id = 0; id < 20; id += 2) {
-    heap.Cancel(id);
-  }
-  std::vector<TimedEvent> live = heap.TakeAll();
-  EXPECT_EQ(live.size(), 10u);
-  for (const TimedEvent& event : live) {
-    EXPECT_EQ(event.id % 2, 1u);
-  }
-  EXPECT_EQ(heap.pending(), 0u);
-  EXPECT_EQ(heap.Peek(), nullptr);
 }
 
 // ---------------------------------------------------------------- Topology

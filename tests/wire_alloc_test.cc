@@ -6,8 +6,9 @@
 //
 // This binary replaces the global allocation functions to record the largest
 // single allocation while a decode runs, to count the allocations of one RPC
-// call, and to measure the live heap a run of remote reads leaves behind,
-// which is why it stands alone: the counter cannot disturb any other suite.
+// call, and to measure the live heap that remote reads, large frames and
+// quorum writes leave behind, which is why it stands alone: the counter cannot
+// disturb any other suite.
 
 #include <gtest/gtest.h>
 #include <malloc.h>
@@ -15,18 +16,23 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/dns/message.h"
 #include "src/dns/zone.h"
 #include "src/dso/client_server.h"
+#include "src/dso/master_slave.h"
 #include "src/dso/runtime.h"
 #include "src/gdn/package.h"
 #include "src/gdn/search.h"
+#include "src/gls/deploy.h"
 #include "src/gls/directory.h"
 #include "src/gos/object_server.h"
 #include "src/sim/backend.h"
 #include "src/sim/rpc.h"
+#include "src/util/rng.h"
 #include "src/util/wire.h"
 #include "tests/test_util.h"
 
@@ -265,6 +271,106 @@ TEST(RemoteReadRetentionTest, ReadsOfALargeValueRetainNothing) {
   EXPECT_EQ(answered, kReads + 1);
   EXPECT_LT(grown, static_cast<int64_t>(kReads * kValueBytes / 10))
       << grown << " bytes still live after " << kReads << " reads";
+}
+
+// Frames are encoded into one scratch per thread, not one per endpoint. 32
+// replicas each answering a 64 KB read through their own proxy, and 32
+// channels each sending a 64 KB request, leave the live heap less than a few
+// frames larger; a scratch per server and per channel would keep 64 of them.
+TEST(FrameRetentionTest, LargeFramesLeaveNoBufferPerEndpoint) {
+  constexpr size_t kFrameBytes = 64 * 1024;
+  constexpr int kEndpoints = 32;
+  sim::Simulator simulator;
+  sim::UniformWorld world = sim::BuildUniformWorld({2}, 2);
+  sim::Network network(&simulator, &world.topology);
+  sim::PlainTransport transport(&network);
+  const std::string value(kFrameBytes, 'x');
+
+  // Endpoint 0 warms the thread's scratch and the allocator up; 1..32 are
+  // measured.
+  std::vector<std::unique_ptr<dso::ClientServerServer>> replicas;
+  std::vector<std::unique_ptr<dso::RemoteProxy>> proxies;
+  std::vector<std::unique_ptr<sim::Channel>> channels;
+  sim::RpcServer sink(&transport, world.hosts[0], 700);
+  sink.RegisterMethod("sink", [](const sim::RpcContext&, ByteSpan) -> Result<Bytes> {
+    return Bytes{};
+  });
+  for (int i = 0; i <= kEndpoints; ++i) {
+    replicas.push_back(std::make_unique<dso::ClientServerServer>(
+        &transport, world.hosts[0], std::make_unique<testutil::KvObject>()));
+    replicas.back()->Invoke(testutil::KvPut("dist.tgz", value), [](Result<Bytes> r) {
+      EXPECT_TRUE(r.ok()) << r.status();
+    });
+    proxies.push_back(std::make_unique<dso::RemoteProxy>(
+        &transport, world.hosts[1], *replicas.back()->contact_address()));
+    channels.push_back(std::make_unique<sim::Channel>(&transport, world.hosts[1]));
+  }
+  simulator.Run();
+
+  int answered = 0;
+  auto exchange = [&](int i) {
+    proxies[i]->Invoke(testutil::KvGet("dist.tgz"), [&](Result<Bytes> r) {
+      answered += r.ok() && r->size() > kFrameBytes ? 1 : 0;
+    });
+    channels[i]->Call(sink.endpoint(), "sink", Bytes(kFrameBytes, 0x5a),
+                      [&](Result<sim::PayloadView> r) { answered += r.ok() ? 1 : 0; });
+    simulator.Run();
+  };
+  exchange(0);
+  const int64_t before = g_live_bytes;
+  for (int i = 1; i <= kEndpoints; ++i) {
+    exchange(i);
+  }
+  const int64_t grown = g_live_bytes - before;
+  EXPECT_EQ(answered, 2 * (kEndpoints + 1));
+  EXPECT_LT(grown, static_cast<int64_t>(4 * kFrameBytes))
+      << grown << " bytes still live after " << 2 * kEndpoints << " large frames";
+}
+
+// A quorum round's rollback point dies with the round: after committed writes
+// the primary holds its 64 KB state once, not once more for a rollback that
+// can no longer happen.
+TEST(QuorumRetentionTest, CommittedRoundKeepsOneCopyOfTheState) {
+  constexpr size_t kValueBytes = 64 * 1024;
+  sim::Simulator simulator;
+  sim::UniformWorld world = sim::BuildUniformWorld({2}, 2);
+  sim::Network network(&simulator, &world.topology);
+  sim::PlainTransport transport(&network);
+  gls::GlsDeployment deployment(&transport, &world.topology, nullptr);
+  Rng rng(7);
+  dso::FailoverConfig failover;
+  failover.enabled = true;
+  failover.oid = gls::ObjectId::Generate(&rng);
+  failover.leaf_directory = deployment.LeafDirectoryFor(world.hosts[0]);
+  failover.quorum = true;
+  dso::MasterSlaveMaster primary(&transport, world.hosts[0],
+                                 std::make_unique<testutil::KvObject>(), nullptr,
+                                 failover);
+  // Lease renewals keep the queue busy: drive time, never drain.
+  auto run_for = [&](sim::SimTime duration) {
+    simulator.RunUntil(simulator.Now() + duration);
+  };
+  Status started = Unavailable("pending");
+  primary.Start([&](Status s) { started = s; });
+  run_for(sim::kSecond);
+  ASSERT_TRUE(started.ok()) << started;
+
+  int committed = 0;
+  auto write = [&](const std::string& value) {
+    primary.Invoke(testutil::KvPut("dist.tgz", value),
+                   [&](Result<Bytes> r) { committed += r.ok() ? 1 : 0; });
+    run_for(sim::kSecond);
+  };
+  write("");  // warm-up: the arbiter's records, the dedup tables
+  const int64_t before = g_live_bytes;
+  write(std::string(kValueBytes, 'x'));
+  write(std::string(kValueBytes, 'y'));
+  const int64_t grown = g_live_bytes - before;
+  EXPECT_EQ(committed, 3);
+  EXPECT_EQ(primary.group()->stats().quorum_commits, 3u);
+  EXPECT_GE(grown, static_cast<int64_t>(kValueBytes));
+  EXPECT_LT(grown, static_cast<int64_t>(kValueBytes * 3 / 2))
+      << grown << " bytes live for a " << kValueBytes << "-byte state";
 }
 
 }  // namespace
